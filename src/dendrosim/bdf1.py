@@ -1,20 +1,23 @@
-"""First-order decoupled, unconditionally energy-stable time stepper.
+"""First-order decoupled, unconditionally energy-stable time stepper, and the
+SAV step kernel shared with the second-order scheme.
 
-One step advances (phi, T, mu, R) through four linear elliptic solves and a
-scalar closure:
+Both schemes write the time derivative as (a0*x^{n+1} - x_hist)/tau and take
+the nonlinear terms at explicit data x_bar; here a0 = 1, x_hist = x_bar = x^n.
+:func:`sav_step` then advances (phi, T, mu, R) through four linear elliptic
+solves (:func:`partial_solves`) and a scalar closure:
 
-1. the xi-independent phase pair (phi_1, mu_1) from the previous phase field;
+1. the xi-independent phase pair (phi_1, mu_1) from the phase history;
 2. the xi-proportional pair (phi_2, mu_2) forced by the explicit nonlinear
    residual and temperature coupling;
 3. the homogeneous (T_1) and forced (T_2) temperature halves;
-4. the scalar xi = A2/A1 closing the auxiliary-variable update, after which
-   the new fields are the affine recombinations phi_1 + xi*phi_2 etc.
+4. the scalar xi = A2/A1 of the SAV closure (Shen, Xu & Yang, J. Comput.
+   Phys. 353, 2018), after which the new fields are the affine
+   recombinations phi_1 + xi*phi_2 etc.
 
-A1 > 0 is structural (it is a sum of squares plus twice the auxiliary
-energy), so xi always exists.  ``energy_identity_residual`` re-assembles
-the three inner-product identities behind the discrete energy law,
-independently of the stepping code, and reports how far their sum is from
-zero relative to the modified energy.
+``energy_identity_residual`` re-assembles the three inner-product identities
+behind the first-order discrete energy law, independently of the stepping
+code, and reports how far their sum is from zero relative to the modified
+energy.
 """
 
 from __future__ import annotations
@@ -40,11 +43,8 @@ __all__ = [
     "StepReport",
     "PartialSolves",
     "init_state",
-    "solve_phi1_mu1",
-    "solve_phi2_mu2",
-    "solve_temp1",
-    "solve_temp2",
-    "compute_xi",
+    "partial_solves",
+    "sav_step",
     "step",
     "scheme_energy",
     "energy_identity_residual",
@@ -77,18 +77,14 @@ class StepReport:
 
 @dataclass
 class PartialSolves:
-    """The four decoupled sub-solutions entering the xi closure.
+    """The four decoupled sub-solutions entering the xi closure, and the
+    zeroth-order coefficient ``coeff`` of both phase solves."""
 
-    ``mu2_core`` is mu_2 - s1*Lap(phi_2) + (s2/eps^2)*phi_2, i.e. the
-    explicit forcing -g - (lam/eps) h' T of the phi_2 equation, kept exact.
-    """
-
-    phi_n: np.ndarray
+    coeff: np.ndarray | float
     phi1: np.ndarray
     mu1: np.ndarray
     phi2: np.ndarray
     mu2: np.ndarray
-    mu2_core: np.ndarray
     temp1: np.ndarray
     temp2: np.ndarray
     cg_iterations: int = 0
@@ -108,115 +104,87 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
     return StateBDF1(phi=phi0.copy(), temp=temp0.copy(), mu=mu0, r=math.sqrt(e1))
 
 
-def _phi_coeff(p: ModelParams, tau: float, rho):
-    """Zeroth-order coefficient of the reduced phase solve (scalar or field)."""
-    return rho / tau + (p.s2 + p.s3) / p.eps**2
+def partial_solves(
+    grid: GridSpec, p: ModelParams, tau: float, a0: float, rho, hist: tuple[np.ndarray, np.ndarray],
+    phi_bar: np.ndarray, core: np.ndarray, temp_forcing: np.ndarray, src: tuple = (None, None),
+    cg_tol: float = 1e-10, cg_maxit: int = 500,
+) -> PartialSolves:
+    """The four linear solves of one step with leading BDF coefficient ``a0``.
 
-
-def solve_phi1_mu1(
-    grid: GridSpec,
-    p: ModelParams,
-    tau: float,
-    phi_n: np.ndarray,
-    rho_n,
-    source: np.ndarray | None = None,
-    cg_tol: float = 1e-10,
-    cg_maxit: int = 500,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """xi-independent phase solve: eliminate mu_1 = s1*Lap(phi_1) - (s2/eps^2) phi_1
-    and solve the resulting shifted Helmholtz problem."""
-    b = p.s1 + p.s4
-    rhs = (rho_n / tau + p.s3 / p.eps**2) * phi_n - p.s4 * laplacian(grid, phi_n)
-    if source is not None:
-        rhs = rhs + rho_n * source
-    phi1, iters = solve_shifted(grid, _phi_coeff(p, tau, rho_n), b, rhs, cg_tol, cg_maxit)
-    mu1 = p.s1 * laplacian(grid, phi1) - (p.s2 / p.eps**2) * phi1
-    return phi1, mu1, iters
-
-
-def solve_phi2_mu2(
-    grid: GridSpec,
-    p: ModelParams,
-    tau: float,
-    g_n: np.ndarray,
-    coupling: np.ndarray,
-    rho_n,
-    cg_tol: float = 1e-10,
-    cg_maxit: int = 500,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """xi-proportional phase solve, forced by -g(phi^n) - (lam/eps) h'(phi^n) T^n.
-
-    ``coupling`` is the precomputed (lam/eps) h'(phi^n) T^n field.  Returns
-    (phi2, mu2, mu2_core, iterations).
+    ``rho`` is 1/M(phi_bar) and ``hist`` is (phi_hist, T_hist).  The phi_2 pair
+    is forced by ``core`` = -g - (lam/eps) h' T_bar, so mu_2 = core +
+    s1*Lap(phi_2) - (s2/eps^2) phi_2; T_2 is forced by ``temp_forcing`` =
+    K h' M mu_bar.  ``src`` holds the optional phase and temperature sources.
     """
+    (phi_hist, temp_hist), (src_phi, src_temp) = hist, src
     b = p.s1 + p.s4
-    core = -(g_n + coupling)
-    phi2, iters = solve_shifted(grid, _phi_coeff(p, tau, rho_n), b, core, cg_tol, cg_maxit)
-    mu2 = core + p.s1 * laplacian(grid, phi2) - (p.s2 / p.eps**2) * phi2
-    return phi2, mu2, core, iters
+    coeff = a0 * rho / tau + (p.s2 + p.s3) / p.eps**2
+    rhs1 = phi_hist * (rho / tau) + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid, phi_bar)
+    if src_phi is not None:
+        rhs1 = rhs1 + rho * src_phi
+    phi1, it1 = solve_shifted(grid, coeff, b, rhs1, cg_tol, cg_maxit)
+    phi2, it2 = solve_shifted(grid, coeff, b, core, cg_tol, cg_maxit)
+    rhs_t1 = temp_hist / tau
+    if src_temp is not None:
+        rhs_t1 = rhs_t1 + src_temp
+    return PartialSolves(
+        coeff=coeff,
+        phi1=phi1,
+        mu1=p.s1 * laplacian(grid, phi1) - (p.s2 / p.eps**2) * phi1,
+        phi2=phi2,
+        mu2=core + p.s1 * laplacian(grid, phi2) - (p.s2 / p.eps**2) * phi2,
+        temp1=helmholtz_solve(grid, a0 / tau, p.diff, rhs_t1),
+        temp2=helmholtz_solve(grid, a0 / tau, p.diff, temp_forcing),
+        cg_iterations=it1 + it2,
+    )
 
 
-def solve_temp1(
-    grid: GridSpec,
-    p: ModelParams,
-    tau: float,
-    temp_n: np.ndarray,
-    source: np.ndarray | None = None,
-) -> np.ndarray:
-    """Homogeneous temperature half-step (implicit diffusion of T^n)."""
-    rhs = temp_n / tau
-    if source is not None:
-        rhs = rhs + source
-    return helmholtz_solve(grid, 1.0 / tau, p.diff, rhs)
+def sav_step(
+    grid: GridSpec, p: ModelParams, tau: float, a0: float,
+    hist: tuple[np.ndarray, np.ndarray, float], bar: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sources: SourceTerms, t_new: float, cg_tol: float, cg_maxit: int,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], StepReport]:
+    """One step of either scheme to ``t_new``; returns the new (phi, T, mu, R).
 
-
-def solve_temp2(grid: GridSpec, p: ModelParams, tau: float, forcing: np.ndarray) -> np.ndarray:
-    """Forced temperature half-step; ``forcing`` is K h'(phi^n) M(phi^n) mu^n."""
-    return helmholtz_solve(grid, 1.0 / tau, p.diff, forcing)
-
-
-def compute_xi(
-    grid: GridSpec,
-    p: ModelParams,
-    tau: float,
-    e1_n: float,
-    r_n: float,
-    rho_n,
-    parts: PartialSolves,
-) -> tuple[float, float, float]:
-    """Scalar closure xi = A2/A1 from the four partial solves.
-
-    A1 collects twice the auxiliary energy plus weighted squares of the
-    xi-proportional parts, hence is always positive.
+    ``hist`` = (phi_hist, T_hist, R_hist) is the history of the BDF derivative
+    (a0*x^{n+1} - x_hist)/tau, ``bar`` = (phi_bar, T_bar, mu_bar) the explicit
+    data.  A1 collects 2*a0 times the auxiliary energy plus weighted squares
+    of the xi-proportional parts, hence is always positive.
     """
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+    (phi_hist, temp_hist, r_hist), (phi_bar, temp_bar, mu_bar) = hist, bar
+    rho = p.mobility.rho_at(phi_bar)
+    hp = h_prime(phi_bar)
+    e1 = e1_energy(grid, phi_bar, p)
+    core = -(g_residual(grid, phi_bar, p) + (p.lam / p.eps) * hp * temp_bar)
+    parts = partial_solves(
+        grid, p, tau, a0, rho, (phi_hist, temp_hist), phi_bar, core, p.latent * hp / rho * mu_bar,
+        (sources.phi_at(grid, t_new), sources.temp_at(grid, t_new)), cg_tol, cg_maxit,
+    )
     lam_ek = p.lam / (p.eps * p.latent)
-    a1 = math.fsum(
-        [
-            2.0 * e1_n,
-            inner(grid, _phi_coeff(p, tau, rho_n) * parts.phi2, parts.phi2),
-            (p.s1 + p.s4) * grad_norm_sq(grid, parts.phi2),
-            lam_ek * norm_sq(grid, parts.temp2),
-            lam_ek * tau * p.diff * grad_norm_sq(grid, parts.temp2),
-        ]
-    )
-    a2 = math.fsum(
-        [
-            2.0 * math.sqrt(e1_n) * r_n,
-            -inner(grid, parts.mu2_core, parts.phi1 - parts.phi_n),
-            lam_ek
-            * inner(
-                grid,
-                -parts.temp2 + tau * p.diff * laplacian(grid, parts.temp2),
-                parts.temp1,
-            ),
-        ]
-    )
+    a1 = math.fsum([
+        a0 * 2.0 * e1,
+        a0 * inner(grid, parts.coeff * parts.phi2, parts.phi2),
+        a0 * (p.s1 + p.s4) * grad_norm_sq(grid, parts.phi2),
+        a0 * lam_ek * norm_sq(grid, parts.temp2),
+        lam_ek * tau * p.diff * grad_norm_sq(grid, parts.temp2),
+    ])
+    lap_t2 = laplacian(grid, parts.temp2)
+    a2 = math.fsum([
+        2.0 * math.sqrt(e1) * r_hist,
+        -inner(grid, core, a0 * parts.phi1 - phi_hist),
+        lam_ek * inner(grid, -a0 * parts.temp2 + tau * p.diff * lap_t2, parts.temp1),
+    ])
     if not a1 > 0.0:
         raise FloatingPointError(
             f"closure denominator A1={a1} is not positive; this violates a "
             "structural invariant of the scheme"
         )
-    return a2 / a1, a1, a2
+    xi = a2 / a1
+    new = (parts.phi1 + xi * parts.phi2, parts.temp1 + xi * parts.temp2,
+           parts.mu1 + xi * parts.mu2, xi * math.sqrt(e1))
+    return new, StepReport(xi=xi, a1=a1, a2=a2, cg_iterations=parts.cg_iterations)
 
 
 def step(
@@ -229,38 +197,13 @@ def step(
     cg_tol: float = 1e-10,
     cg_maxit: int = 500,
 ) -> tuple[StateBDF1, StepReport]:
-    """Advance one time level; returns the new state and closure report."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    """Advance one time level: the SAV kernel with a0 = 1 and x_hist = x_bar = x^n."""
     t_new = state.t + tau
-    rho_n = p.mobility.rho_at(state.phi)
-    g_n = g_residual(grid, state.phi, p)
-    hp_n = h_prime(state.phi)
-    e1_n = e1_energy(grid, state.phi, p)
-
-    phi1, mu1, it1 = solve_phi1_mu1(
-        grid, p, tau, state.phi, rho_n, sources.phi_at(grid, t_new), cg_tol, cg_maxit
+    (phi, temp, mu, r), report = sav_step(
+        grid, p, tau, 1.0, (state.phi, state.temp, state.r),
+        (state.phi, state.temp, state.mu), sources, t_new, cg_tol, cg_maxit,
     )
-    coupling = (p.lam / p.eps) * hp_n * state.temp
-    phi2, mu2, core2, it2 = solve_phi2_mu2(grid, p, tau, g_n, coupling, rho_n, cg_tol, cg_maxit)
-    temp1 = solve_temp1(grid, p, tau, state.temp, sources.temp_at(grid, t_new))
-    temp2 = solve_temp2(grid, p, tau, p.latent * hp_n / rho_n * state.mu)
-
-    parts = PartialSolves(
-        phi_n=state.phi, phi1=phi1, mu1=mu1, phi2=phi2, mu2=mu2, mu2_core=core2,
-        temp1=temp1, temp2=temp2, cg_iterations=it1 + it2,
-    )
-    xi, a1, a2 = compute_xi(grid, p, tau, e1_n, state.r, rho_n, parts)
-
-    new = StateBDF1(
-        phi=phi1 + xi * phi2,
-        temp=temp1 + xi * temp2,
-        mu=mu1 + xi * mu2,
-        r=xi * math.sqrt(e1_n),
-        t=t_new,
-        n=state.n + 1,
-    )
-    report = StepReport(xi=xi, a1=a1, a2=a2, cg_iterations=parts.cg_iterations)
+    new = StateBDF1(phi=phi, temp=temp, mu=mu, r=r, t=t_new, n=state.n + 1)
     if check_identity:
         report.identity_residual = energy_identity_residual(grid, p, tau, state, new)
     return new, report

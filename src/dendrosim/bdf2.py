@@ -1,10 +1,10 @@
 """Second-order decoupled, unconditionally energy-stable time stepper.
 
-Same four-solves-plus-scalar structure as the first-order scheme, with
-backward-difference-2 time derivatives and all explicit data taken at the
-linear extrapolations 2*(.)^n - (.)^{n-1}.  The first level is produced by
-one first-order bootstrap step, which costs O(tau^2) globally and leaves
-the second-order convergence intact.
+Each step runs the shared SAV kernel ``bdf1.sav_step`` with the
+backward-difference-2 coefficient a0 = 3/2, history 2*(.)^n - (.)^{n-1}/2 and
+all explicit data taken at the linear extrapolations 2*(.)^n - (.)^{n-1}.
+The first level is produced by one first-order bootstrap step, which costs
+O(tau^2) globally and leaves the second-order convergence intact.
 """
 
 from __future__ import annotations
@@ -15,17 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bdf1
-from .bdf1 import StepReport
-from .grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
+from .grid import GridSpec, grad_norm_sq, inner, norm_sq
 from .model import (
     NO_SOURCES,
+    EnergyPositivityError,
     ModelParams,
     SourceTerms,
     e1_energy,
     g_residual,
     h_prime,
 )
-from .solvers import helmholtz_solve, solve_shifted
 
 __all__ = [
     "StateBDF2",
@@ -64,7 +63,7 @@ def bootstrap(
     cg_tol: float = 1e-10,
     cg_maxit: int = 500,
     initial: "bdf1.StateBDF1 | None" = None,
-) -> tuple[StateBDF2, StepReport]:
+) -> tuple[StateBDF2, bdf1.StepReport]:
     """Fill both levels: level 0 from the inputs, level 1 from one
     first-order step.  ``initial`` reuses an already-built level-0 state."""
     s0 = initial if initial is not None else bdf1.init_state(grid, phi0, temp0, p)
@@ -88,92 +87,30 @@ def step2(
     check_identity: bool = False,
     cg_tol: float = 1e-10,
     cg_maxit: int = 500,
-) -> tuple[StateBDF2, StepReport]:
-    """Advance one time level with the second-order scheme."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+) -> tuple[StateBDF2, bdf1.StepReport]:
+    """Advance one time level with the second-order scheme: the SAV kernel
+    with a0 = 3/2, history 2x^n - x^{n-1}/2 and explicit data 2x^n - x^{n-1}."""
     t_new = state.t + tau
-    phi_bar = 2.0 * state.phi - state.phi_prev
-    temp_bar = 2.0 * state.temp - state.temp_prev
-    mu_bar = 2.0 * state.mu - state.mu_prev
-
-    rho_bar = p.mobility.rho_at(phi_bar)
-    g_bar = g_residual(grid, phi_bar, p)
-    hp_bar = h_prime(phi_bar)
+    hist = (2.0 * state.phi - 0.5 * state.phi_prev, 2.0 * state.temp - 0.5 * state.temp_prev,
+            2.0 * state.r - 0.5 * state.r_prev)
+    bar = (2.0 * state.phi - state.phi_prev, 2.0 * state.temp - state.temp_prev,
+           2.0 * state.mu - state.mu_prev)
     try:
-        e1_bar = e1_energy(grid, phi_bar, p)
-    except ValueError as exc:
-        raise type(exc)(
+        (phi, temp, mu, r), report = bdf1.sav_step(
+            grid, p, tau, 1.5, hist, bar, sources, t_new, cg_tol, cg_maxit
+        )
+    except EnergyPositivityError as exc:
+        raise EnergyPositivityError(
             f"{exc} (extrapolated field at t={t_new:g}; a larger bconst or a "
             "smaller tau tames the extrapolation overshoot)"
         ) from exc
-
-    b = p.s1 + p.s4
-    coeff = 1.5 * rho_bar / tau + (p.s2 + p.s3) / p.eps**2
-
-    rhs1 = (
-        (4.0 * state.phi - state.phi_prev) * (rho_bar / (2.0 * tau))
-        + (p.s3 / p.eps**2) * phi_bar
-        - p.s4 * laplacian(grid, phi_bar)
-    )
-    s_phi = sources.phi_at(grid, t_new)
-    if s_phi is not None:
-        rhs1 = rhs1 + rho_bar * s_phi
-    phi1, it1 = solve_shifted(grid, coeff, b, rhs1, cg_tol, cg_maxit)
-    mu1 = p.s1 * laplacian(grid, phi1) - (p.s2 / p.eps**2) * phi1
-
-    core2 = -(g_bar + (p.lam / p.eps) * hp_bar * temp_bar)
-    phi2, it2 = solve_shifted(grid, coeff, b, core2, cg_tol, cg_maxit)
-    mu2 = core2 + p.s1 * laplacian(grid, phi2) - (p.s2 / p.eps**2) * phi2
-
-    rhs_t1 = (4.0 * state.temp - state.temp_prev) / (2.0 * tau)
-    s_temp = sources.temp_at(grid, t_new)
-    if s_temp is not None:
-        rhs_t1 = rhs_t1 + s_temp
-    temp1 = helmholtz_solve(grid, 1.5 / tau, p.diff, rhs_t1)
-    temp2 = helmholtz_solve(grid, 1.5 / tau, p.diff, p.latent * hp_bar / rho_bar * mu_bar)
-
-    lam_ek = p.lam / (p.eps * p.latent)
-    a1 = math.fsum(
-        [
-            3.0 * e1_bar,
-            1.5 * inner(grid, coeff * phi2, phi2),
-            1.5 * (p.s1 + p.s4) * grad_norm_sq(grid, phi2),
-            1.5 * lam_ek * norm_sq(grid, temp2),
-            lam_ek * tau * p.diff * grad_norm_sq(grid, temp2),
-        ]
-    )
-    a2 = math.fsum(
-        [
-            math.sqrt(e1_bar) * (4.0 * state.r - state.r_prev),
-            -0.5 * inner(grid, core2, 3.0 * phi1 - 4.0 * state.phi + state.phi_prev),
-            lam_ek * inner(
-                grid,
-                -1.5 * temp2 + tau * p.diff * laplacian(grid, temp2),
-                temp1,
-            ),
-        ]
-    )
-    if not a1 > 0.0:
-        raise FloatingPointError(
-            f"closure denominator A1={a1} is not positive; this violates a "
-            "structural invariant of the scheme"
-        )
-    xi = a2 / a1
-
     new = StateBDF2(
-        phi=phi1 + xi * phi2,
-        phi_prev=state.phi,
-        temp=temp1 + xi * temp2,
-        temp_prev=state.temp,
-        mu=mu1 + xi * mu2,
-        mu_prev=state.mu,
-        r=xi * math.sqrt(e1_bar),
-        r_prev=state.r,
-        t=t_new,
-        n=state.n + 1,
+        phi=phi, phi_prev=state.phi,
+        temp=temp, temp_prev=state.temp,
+        mu=mu, mu_prev=state.mu,
+        r=r, r_prev=state.r,
+        t=t_new, n=state.n + 1,
     )
-    report = StepReport(xi=xi, a1=a1, a2=a2, cg_iterations=it1 + it2)
     if check_identity:
         report.identity_residual = energy_identity_residual2(grid, p, tau, state, new)
     return new, report

@@ -1,7 +1,8 @@
 """Command-line driver for single runs and the experiment reproductions.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 energy-law violation under --strict-energy.
+4 energy-law violation under --strict-energy, 5 numerical breakdown (a
+non-positive auxiliary energy E1 or closure denominator A1).
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .experiments import (
     run_stability,
     reference_solution,
 )
+from .model import EnergyPositivityError
 from .solvers import SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_ENERGY = 4
+EXIT_NUMERICAL = 5
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -48,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", choices=("bdf1", "bdf2"), help="override time scheme")
         p.add_argument("--tau", type=float, help="override time step size")
         p.add_argument("--t-end", type=float, dest="t_end", help="override final time")
-        p.add_argument("--deterministic", action="store_true", default=None,
-                       help="force single-threaded, bit-reproducible execution")
         p.add_argument("--strict-energy", action="store_true", default=None,
                        dest="strict_energy",
                        help="abort (exit 4) if the modified energy ever increases")
@@ -86,8 +87,6 @@ def _apply_overrides(cfg, args):
         updates["tau"] = args.tau
     if args.t_end is not None:
         updates["t_end"] = args.t_end
-    if args.deterministic is not None:
-        updates["deterministic"] = True
     if args.strict_energy is not None:
         updates["strict_energy"] = True
     if args.snapshot_every is not None:
@@ -142,6 +141,9 @@ def main(argv=None) -> int:
     except EnergyLawViolation as exc:
         print(f"energy law violation: {exc}", file=sys.stderr)
         return EXIT_ENERGY
+    except (EnergyPositivityError, FloatingPointError) as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -109,7 +109,6 @@ class RunConfig:
     snapshot_every: int = 0
     snapshot_times: tuple[float, ...] = ()
     strict_energy: bool = False
-    deterministic: bool = True
     check_identity: bool = True
     cg_tol: float = 1e-10
     cg_maxit: int = 500
@@ -151,7 +150,7 @@ _SCHEMA: dict[str, dict[str, bool]] = {
     },
     "output": {
         "ledger": False, "prefix": False, "snapshot_every": False,
-        "snapshot_times": False, "strict_energy": False, "deterministic": False,
+        "snapshot_times": False, "strict_energy": False,
     },
     "solver": {"cg_tol": False, "cg_maxit": False, "check_identity": False},
     "sources": {
@@ -290,7 +289,6 @@ def parse_config(text: str) -> RunConfig:
             snapshot_every=_to_int("output", "snapshot_every", o.get("snapshot_every", "0")),
             snapshot_times=snapshot_times,
             strict_energy=_to_bool("output", "strict_energy", o.get("strict_energy", "false")),
-            deterministic=_to_bool("output", "deterministic", o.get("deterministic", "true")),
             check_identity=_to_bool("solver", "check_identity", s.get("check_identity", "true")),
             cg_tol=_to_float("solver", "cg_tol", s.get("cg_tol", "1e-10")),
             cg_maxit=_to_int("solver", "cg_maxit", s.get("cg_maxit", "500")),
@@ -334,8 +332,7 @@ def serialize_config(cfg: RunConfig) -> str:
     out.write(f"ledger = {cfg.ledger}\nprefix = {cfg.prefix}\n")
     out.write(f"snapshot_every = {cfg.snapshot_every}\n")
     out.write(f"snapshot_times = {','.join(repr(t) for t in cfg.snapshot_times)}\n")
-    out.write(f"strict_energy = {str(cfg.strict_energy).lower()}\n")
-    out.write(f"deterministic = {str(cfg.deterministic).lower()}\n\n")
+    out.write(f"strict_energy = {str(cfg.strict_energy).lower()}\n\n")
     out.write("[solver]\n")
     out.write(f"cg_tol = {cfg.cg_tol!r}\ncg_maxit = {cfg.cg_maxit}\n")
     out.write(f"check_identity = {str(cfg.check_identity).lower()}\n\n")

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from dendrosim.bdf1 import (
-    PartialSolves,
-    compute_xi,
     identity_proof_lines,
     init_state,
+    partial_solves,
     scheme_energy,
-    solve_phi1_mu1,
-    solve_phi2_mu2,
-    solve_temp1,
-    solve_temp2,
     step,
 )
 from dendrosim.config import case2_params
@@ -27,6 +22,22 @@ from dendrosim.model import (
 )
 
 from conftest import smooth_field
+
+
+def solves(grid, p, tau, rho=1e3, a0=1.0, phi_bar=None, phi_hist=None, temp_hist=None,
+           core=None, temp_forcing=None):
+    """The kernel's partial solves with zero data for every field not given;
+    the phase history defaults to the explicit field (the bdf1 setting)."""
+    z = grid.zeros()
+    phi_bar = z if phi_bar is None else phi_bar
+    hist = (phi_bar if phi_hist is None else phi_hist, z if temp_hist is None else temp_hist)
+    return partial_solves(grid, p, tau, a0, rho, hist, phi_bar, z if core is None else core,
+                          z if temp_forcing is None else temp_forcing)
+
+
+# leading BDF coefficient and phase/temperature history seed of each scheme;
+# bdf2's history differs from the explicit data
+SCHEMES = pytest.mark.parametrize("a0, hist_seed", [(1.0, None), (1.5, 21)], ids=["bdf1", "bdf2"])
 
 
 def raw_closure(grid, p, tau, state, parts, e1_n, rho_n):
@@ -104,25 +115,28 @@ class TestInitState:
 class TestPhaseSolves:
     def test_phi1_zero_input(self, grid16):
         p = case2_params()
-        phi1, mu1, _ = solve_phi1_mu1(grid16, p, 0.1, grid16.zeros(), 1e3)
-        assert np.all(phi1 == 0.0)
-        assert np.all(mu1 == 0.0)
+        parts = solves(grid16, p, 0.1)
+        assert np.all(parts.phi1 == 0.0)
+        assert np.all(parts.mu1 == 0.0)
 
     def test_phi1_constant_closed_form(self, grid16):
         p = case2_params(s3=2.0, s4=1.0)
         tau, rho, c = 0.05, 1e3, 0.8
-        phi1, _, _ = solve_phi1_mu1(grid16, p, tau, grid16.full(c), rho)
+        phi1 = solves(grid16, p, tau, rho, phi_bar=grid16.full(c)).phi1
         expected = c * (rho / tau + p.s3 / p.eps**2) / (rho / tau + (p.s2 + p.s3) / p.eps**2)
         assert phi1 == pytest.approx(expected, rel=1e-12)
 
-    def test_phi1_back_substitution(self, grid16):
+    @SCHEMES
+    def test_phi1_back_substitution(self, grid16, a0, hist_seed):
         # the returned pair satisfies the original coupled system
         p = case2_params(s3=3.0, s4=2.0)
         tau, rho = 0.02, 1e3
         phi_n = smooth_field(grid16, 7)
-        phi1, mu1, _ = solve_phi1_mu1(grid16, p, tau, phi_n, rho)
+        phi_hist = phi_n if hist_seed is None else smooth_field(grid16, hist_seed)
+        parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist)
+        phi1, mu1 = parts.phi1, parts.mu1
         m = 1.0 / rho
-        res_a = (phi1 - phi_n) / tau - m * (
+        res_a = (a0 * phi1 - phi_hist) / tau - m * (
             mu1 - (p.s3 / p.eps**2) * (phi1 - phi_n)
             + p.s4 * (laplacian(grid16, phi1) - laplacian(grid16, phi_n))
         )
@@ -133,33 +147,36 @@ class TestPhaseSolves:
 
     def test_phi2_zero_forcing(self, grid16):
         p = case2_params()
-        phi2, mu2, core, _ = solve_phi2_mu2(
-            grid16, p, 0.1, grid16.zeros(), grid16.zeros(), 1e3
-        )
-        assert np.all(phi2 == 0.0)
-        assert np.all(mu2 == 0.0)
-        assert np.all(core == 0.0)
+        parts = solves(grid16, p, 0.1, core=grid16.zeros())
+        assert np.all(parts.phi2 == 0.0)
+        assert np.all(parts.mu2 == 0.0)
 
     def test_phi2_unit_forcing_sign(self, grid16):
         # g = 1, T = 0: constant output with the closed-form negative value
         p = case2_params()
         tau, rho = 0.1, 1e3
-        phi2, _, _, _ = solve_phi2_mu2(grid16, p, tau, grid16.full(1.0), grid16.zeros(), rho)
+        phi2 = solves(grid16, p, tau, rho, core=grid16.full(-1.0)).phi2  # core = -(g + 0)
         m = 1.0 / rho
         expected = -tau * m / (1.0 + tau * m * (p.s2 + p.s3) / p.eps**2)
         assert phi2 == pytest.approx(expected, rel=1e-12)
         assert np.all(phi2 < 0.0)
 
-    def test_phi2_back_substitution(self, grid16):
+    @SCHEMES
+    def test_phi2_back_substitution(self, grid16, a0, hist_seed):
         p = case2_params(s3=1.0, s4=0.5)
         tau, rho = 0.02, 1e3
         phi_n = smooth_field(grid16, 8)
         temp_n = smooth_field(grid16, 9)
+        phi_hist = phi_n if hist_seed is None else smooth_field(grid16, hist_seed)
         g_n = g_residual(grid16, phi_n, p)
         coupling = (p.lam / p.eps) * h_prime(phi_n) * temp_n
-        phi2, mu2, _, _ = solve_phi2_mu2(grid16, p, tau, g_n, coupling, rho)
+        parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist,
+                       core=-(g_n + coupling))
+        phi2, mu2 = parts.phi2, parts.mu2
         m = 1.0 / rho
-        res_a = phi2 / tau - m * (mu2 - (p.s3 / p.eps**2) * phi2 + p.s4 * laplacian(grid16, phi2))
+        res_a = a0 * phi2 / tau - m * (
+            mu2 - (p.s3 / p.eps**2) * phi2 + p.s4 * laplacian(grid16, phi2)
+        )
         res_b = mu2 + g_n - p.s1 * laplacian(grid16, phi2) + (p.s2 / p.eps**2) * phi2 + coupling
         assert np.max(np.abs(res_a)) < 1e-10 * max(1.0, np.max(np.abs(phi2)) / tau)
         assert np.max(np.abs(res_b)) < 1e-10 * max(1.0, np.max(np.abs(mu2)))
@@ -168,33 +185,32 @@ class TestPhaseSolves:
 class TestTemperatureSolves:
     def test_constant_is_fixed_point(self, grid16):
         p = case2_params()
-        t1 = solve_temp1(grid16, p, 0.25, grid16.full(1.7))
+        t1 = solves(grid16, p, 0.25, temp_hist=grid16.full(1.7)).temp1
         assert t1 == pytest.approx(1.7, rel=1e-12)
 
     def test_zero_mu_gives_zero_t2(self, grid16):
         p = case2_params()
-        assert np.all(solve_temp2(grid16, p, 0.25, grid16.zeros()) == 0.0)
+        assert np.all(solves(grid16, p, 0.25, temp_forcing=grid16.zeros()).temp2 == 0.0)
 
-    def test_mean_conservation(self, grid16):
+    @SCHEMES
+    def test_mean_conservation(self, grid16, a0, hist_seed):
         from dendrosim.grid import integrate
 
         p = case2_params()
-        temp = smooth_field(grid16, 12)
-        t1 = solve_temp1(grid16, p, 0.3, temp)
-        assert integrate(grid16, t1) == pytest.approx(integrate(grid16, temp), abs=1e-12)
+        temp = smooth_field(grid16, 12 if hist_seed is None else hist_seed)
+        t1 = solves(grid16, p, 0.3, a0=a0, temp_hist=temp).temp1
+        assert integrate(grid16, t1) == pytest.approx(integrate(grid16, temp) / a0, abs=1e-12)
 
 
 class TestClosure:
     def test_decoupled_limit(self, grid16):
-        # phi2 = mu2 = temp2 = 0 forces xi = R / sqrt(E1)
+        # zero phi, T and mu make phi2 = mu2 = temp2 = 0, which forces xi = R / sqrt(E1)
         p = case2_params()
         s = init_state(grid16, grid16.zeros(), grid16.zeros(), p)
         s.r *= 1.23
         e1_n = e1_energy(grid16, s.phi, p)
-        z = grid16.zeros()
-        parts = PartialSolves(phi_n=s.phi, phi1=s.phi, mu1=z, phi2=z, mu2=z,
-                              mu2_core=z, temp1=z, temp2=z)
-        xi, a1, _ = compute_xi(grid16, p, 0.1, e1_n, s.r, 1e3, parts)
+        _, rep = step(grid16, s, 0.1, p)
+        xi, a1 = rep.xi, rep.a1
         assert xi == pytest.approx(s.r / math.sqrt(e1_n), rel=1e-12)
         assert a1 == pytest.approx(2.0 * e1_n, rel=1e-12)
 
@@ -210,8 +226,8 @@ class TestClosure:
 
     @pytest.mark.parametrize("s_set", [(0.9, 10.0, 0.0, 0.0), (0.5, 4.0, 3.0, 2.0)])
     def test_raw_definition_oracle(self, s_set):
-        # production A1 (sum-of-squares form) and A2 (substituted form) agree
-        # with the raw defining expressions on a roughened state
+        # the kernel's A1 (sum-of-squares form) and A2 (substituted form) agree
+        # with the raw defining expressions of its partial solves on a roughened state
         grid = GridSpec(24, 24)
         s1, s2, s3, s4 = s_set
         p = case2_params(s1=s1, s2=s2, s3=s3, s4=s4)
@@ -220,13 +236,11 @@ class TestClosure:
         e1_n = e1_energy(grid, state.phi, p)
         g_n = g_residual(grid, state.phi, p)
         coupling = (p.lam / p.eps) * h_prime(state.phi) * state.temp
-        phi1, mu1, _ = solve_phi1_mu1(grid, p, tau, state.phi, rho)
-        phi2, mu2, core2, _ = solve_phi2_mu2(grid, p, tau, g_n, coupling, rho)
-        temp1 = solve_temp1(grid, p, tau, state.temp)
-        temp2 = solve_temp2(grid, p, tau, p.latent * h_prime(state.phi) / rho * state.mu)
-        parts = PartialSolves(phi_n=state.phi, phi1=phi1, mu1=mu1, phi2=phi2,
-                              mu2=mu2, mu2_core=core2, temp1=temp1, temp2=temp2)
-        xi, a1, a2 = compute_xi(grid, p, tau, e1_n, state.r, rho, parts)
+        parts = solves(grid, p, tau, rho, phi_bar=state.phi, temp_hist=state.temp,
+                       core=-(g_n + coupling),
+                       temp_forcing=p.latent * h_prime(state.phi) / rho * state.mu)
+        _, rep = step(grid, state, tau, p)
+        a1, a2 = rep.a1, rep.a2
         a1_raw, a2_raw = raw_closure(grid, p, tau, state, parts, e1_n, rho)
         assert a1 == pytest.approx(a1_raw, rel=1e-9)
         assert a2 == pytest.approx(a2_raw, rel=1e-9)
@@ -283,8 +297,8 @@ class TestStep:
         tau, rho = 0.1, 1e3
         g_n = g_residual(grid, s.phi, p)
         coupling = (p.lam / p.eps) * h_prime(s.phi) * s.temp
-        phi1, _, _ = solve_phi1_mu1(grid, p, tau, s.phi, rho)
-        phi2, _, _, _ = solve_phi2_mu2(grid, p, tau, g_n, coupling, rho)
+        parts = solves(grid, p, tau, rho, phi_bar=s.phi, core=-(g_n + coupling))
+        phi1, phi2 = parts.phi1, parts.phi2
         new, rep = step(grid, s, tau, p)
         assert np.array_equal(new.phi, phi1 + rep.xi * phi2)
         xi_prime = rep.xi + 0.25

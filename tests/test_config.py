@@ -165,7 +165,7 @@ class TestRoundTrip:
         text = MINIMAL + (
             "\n[output]\nledger = custom.csv\nprefix = probe\n"
             "snapshot_every = 7\nsnapshot_times = 0.5,1.0\n"
-            "strict_energy = true\ndeterministic = true\n"
+            "strict_energy = true\n"
             "\n[solver]\ncg_tol = 1e-9\ncg_maxit = 50\ncheck_identity = false\n"
         )
         cfg = parse_config(text)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dendrosim.cli import EXIT_CONFIG, EXIT_OK, main
+from dendrosim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dendrosim.config import (
     RunConfig,
     case2_initial,
@@ -230,6 +230,14 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[time]\ntau = -1\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_numerical_breakdown_exit_code(self, tmp_path, capsys):
+        # a tiny bconst leaves the auxiliary energy E1 negative
+        cfg = self._write_tiny_cfg(tmp_path, params=replace(case2_params(), bconst=1e-9))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical breakdown: ") and err.count("\n") == 1
 
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.cfg"
