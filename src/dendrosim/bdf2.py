@@ -161,23 +161,25 @@ def identity_proof_lines2(
     lead_new = 2.0 * after.phi - before.phi
     lead_old = 2.0 * before.phi - before.phi_prev
     hm_mubar = hp_bar / rho_bar * mu_bar
+    curv_sq = norm_sq(grid, curv_phi)
+    curv_grad_sq = grad_norm_sq(grid, curv_phi)
 
     line1 = math.fsum(
         [
             (1.0 / tau) * inner(grid, rho_bar * bdf_phi, bdf_phi),
             (2.0 * p.s3 / p.eps**2)
-            * (norm_sq(grid, d_new) - norm_sq(grid, d_old) + 2.0 * norm_sq(grid, curv_phi)),
+            * (norm_sq(grid, d_new) - norm_sq(grid, d_old) + 2.0 * curv_sq),
             2.0 * p.s4
             * (grad_norm_sq(grid, d_new) - grad_norm_sq(grid, d_old)
-               + 2.0 * grad_norm_sq(grid, curv_phi)),
+               + 2.0 * curv_grad_sq),
             p.s1
             * (grad_norm_sq(grid, after.phi) + grad_norm_sq(grid, lead_new)
                - grad_norm_sq(grid, before.phi) - grad_norm_sq(grid, lead_old)
-               + grad_norm_sq(grid, curv_phi)),
+               + curv_grad_sq),
             (p.s2 / p.eps**2)
             * (norm_sq(grid, after.phi) + norm_sq(grid, lead_new)
                - norm_sq(grid, before.phi) - norm_sq(grid, lead_old)
-               + norm_sq(grid, curv_phi)),
+               + curv_sq),
             2.0 * xi * inner(grid, g_bar, bdf_phi),
             2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi),
         ]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 energy-law violation under --strict-energy, 5 numerical breakdown (a
-non-positive auxiliary energy E1 or closure denominator A1).
+non-positive auxiliary energy E1 or closure denominator A1, or a non-finite
+ledger value), reported with the level and time it happened at.
 """
 
 from __future__ import annotations

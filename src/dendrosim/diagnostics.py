@@ -22,6 +22,7 @@ from .model import ModelParams, e1_energy, original_energy
 __all__ = [
     "EnergyRecord",
     "EnergyLawViolation",
+    "NonFiniteRecordError",
     "LEDGER_FIELDS",
     "crystal_area",
     "make_record",
@@ -47,6 +48,10 @@ class EnergyLawViolation(RuntimeError):
     """Modified energy increased beyond tolerance in strict mode."""
 
 
+class NonFiniteRecordError(ValueError, FloatingPointError):
+    """A ledger row came out non-finite: the run has broken down numerically."""
+
+
 @dataclass
 class EnergyRecord:
     """One ledger row."""
@@ -64,7 +69,7 @@ class EnergyRecord:
         values = [self.time, self.e_modified, self.e_original, self.xi,
                   self.area, self.identity_residual, self.a1]
         if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"non-finite value in energy record: {self}")
+            raise NonFiniteRecordError(f"non-finite value in energy record: {self}")
 
 
 def crystal_area(grid: GridSpec, phi: np.ndarray) -> float:

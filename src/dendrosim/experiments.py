@@ -23,7 +23,7 @@ from .diagnostics import (
     make_record,
 )
 from .grid import GridSpec, inner
-from .model import NO_SOURCES, SourceTerms
+from .model import NO_SOURCES, EnergyPositivityError, SourceTerms
 from .snapshots import FieldSnapshot, write_snapshot
 
 __all__ = [
@@ -172,11 +172,14 @@ def run_single(
         if out_dir is not None and _snapshot_due(cfg, state.n, state.t, pending_times):
             _write_state_snapshots(cfg, out_dir, state, state.n)
 
+    # level and time being computed, named in a numerical breakdown
+    level, t_level = 0, 0.0
     try:
         if cfg.scheme == "bdf1":
             state = bdf1.init_state(grid, phi0, temp0, cfg.params)
             emit(state, None)
             for _ in range(cfg.n_steps):
+                level, t_level = state.n + 1, state.t + cfg.tau
                 state, report = bdf1.step(
                     grid, state, cfg.tau, cfg.params, sources,
                     cfg.check_identity, cfg.cg_tol, cfg.cg_maxit,
@@ -185,17 +188,21 @@ def run_single(
         else:
             start = bdf1.init_state(grid, phi0, temp0, cfg.params)
             emit(start, None)
+            level, t_level = 1, start.t + cfg.tau
             state, report = bdf2.bootstrap(
                 grid, phi0, temp0, cfg.tau, cfg.params, sources,
                 cfg.check_identity, cfg.cg_tol, cfg.cg_maxit, initial=start,
             )
             emit(state, report)
             for _ in range(cfg.n_steps - 1):
+                level, t_level = state.n + 1, state.t + cfg.tau
                 state, report = bdf2.step2(
                     grid, state, cfg.tau, cfg.params, sources,
                     cfg.check_identity, cfg.cg_tol, cfg.cg_maxit,
                 )
                 emit(state, report)
+    except (EnergyPositivityError, FloatingPointError) as exc:
+        raise type(exc)(f"level {level} (t={t_level:g}): {exc}") from exc
     finally:
         if writer is not None:
             writer.close()

@@ -17,6 +17,14 @@ enforce homogeneous Neumann walls through ghost cells:
 face differences, so <laplacian(f), g> == -grad_inner(f, g) holds to
 roundoff.  All quadratic gradient energies in the time steppers use it;
 that exactness is what makes the discrete energy identities balance.
+
+No ghost cell or wall face is ever stored.  Face differences live on the
+interior faces only, (nx-1, ny) across x and (nx, ny-1) across y; the zero
+flux through the wall faces is implicit, and the wall rows and columns of
+each result are written by slice assignment.  The arithmetic is that of the
+ghost-cell formulation above, operation for operation, so the array
+operators match it bit for bit; ``grad_inner`` skips the zero wall products
+and so differs from it only in summation order.
 """
 
 from __future__ import annotations
@@ -101,10 +109,16 @@ class GridSpec:
 def gradient(grid: GridSpec, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centered-difference gradient with even ghost reflection at the walls."""
     grid.check(f)
-    px = np.pad(f, ((1, 1), (0, 0)), mode="edge")
-    py = np.pad(f, ((0, 0), (1, 1)), mode="edge")
-    gx = (px[2:, :] - px[:-2, :]) / (2.0 * grid.hx)
-    gy = (py[:, 2:] - py[:, :-2]) / (2.0 * grid.hy)
+    gx = np.empty(grid.shape)
+    np.subtract(f[2:, :], f[:-2, :], out=gx[1:-1, :])
+    gx[0, :] = f[1, :] - f[0, :]
+    gx[-1, :] = f[-1, :] - f[-2, :]
+    gx /= 2.0 * grid.hx
+    gy = np.empty(grid.shape)
+    np.subtract(f[:, 2:], f[:, :-2], out=gy[:, 1:-1])
+    gy[:, 0] = f[:, 1] - f[:, 0]
+    gy[:, -1] = f[:, -1] - f[:, -2]
+    gy /= 2.0 * grid.hy
     return gx, gy
 
 
@@ -115,32 +129,47 @@ def divergence(grid: GridSpec, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     inner(divergence(v), f) == -(inner(vx, gx) + inner(vy, gy)).
     """
     grid.check(vx, vy)
-    px = np.concatenate([-vx[:1, :], vx, -vx[-1:, :]], axis=0)
-    py = np.concatenate([-vy[:, :1], vy, -vy[:, -1:]], axis=1)
-    dx = (px[2:, :] - px[:-2, :]) / (2.0 * grid.hx)
-    dy = (py[:, 2:] - py[:, :-2]) / (2.0 * grid.hy)
-    return dx + dy
+    dx = np.empty(grid.shape)
+    np.subtract(vx[2:, :], vx[:-2, :], out=dx[1:-1, :])
+    dx[0, :] = vx[1, :] + vx[0, :]
+    dx[-1, :] = -vx[-1, :] - vx[-2, :]
+    dx /= 2.0 * grid.hx
+    dy = np.empty(grid.shape)
+    np.subtract(vy[:, 2:], vy[:, :-2], out=dy[:, 1:-1])
+    dy[:, 0] = vy[:, 1] + vy[:, 0]
+    dy[:, -1] = -vy[:, -1] - vy[:, -2]
+    dy /= 2.0 * grid.hy
+    dx += dy
+    return dx
 
 
-def _face_diff_x(grid: GridSpec, f: np.ndarray) -> np.ndarray:
-    """Differences across x-faces, zero on the two wall faces; shape (nx+1, ny)."""
-    d = np.zeros((grid.nx + 1, grid.ny))
-    d[1:-1, :] = f[1:, :] - f[:-1, :]
-    return d
+def _flux_divergence(grid: GridSpec, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Divergence of face fluxes given on the interior faces only.
 
-
-def _face_diff_y(grid: GridSpec, f: np.ndarray) -> np.ndarray:
-    d = np.zeros((grid.nx, grid.ny + 1))
-    d[:, 1:-1] = f[:, 1:] - f[:, :-1]
-    return d
+    ``fx`` has shape (nx-1, ny) and ``fy`` (nx, ny-1); the flux through
+    the wall faces is zero.
+    """
+    out = np.empty(grid.shape)
+    out[0, :] = fx[0, :]
+    np.subtract(fx[1:, :], fx[:-1, :], out=out[1:-1, :])
+    out[-1, :] = -fx[-1, :]
+    out /= grid.hx
+    dy = np.diff(fy, axis=1)
+    dy /= grid.hy
+    out[:, 1:-1] += dy
+    out[:, 0] += fy[:, 0] / grid.hy
+    out[:, -1] -= fy[:, -1] / grid.hy
+    return out
 
 
 def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     """Compact 5-point Neumann Laplacian (face fluxes, zero at the walls)."""
     grid.check(f)
-    fx = _face_diff_x(grid, f) / grid.hx
-    fy = _face_diff_y(grid, f) / grid.hy
-    return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
+    fx = np.diff(f, axis=0)
+    fx /= grid.hx
+    fy = np.diff(f, axis=1)
+    fy /= grid.hy
+    return _flux_divergence(grid, fx, fy)
 
 
 def face_flux_divergence(
@@ -152,13 +181,15 @@ def face_flux_divergence(
     this reduces bit-for-bit to :func:`laplacian`.
     """
     grid.check(w, f)
-    wx = np.ones((grid.nx + 1, grid.ny))
-    wx[1:-1, :] = 0.5 * (w[1:, :] + w[:-1, :])
-    wy = np.ones((grid.nx, grid.ny + 1))
-    wy[:, 1:-1] = 0.5 * (w[:, 1:] + w[:, :-1])
-    fx = wx * _face_diff_x(grid, f) / grid.hx
-    fy = wy * _face_diff_y(grid, f) / grid.hy
-    return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
+    fx = np.add(w[1:, :], w[:-1, :])
+    fx *= 0.5
+    fx *= np.diff(f, axis=0)
+    fx /= grid.hx
+    fy = np.add(w[:, 1:], w[:, :-1])
+    fy *= 0.5
+    fy *= np.diff(f, axis=1)
+    fy /= grid.hy
+    return _flux_divergence(grid, fx, fy)
 
 
 def inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
@@ -184,8 +215,15 @@ def grad_inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
     grad_inner(f, f) >= 0.
     """
     grid.check(f, g)
-    sx = np.dot(_face_diff_x(grid, f).ravel(), _face_diff_x(grid, g).ravel())
-    sy = np.dot(_face_diff_y(grid, f).ravel(), _face_diff_y(grid, g).ravel())
+    fx = np.diff(f, axis=0).ravel()
+    fy = np.diff(f, axis=1).ravel()
+    if g is f:
+        gx, gy = fx, fy
+    else:
+        gx = np.diff(g, axis=0).ravel()
+        gy = np.diff(g, axis=1).ravel()
+    sx = np.dot(fx, gx)
+    sy = np.dot(fy, gy)
     return float(sx) * grid.hy / grid.hx + float(sy) * grid.hx / grid.hy
 
 

@@ -234,12 +234,12 @@ def g_residual(grid: GridSpec, phi: np.ndarray, p: ModelParams) -> np.ndarray:
     divergence.
     """
     grid.check(phi)
-    gx, gy = gradient(grid, phi)
     out = (f_well(phi) - p.s2 * phi) / p.eps**2
     if p.sigma == 0.0:
         # kappa == 1 and H == 0: only the (1 - s1) face flux survives.
         out -= face_flux_divergence(grid, grid.full(1.0 - p.s1), phi)
         return out
+    gx, gy = gradient(grid, phi)
     kap = kappa(gx, gy, p.sigma, p.grad_reg)
     out -= face_flux_divergence(grid, kap * kap - p.s1, phi)
     hx, hy = aniso_h(gx, gy, p.sigma, p.grad_reg)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dendrosim import bdf1, bdf2
 from dendrosim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dendrosim.config import (
     RunConfig,
@@ -14,7 +15,7 @@ from dendrosim.config import (
     dendrite_params,
     load_config,
 )
-from dendrosim.diagnostics import read_ledger
+from dendrosim.diagnostics import NonFiniteRecordError, read_ledger
 from dendrosim.experiments import (
     STABILIZER_SETS,
     estimate_order,
@@ -24,7 +25,7 @@ from dendrosim.experiments import (
     run_stability,
 )
 from dendrosim.grid import GridSpec
-from dendrosim.model import SourceTerms
+from dendrosim.model import EnergyPositivityError, SourceTerms
 from dendrosim.snapshots import read_snapshot, source_from_snapshots
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -96,6 +97,22 @@ class TestRunSingle:
     def test_bdf1_scheme_runs(self, tmp_path):
         res = run_single(tiny_config(scheme="bdf1"), tmp_path)
         assert res.final_state.n == 5
+
+    @pytest.mark.parametrize("scheme,module,name,error", [
+        ("bdf1", bdf1, "step", FloatingPointError),
+        ("bdf2", bdf2, "step2", EnergyPositivityError),
+    ])
+    def test_breakdown_names_failing_level(self, monkeypatch, scheme, module, name, error):
+        real_step = getattr(module, name)
+
+        def failing_step(grid, state, *args):
+            if state.n == 2:
+                raise error("closure broke down")
+            return real_step(grid, state, *args)
+
+        monkeypatch.setattr(module, name, failing_step)
+        with pytest.raises(error, match=r"^level 3 \(t=0\.03\): closure broke down$"):
+            run_single(tiny_config(scheme=scheme, t_end=0.05), None)
 
     def test_case1_config_runs(self):
         # the manufactured-solution parameter set starts from ~zero fields
@@ -238,6 +255,19 @@ class TestCli:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical breakdown: ") and err.count("\n") == 1
+        # E1 < 0 already at the initial data: the line names level 0 and t=0
+        assert "level 0 (t=0): auxiliary energy E1=" in err
+
+    def test_non_finite_record_exit_code(self, tmp_path, capsys, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise NonFiniteRecordError("non-finite value in energy record")
+
+        monkeypatch.setattr("dendrosim.cli.run_single", broken_run)
+        cfg = self._write_tiny_cfg(tmp_path)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical breakdown: non-finite") and err.count("\n") == 1
 
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.cfg"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dendrosim.grid import (
     GridSpec,
     divergence,
+    face_flux_divergence,
     grad_inner,
     grad_norm_sq,
     gradient,
@@ -197,3 +198,119 @@ class TestLinearity:
         gx2, gy2 = gradient(g, f2)
         assert gx == pytest.approx(alpha * gx1 + beta * gx2, abs=1e-10 * scale)
         assert gy == pytest.approx(alpha * gy1 + beta * gy2, abs=1e-10 * scale)
+
+
+# Reference implementations that materialise the ghost cells and the zero
+# wall faces (the padded formulation the operators above must reproduce).
+
+
+def _ref_face_diff_x(grid, f):
+    d = np.zeros((grid.nx + 1, grid.ny))
+    d[1:-1, :] = f[1:, :] - f[:-1, :]
+    return d
+
+
+def _ref_face_diff_y(grid, f):
+    d = np.zeros((grid.nx, grid.ny + 1))
+    d[:, 1:-1] = f[:, 1:] - f[:, :-1]
+    return d
+
+
+def _ref_gradient(grid, f):
+    px = np.pad(f, ((1, 1), (0, 0)), mode="edge")
+    py = np.pad(f, ((0, 0), (1, 1)), mode="edge")
+    gx = (px[2:, :] - px[:-2, :]) / (2.0 * grid.hx)
+    gy = (py[:, 2:] - py[:, :-2]) / (2.0 * grid.hy)
+    return gx, gy
+
+
+def _ref_divergence(grid, vx, vy):
+    px = np.concatenate([-vx[:1, :], vx, -vx[-1:, :]], axis=0)
+    py = np.concatenate([-vy[:, :1], vy, -vy[:, -1:]], axis=1)
+    dx = (px[2:, :] - px[:-2, :]) / (2.0 * grid.hx)
+    dy = (py[:, 2:] - py[:, :-2]) / (2.0 * grid.hy)
+    return dx + dy
+
+
+def _ref_laplacian(grid, f):
+    fx = _ref_face_diff_x(grid, f) / grid.hx
+    fy = _ref_face_diff_y(grid, f) / grid.hy
+    return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
+
+
+def _ref_face_flux_divergence(grid, w, f):
+    wx = np.ones((grid.nx + 1, grid.ny))
+    wx[1:-1, :] = 0.5 * (w[1:, :] + w[:-1, :])
+    wy = np.ones((grid.nx, grid.ny + 1))
+    wy[:, 1:-1] = 0.5 * (w[:, 1:] + w[:, :-1])
+    fx = wx * _ref_face_diff_x(grid, f) / grid.hx
+    fy = wy * _ref_face_diff_y(grid, f) / grid.hy
+    return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
+
+
+def _ref_grad_inner(grid, f, g):
+    sx = np.dot(_ref_face_diff_x(grid, f).ravel(), _ref_face_diff_x(grid, g).ravel())
+    sy = np.dot(_ref_face_diff_y(grid, f).ravel(), _ref_face_diff_y(grid, g).ravel())
+    return float(sx) * grid.hy / grid.hx + float(sy) * grid.hx / grid.hy
+
+
+# hx != hy on every grid, odd and even sizes in both directions
+ORACLE_GRIDS = [GridSpec(nx, ny, 0.0, 3.0, -1.0, 0.5)
+                for nx, ny in ((8, 8), (8, 5), (9, 8), (33, 47), (128, 128))]
+ORACLE_IDS = [f"{g.nx}x{g.ny}" for g in ORACLE_GRIDS]
+
+
+@pytest.mark.parametrize("g", ORACLE_GRIDS, ids=ORACLE_IDS)
+class TestPaddedOracles:
+    """The interior-face operators equal the padded formulation bit for bit;
+    the Dirichlet form moves only by summation order."""
+
+    def test_gradient(self, g):
+        f = random_field(g, 21)
+        for got, want in zip(gradient(g, f), _ref_gradient(g, f)):
+            assert np.array_equal(got, want)
+
+    def test_divergence(self, g):
+        vx, vy = random_field(g, 22), random_field(g, 23)
+        assert np.array_equal(divergence(g, vx, vy), _ref_divergence(g, vx, vy))
+
+    def test_laplacian(self, g):
+        f = random_field(g, 24)
+        assert np.array_equal(laplacian(g, f), _ref_laplacian(g, f))
+
+    def test_face_flux_divergence(self, g):
+        w = 0.5 + np.random.default_rng(25).random(g.shape)
+        f = random_field(g, 26)
+        assert np.array_equal(face_flux_divergence(g, w, f),
+                              _ref_face_flux_divergence(g, w, f))
+
+    def test_grad_inner(self, g):
+        f, h = random_field(g, 27), random_field(g, 28)
+        want = _ref_grad_inner(g, f, h)
+        assert abs(grad_inner(g, f, h) - want) <= 1e-13 * abs(want)
+
+    def test_grad_norm_sq(self, g):
+        f = random_field(g, 29)
+        want = _ref_grad_inner(g, f, f)
+        assert abs(grad_norm_sq(g, f) - want) <= 1e-13 * want
+
+
+class TestFaceFluxDivergence:
+    def test_unit_weight_is_laplacian(self):
+        g = GridSpec(12, 9, 0.0, 3.0, -1.0, 0.5)
+        f = random_field(g, 31)
+        assert np.array_equal(face_flux_divergence(g, g.full(1.0), f), laplacian(g, f))
+
+    def test_kills_constants(self, grid8):
+        w = 0.5 + np.random.default_rng(32).random(grid8.shape)
+        assert np.all(face_flux_divergence(grid8, w, grid8.full(-1.7)) == 0.0)
+
+    def test_symmetric(self):
+        # <div(w grad f), h> == <div(w grad h), f>: the weighted operator is
+        # self-adjoint under the midpoint inner product
+        g = GridSpec(10, 7, 0.0, 3.0, -1.0, 0.5)
+        w = 0.5 + np.random.default_rng(33).random(g.shape)
+        f, h = random_field(g, 34), random_field(g, 35)
+        lhs = inner(g, face_flux_divergence(g, w, f), h)
+        rhs = inner(g, face_flux_divergence(g, w, h), f)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
