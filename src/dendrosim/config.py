@@ -1,16 +1,19 @@
 """Run configuration: flat `key = value` files with bracketed sections.
 
-Grammar: `[section]` headers, `key = value` pairs, `#` comments.  Unknown
-sections or keys are hard errors, and every physical parameter is
-mandatory; there are no silent physics defaults.  ``serialize_config``
-writes the canonical form, which parses back to an equal RunConfig.
+Grammar: `[section]` headers, `key = value` pairs, `#` comments.  Each key is
+declared once, in the table ``_KEYS``; parsing, the unknown- and missing-key
+checks and ``serialize_config`` (the canonical form, which parses back to an
+equal RunConfig) all walk it.  Unknown sections or keys are hard errors, and
+every physical parameter is mandatory; there are no silent physics defaults.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
+import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -18,21 +21,10 @@ from .grid import GridSpec
 from .model import ConstantMobility, ModelParams
 
 __all__ = [
-    "ConfigError",
-    "UnknownKeyError",
-    "MissingKeyError",
-    "InvalidValueError",
-    "StabilizerBoundError",
-    "InitialCondition",
-    "RunConfig",
-    "parse_config",
-    "load_config",
-    "serialize_config",
-    "case1_params",
-    "case2_params",
-    "dendrite_params",
-    "case2_initial",
-    "dendrite_initial",
+    "ConfigError", "UnknownKeyError", "MissingKeyError", "InvalidValueError",
+    "StabilizerBoundError", "InitialCondition", "RunConfig",
+    "parse_config", "load_config", "serialize_config",
+    "case1_params", "case2_params", "dendrite_params", "case2_initial", "dendrite_initial",
 ]
 
 
@@ -110,8 +102,6 @@ class RunConfig:
     snapshot_times: tuple[float, ...] = ()
     strict_energy: bool = False
     check_identity: bool = True
-    cg_tol: float = 1e-10
-    cg_maxit: int = 500
     # externally supplied forcing, one snapshot file per time level
     source_phi_dir: str = ""
     source_phi_prefix: str = "s_phi"
@@ -135,52 +125,82 @@ class RunConfig:
         return max(1, round(self.t_end / self.tau))
 
 
-_SCHEMA: dict[str, dict[str, bool]] = {
-    # section -> {key: required}
-    "grid": {"nx": True, "ny": True, "x0": True, "x1": True, "y0": True, "y1": True},
-    "time": {"scheme": True, "tau": True, "t_end": True},
-    "model": {
-        "eps": True, "lambda": True, "diff": True, "latent": True, "sigma": True,
-        "mobility": True, "s1": True, "s2": True, "s3": True, "s4": True,
-        "bconst": True, "mode": False, "grad_reg": False,
-    },
-    "initial": {
-        "preset": True, "r0": True, "eps0": True,
-        "x0": False, "y0": False, "undercool": False,
-    },
-    "output": {
-        "ledger": False, "prefix": False, "snapshot_every": False,
-        "snapshot_times": False, "strict_energy": False,
-    },
-    "solver": {"cg_tol": False, "cg_maxit": False, "check_identity": False},
-    "sources": {
-        "phi_dir": False, "phi_prefix": False,
-        "temp_dir": False, "temp_prefix": False,
-    },
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _parse_times(raw: str) -> tuple[float, ...]:
+    return tuple(_parse_float(part) for part in raw.split(",") if part.strip())
+
+
+def _parse_mobility(raw: str) -> ConstantMobility:
+    return ConstantMobility(_parse_float(raw))
+
+
+def _format(value) -> str:
+    """Inverse of the parsers: the text that reads back to ``value``."""
+    if isinstance(value, ConstantMobility):
+        value = value.rho
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+# (section, key) -> (RunConfig attribute, parser, required).  Attributes of
+# the nested GridSpec, ModelParams and InitialCondition are dotted.  An absent
+# optional key keeps its dataclass default.  serialize_config keeps this order.
+_KEYS: dict[tuple[str, str], tuple[str, Callable[[str], object], bool]] = {
+    ("grid", "nx"): ("grid.nx", int, True),
+    ("grid", "ny"): ("grid.ny", int, True),
+    ("grid", "x0"): ("grid.x0", _parse_float, True),
+    ("grid", "x1"): ("grid.x1", _parse_float, True),
+    ("grid", "y0"): ("grid.y0", _parse_float, True),
+    ("grid", "y1"): ("grid.y1", _parse_float, True),
+    ("time", "scheme"): ("scheme", str.lower, True),
+    ("time", "tau"): ("tau", _parse_float, True),
+    ("time", "t_end"): ("t_end", _parse_float, True),
+    ("model", "eps"): ("params.eps", _parse_float, True),
+    ("model", "lambda"): ("params.lam", _parse_float, True),
+    ("model", "diff"): ("params.diff", _parse_float, True),
+    ("model", "latent"): ("params.latent", _parse_float, True),
+    ("model", "sigma"): ("params.sigma", _parse_float, True),
+    ("model", "mobility"): ("params.mobility", _parse_mobility, True),
+    ("model", "s1"): ("params.s1", _parse_float, True),
+    ("model", "s2"): ("params.s2", _parse_float, True),
+    ("model", "s3"): ("params.s3", _parse_float, True),
+    ("model", "s4"): ("params.s4", _parse_float, True),
+    ("model", "bconst"): ("params.bconst", _parse_float, True),
+    ("initial", "preset"): ("initial.preset", str, True),
+    ("initial", "r0"): ("initial.r0", _parse_float, True),
+    ("initial", "eps0"): ("initial.eps0", _parse_float, True),
+    ("initial", "x0"): ("initial.x0", _parse_float, False),
+    ("initial", "y0"): ("initial.y0", _parse_float, False),
+    ("initial", "undercool"): ("initial.undercool", _parse_float, False),
+    ("output", "ledger"): ("ledger", str, False),
+    ("output", "prefix"): ("prefix", str, False),
+    ("output", "snapshot_every"): ("snapshot_every", int, False),
+    ("output", "snapshot_times"): ("snapshot_times", _parse_times, False),
+    ("output", "strict_energy"): ("strict_energy", _parse_bool, False),
+    ("solver", "check_identity"): ("check_identity", _parse_bool, False),
+    ("sources", "phi_dir"): ("source_phi_dir", str, False),
+    ("sources", "phi_prefix"): ("source_phi_prefix", str, False),
+    ("sources", "temp_dir"): ("source_temp_dir", str, False),
+    ("sources", "temp_prefix"): ("source_temp_prefix", str, False),
 }
 
-
-def _to_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise InvalidValueError(f"{section}.{key}: not a number: {raw!r}") from exc
-
-
-def _to_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidValueError(f"{section}.{key}: not an integer: {raw!r}") from exc
-
-
-def _to_bool(section: str, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise InvalidValueError(f"{section}.{key}: not a boolean: {raw!r}")
+# nested dataclass attribute -> (class, section named when it rejects a value)
+_PARTS = {"grid": (GridSpec, "grid"), "params": (ModelParams, "model"),
+          "initial": (InitialCondition, "initial")}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -191,116 +211,40 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
 
+    sections = {section for section, _ in _KEYS}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise UnknownKeyError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS:
                 raise UnknownKeyError(f"unknown key {section}.{key}")
-    for section, keys in _SCHEMA.items():
-        required = [k for k, req in keys.items() if req]
-        if required and section not in cp:
-            raise MissingKeyError(f"missing section [{section}]")
-        for key in required:
-            if not cp.has_option(section, key):
+
+    values: dict[str, dict[str, object]] = {"": {}, **{part: {} for part in _PARTS}}
+    for (section, key), (attr, parse, required) in _KEYS.items():
+        if not cp.has_option(section, key):
+            if required:
                 raise MissingKeyError(f"missing mandatory key {section}.{key}")
+            continue
+        part, _, field = attr.rpartition(".")
+        try:
+            values[part][field] = parse(cp[section][key])
+        except ValueError as exc:
+            raise InvalidValueError(f"{section}.{key}: {exc}") from exc
 
-    g = cp["grid"]
-    try:
-        grid = GridSpec(
-            nx=_to_int("grid", "nx", g["nx"]),
-            ny=_to_int("grid", "ny", g["ny"]),
-            x0=_to_float("grid", "x0", g["x0"]),
-            x1=_to_float("grid", "x1", g["x1"]),
-            y0=_to_float("grid", "y0", g["y0"]),
-            y1=_to_float("grid", "y1", g["y1"]),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise InvalidValueError(f"grid: {exc}") from exc
-
-    m = cp["model"]
-    sigma = _to_float("model", "sigma", m["sigma"])
-    s1 = _to_float("model", "s1", m["s1"])
-    if not 0.0 <= sigma < 1.0:
-        raise InvalidValueError(f"model.sigma must lie in [0, 1), got {sigma}")
+    s1, sigma = values["params"]["s1"], values["params"]["sigma"]
     if s1 > 0.0 and s1 >= (1.0 - sigma) ** 2:
         raise StabilizerBoundError(
             f"model.s1={s1} must stay below (1-sigma)^2={(1.0 - sigma) ** 2}"
         )
-    mobility = _to_float("model", "mobility", m["mobility"])
-    if not mobility > 0.0:
-        raise InvalidValueError(f"model.mobility must be positive, got {mobility}")
-    try:
-        params = ModelParams(
-            eps=_to_float("model", "eps", m["eps"]),
-            lam=_to_float("model", "lambda", m["lambda"]),
-            diff=_to_float("model", "diff", m["diff"]),
-            latent=_to_float("model", "latent", m["latent"]),
-            sigma=sigma,
-            mobility=ConstantMobility(mobility),
-            s1=s1,
-            s2=_to_float("model", "s2", m["s2"]),
-            s3=_to_float("model", "s3", m["s3"]),
-            s4=_to_float("model", "s4", m["s4"]),
-            bconst=_to_float("model", "bconst", m["bconst"]),
-            mode=_to_int("model", "mode", m.get("mode", "4")),
-            grad_reg=_to_float("model", "grad_reg", m.get("grad_reg", "1e-12")),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
+    run = values.pop("")
+    for part, (cls, section) in _PARTS.items():
+        try:
+            run[part] = cls(**values[part])
+        except ConfigError:
             raise
-        raise InvalidValueError(f"model: {exc}") from exc
-
-    i = cp["initial"]
-    try:
-        initial = InitialCondition(
-            preset=i["preset"].strip(),
-            r0=_to_float("initial", "r0", i["r0"]),
-            eps0=_to_float("initial", "eps0", i["eps0"]),
-            x0=_to_float("initial", "x0", i.get("x0", "0.0")),
-            y0=_to_float("initial", "y0", i.get("y0", "0.0")),
-            undercool=_to_float("initial", "undercool", i.get("undercool", "-0.6")),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise InvalidValueError(f"initial: {exc}") from exc
-
-    t = cp["time"]
-    o = dict(cp["output"]) if cp.has_section("output") else {}
-    s = dict(cp["solver"]) if cp.has_section("solver") else {}
-    src = dict(cp["sources"]) if cp.has_section("sources") else {}
-    snapshot_times = tuple(
-        _to_float("output", "snapshot_times", part)
-        for part in o.get("snapshot_times", "").split(",") if part.strip()
-    )
-    try:
-        return RunConfig(
-            grid=grid,
-            scheme=t["scheme"].strip().lower(),
-            tau=_to_float("time", "tau", t["tau"]),
-            t_end=_to_float("time", "t_end", t["t_end"]),
-            params=params,
-            initial=initial,
-            ledger=o.get("ledger", "ledger.csv").strip(),
-            prefix=o.get("prefix", "run").strip(),
-            snapshot_every=_to_int("output", "snapshot_every", o.get("snapshot_every", "0")),
-            snapshot_times=snapshot_times,
-            strict_energy=_to_bool("output", "strict_energy", o.get("strict_energy", "false")),
-            check_identity=_to_bool("solver", "check_identity", s.get("check_identity", "true")),
-            cg_tol=_to_float("solver", "cg_tol", s.get("cg_tol", "1e-10")),
-            cg_maxit=_to_int("solver", "cg_maxit", s.get("cg_maxit", "500")),
-            source_phi_dir=src.get("phi_dir", "").strip(),
-            source_phi_prefix=src.get("phi_prefix", "s_phi").strip(),
-            source_temp_dir=src.get("temp_dir", "").strip(),
-            source_temp_prefix=src.get("temp_prefix", "s_temp").strip(),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise InvalidValueError(str(exc)) from exc
+        except ValueError as exc:
+            raise InvalidValueError(f"{section}: {exc}") from exc
+    return RunConfig(**run)
 
 
 def load_config(path) -> RunConfig:
@@ -312,34 +256,11 @@ def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) equals c."""
     if not isinstance(cfg.params.mobility, ConstantMobility):
         raise ConfigError("only constant mobility is representable in config files")
-    out = io.StringIO()
-    p, g, i = cfg.params, cfg.grid, cfg.initial
-    out.write("[grid]\n")
-    out.write(f"nx = {g.nx}\nny = {g.ny}\n")
-    out.write(f"x0 = {g.x0!r}\nx1 = {g.x1!r}\ny0 = {g.y0!r}\ny1 = {g.y1!r}\n\n")
-    out.write("[time]\n")
-    out.write(f"scheme = {cfg.scheme}\ntau = {cfg.tau!r}\nt_end = {cfg.t_end!r}\n\n")
-    out.write("[model]\n")
-    out.write(f"eps = {p.eps!r}\nlambda = {p.lam!r}\ndiff = {p.diff!r}\n")
-    out.write(f"latent = {p.latent!r}\nsigma = {p.sigma!r}\n")
-    out.write(f"mobility = {p.mobility.rho!r}\n")
-    out.write(f"s1 = {p.s1!r}\ns2 = {p.s2!r}\ns3 = {p.s3!r}\ns4 = {p.s4!r}\n")
-    out.write(f"bconst = {p.bconst!r}\nmode = {p.mode}\ngrad_reg = {p.grad_reg!r}\n\n")
-    out.write("[initial]\n")
-    out.write(f"preset = {i.preset}\nr0 = {i.r0!r}\neps0 = {i.eps0!r}\n")
-    out.write(f"x0 = {i.x0!r}\ny0 = {i.y0!r}\nundercool = {i.undercool!r}\n\n")
-    out.write("[output]\n")
-    out.write(f"ledger = {cfg.ledger}\nprefix = {cfg.prefix}\n")
-    out.write(f"snapshot_every = {cfg.snapshot_every}\n")
-    out.write(f"snapshot_times = {','.join(repr(t) for t in cfg.snapshot_times)}\n")
-    out.write(f"strict_energy = {str(cfg.strict_energy).lower()}\n\n")
-    out.write("[solver]\n")
-    out.write(f"cg_tol = {cfg.cg_tol!r}\ncg_maxit = {cfg.cg_maxit}\n")
-    out.write(f"check_identity = {str(cfg.check_identity).lower()}\n\n")
-    out.write("[sources]\n")
-    out.write(f"phi_dir = {cfg.source_phi_dir}\nphi_prefix = {cfg.source_phi_prefix}\n")
-    out.write(f"temp_dir = {cfg.source_temp_dir}\ntemp_prefix = {cfg.source_temp_prefix}\n")
-    return out.getvalue()
+    blocks: dict[str, list[str]] = {}
+    for (section, key), (attr, _, _) in _KEYS.items():
+        value = _format(attrgetter(attr)(cfg))
+        blocks.setdefault(section, [f"[{section}]\n"]).append(f"{key} = {value}\n")
+    return "\n".join("".join(lines) for lines in blocks.values())
 
 
 def case1_params() -> ModelParams:

@@ -181,8 +181,7 @@ def run_single(
             for _ in range(cfg.n_steps):
                 level, t_level = state.n + 1, state.t + cfg.tau
                 state, report = bdf1.step(
-                    grid, state, cfg.tau, cfg.params, sources,
-                    cfg.check_identity, cfg.cg_tol, cfg.cg_maxit,
+                    grid, state, cfg.tau, cfg.params, sources, cfg.check_identity
                 )
                 emit(state, report)
         else:
@@ -191,14 +190,13 @@ def run_single(
             level, t_level = 1, start.t + cfg.tau
             state, report = bdf2.bootstrap(
                 grid, phi0, temp0, cfg.tau, cfg.params, sources,
-                cfg.check_identity, cfg.cg_tol, cfg.cg_maxit, initial=start,
+                cfg.check_identity, initial=start,
             )
             emit(state, report)
             for _ in range(cfg.n_steps - 1):
                 level, t_level = state.n + 1, state.t + cfg.tau
                 state, report = bdf2.step2(
-                    grid, state, cfg.tau, cfg.params, sources,
-                    cfg.check_identity, cfg.cg_tol, cfg.cg_maxit,
+                    grid, state, cfg.tau, cfg.params, sources, cfg.check_identity
                 )
                 emit(state, report)
     except (EnergyPositivityError, FloatingPointError) as exc:

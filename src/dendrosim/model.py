@@ -67,8 +67,6 @@ class ConstantMobility:
         if not self.rho > 0.0:
             raise ValueError(f"mobility rho must be positive, got {self.rho}")
 
-    is_constant = True
-
     def rho_at(self, phi: np.ndarray) -> float:
         return self.rho
 
@@ -78,8 +76,6 @@ class FieldMobility:
     """Phase-dependent relaxation coefficient rho(phi) > 0."""
 
     rho_fn: Callable[[np.ndarray], np.ndarray]
-
-    is_constant = False
 
     def rho_at(self, phi: np.ndarray) -> np.ndarray:
         rho = np.asarray(self.rho_fn(phi), dtype=float)
@@ -100,8 +96,6 @@ class ModelParams:
     mobility  ConstantMobility or FieldMobility
     s1..s4  stabilization constants (s1 < (1-sigma)^2 when positive)
     bconst  positive shift making the auxiliary energy positive
-    mode    anisotropy mode count; only 4 is supported
-    grad_reg  regularization added to |grad phi|^2 in kappa / H denominators
     """
 
     eps: float
@@ -115,8 +109,6 @@ class ModelParams:
     s3: float
     s4: float
     bconst: float
-    mode: int = 4
-    grad_reg: float = DEFAULT_GRAD_REG
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -125,8 +117,6 @@ class ModelParams:
             raise ValueError("diff must be positive")
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
-        if self.mode != 4:
-            raise ValueError("only fourfold anisotropy (mode=4) is supported")
         for name in ("s1", "s2", "s3", "s4"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
@@ -136,8 +126,6 @@ class ModelParams:
             )
         if not self.bconst > 0.0:
             raise ValueError("bconst must be positive")
-        if not self.grad_reg > 0.0:
-            raise ValueError("grad_reg must be positive")
 
 
 @dataclass(frozen=True)
@@ -235,14 +223,10 @@ def g_residual(grid: GridSpec, phi: np.ndarray, p: ModelParams) -> np.ndarray:
     """
     grid.check(phi)
     out = (f_well(phi) - p.s2 * phi) / p.eps**2
-    if p.sigma == 0.0:
-        # kappa == 1 and H == 0: only the (1 - s1) face flux survives.
-        out -= face_flux_divergence(grid, grid.full(1.0 - p.s1), phi)
-        return out
     gx, gy = gradient(grid, phi)
-    kap = kappa(gx, gy, p.sigma, p.grad_reg)
+    kap = kappa(gx, gy, p.sigma)
     out -= face_flux_divergence(grid, kap * kap - p.s1, phi)
-    hx, hy = aniso_h(gx, gy, p.sigma, p.grad_reg)
+    hx, hy = aniso_h(gx, gy, p.sigma)
     mag2 = gx * gx + gy * gy
     w = kap * mag2
     out -= divergence(grid, w * hx, w * hy)
@@ -259,7 +243,7 @@ def e1_energy(grid: GridSpec, phi: np.ndarray, p: ModelParams) -> float:
     """
     grid.check(phi)
     gx, gy = gradient(grid, phi)
-    kap = kappa(gx, gy, p.sigma, p.grad_reg)
+    kap = kappa(gx, gy, p.sigma)
     mag2 = gx * gx + gy * gy
     bulk = 0.5 * kap * kap * mag2 + (big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
     value = integrate(grid, bulk) + p.bconst * grid.area - 0.5 * p.s1 * grad_norm_sq(grid, phi)
@@ -297,7 +281,7 @@ def original_energy(grid: GridSpec, phi: np.ndarray, temp: np.ndarray, p: ModelP
     """
     grid.check(phi, temp)
     gx, gy = gradient(grid, phi)
-    kap = kappa(gx, gy, p.sigma, p.grad_reg)
+    kap = kappa(gx, gy, p.sigma)
     mag2 = gx * gx + gy * gy
     bulk = 0.5 * kap * kap * mag2 + big_f_well(phi) / p.eps**2
     return integrate(grid, bulk) + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp)

@@ -1,12 +1,17 @@
+import re
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from dendrosim.config import (
+    _KEYS,
     ConfigError,
     InitialCondition,
     InvalidValueError,
     MissingKeyError,
+    RunConfig,
     StabilizerBoundError,
     UnknownKeyError,
     case2_params,
@@ -14,9 +19,11 @@ from dendrosim.config import (
     parse_config,
     serialize_config,
 )
-from dendrosim.model import ConstantMobility
+from dendrosim.grid import GridSpec
+from dendrosim.model import ConstantMobility, ModelParams
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 MINIMAL = """
 [grid]
@@ -150,6 +157,16 @@ class TestValidation:
         with pytest.raises(InvalidValueError, match="t_end"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("line, bad, name", [
+        ("t_end = 1.0", "t_end = inf", "time.t_end"),
+        ("mobility = 1e3", "mobility = inf", "model.mobility"),
+        ("bconst = 5e3", "bconst = nan", "model.bconst"),
+        ("x1 = 1.0", "x1 = inf", "grid.x1"),
+    ])
+    def test_non_finite_number_names_key(self, line, bad, name):
+        with pytest.raises(InvalidValueError, match=rf"^{re.escape(name)}: not a finite number"):
+            parse_config(MINIMAL.replace(line, bad))
+
 
 class TestRoundTrip:
     def test_minimal(self):
@@ -163,19 +180,24 @@ class TestRoundTrip:
 
     def test_optional_fields_survive(self):
         text = MINIMAL + (
+            "x0 = 0.125\ny0 = -0.25\nundercool = -0.4\n"
             "\n[output]\nledger = custom.csv\nprefix = probe\n"
             "snapshot_every = 7\nsnapshot_times = 0.5,1.0\n"
             "strict_energy = true\n"
-            "\n[solver]\ncg_tol = 1e-9\ncg_maxit = 50\ncheck_identity = false\n"
+            "\n[solver]\ncheck_identity = false\n"
+            "\n[sources]\nphi_dir = forcing/phi\nphi_prefix = sp\n"
+            "temp_dir = forcing/temp\ntemp_prefix = st\n"
         )
         cfg = parse_config(text)
+        assert (cfg.initial.x0, cfg.initial.y0, cfg.initial.undercool) == (0.125, -0.25, -0.4)
         assert cfg.ledger == "custom.csv"
+        assert cfg.prefix == "probe"
         assert cfg.snapshot_every == 7
         assert cfg.snapshot_times == (0.5, 1.0)
         assert cfg.strict_energy is True
         assert cfg.check_identity is False
-        assert cfg.cg_tol == 1e-9
-        assert cfg.cg_maxit == 50
+        assert (cfg.source_phi_dir, cfg.source_phi_prefix) == ("forcing/phi", "sp")
+        assert (cfg.source_temp_dir, cfg.source_temp_prefix) == ("forcing/temp", "st")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_comments_ignored(self):
@@ -199,3 +221,26 @@ class TestInitialConditions:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(InvalidValueError, match="r0"):
             InitialCondition(preset="case2_tanh", r0=0.0, eps0=0.1)
+
+
+class TestKeyTable:
+    def test_every_field_set_by_exactly_one_key(self):
+        nested = {"grid": GridSpec, "params": ModelParams, "initial": InitialCondition}
+        expected = [f"{part}.{f.name}" for part, cls in nested.items() for f in fields(cls)]
+        expected += [f.name for f in fields(RunConfig) if f.name not in nested]
+        attrs = Counter(attr for attr, _, _ in _KEYS.values())
+        assert attrs == Counter(expected)
+
+    def test_readme_lists_the_keys(self):
+        # README rows: | `[section]` | `required keys` | `optional keys` |
+        rows = re.findall(r"^\| `\[(\w+)\]` +\|(.*)\|(.*)\|$",
+                          (ROOT / "README.md").read_text(), re.MULTILINE)
+        documented = {
+            section: tuple(set(" ".join(re.findall(r"`([^`]*)`", cell)).split())
+                           for cell in (required, optional))
+            for section, required, optional in rows
+        }
+        declared = {section: (set(), set()) for section, _ in _KEYS}
+        for (section, key), (_, _, required) in _KEYS.items():
+            declared[section][0 if required else 1].add(key)
+        assert documented == declared

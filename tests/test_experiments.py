@@ -269,6 +269,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical breakdown: non-finite") and err.count("\n") == 1
 
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
+        cfg = self._write_tiny_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("t_end = 0.05", "t_end = inf"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "time.t_end: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -47,10 +47,6 @@ class TestParams:
     def test_s1_zero_allowed(self):
         make_params(s1=0.0)
 
-    def test_rejects_other_modes(self):
-        with pytest.raises(ValueError, match="fourfold"):
-            make_params(mode=6)
-
     def test_rejects_nonpositive_mobility(self):
         with pytest.raises(ValueError, match="rho"):
             ConstantMobility(0.0)
