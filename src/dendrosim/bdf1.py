@@ -14,16 +14,22 @@ solves (:func:`partial_solves`) and a scalar closure:
    Phys. 353, 2018), after which the new fields are the affine
    recombinations phi_1 + xi*phi_2 etc.
 
+mu_1, mu_2 and the T_2 Laplacian in A2 are taken from the equations the
+solves just satisfied, so the only real-space Laplacian of a step is the
+explicit s4 term of the phase history.
+
 ``energy_identity_residual`` re-assembles the three inner-product identities
 behind the first-order discrete energy law, independently of the stepping
 code, and reports how far their sum is from zero relative to the modified
-energy.
+energy.  The field norms of a state's modified energy are evaluated once per
+state (:func:`state_norms`) and shared by the check and the ledger row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,20 +46,41 @@ from .solvers import helmholtz_solve, solve_shifted
 
 __all__ = [
     "StateBDF1",
+    "EnergyNorms",
     "StepReport",
     "PartialSolves",
     "init_state",
     "partial_solves",
     "sav_step",
     "step",
+    "state_norms",
     "scheme_energy",
     "energy_identity_residual",
     "identity_proof_lines",
 ]
 
 
+class _NormMemo:
+    """Per-grid memo ``_norms`` of a state's energy norms.
+
+    The norms depend on the state's fields alone, so the identity check and
+    the ledger row of a level can share them; assigning any field drops them.
+    """
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name != "_norms":
+            object.__setattr__(self, "_norms", {})
+
+    def _memo(self, grid: GridSpec, compute):
+        norms = self._norms.get(grid)
+        if norms is None:
+            norms = self._norms[grid] = compute(grid, self)
+        return norms
+
+
 @dataclass
-class StateBDF1:
+class StateBDF1(_NormMemo):
     """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau."""
 
     phi: np.ndarray
@@ -62,6 +89,15 @@ class StateBDF1:
     r: float
     t: float = 0.0
     n: int = 0
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class EnergyNorms(NamedTuple):
+    """The field norms in the first-order modified energy of one state."""
+
+    grad_phi: float  # ||grad phi||^2, Dirichlet form
+    phi: float  # ||phi||^2
+    temp: float  # ||T||^2
 
 
 @dataclass
@@ -115,9 +151,17 @@ def partial_solves(
     is forced by ``core`` = -g - (lam/eps) h' T_bar, so mu_2 = core +
     s1*Lap(phi_2) - (s2/eps^2) phi_2; T_2 is forced by ``temp_forcing`` =
     K h' M mu_bar.  ``src`` holds the optional phase and temperature sources.
+
+    mu_1 and mu_2 are read off the phase solves' own equations rather than
+    from another Laplacian: coeff*phi - b*Lap(phi) = rhs with b = s1 + s4
+    gives s1*Lap(phi) = (s1/b)*(coeff*phi - rhs).  With the PCG path the
+    pair then satisfies mu = s1*Lap(phi) - ... up to (s1/b) times the solve
+    residual, which is at most cg_tol*||rhs||.
     """
     (phi_hist, temp_hist), (src_phi, src_temp) = hist, src
     b = p.s1 + p.s4
+    s1_b = p.s1 / b if b > 0.0 else 0.0  # b = 0 forces s1 = 0
+    s2_e = p.s2 / p.eps**2
     coeff = a0 * rho / tau + (p.s2 + p.s3) / p.eps**2
     rhs1 = phi_hist * (rho / tau) + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid, phi_bar)
     if src_phi is not None:
@@ -130,9 +174,9 @@ def partial_solves(
     return PartialSolves(
         coeff=coeff,
         phi1=phi1,
-        mu1=p.s1 * laplacian(grid, phi1) - (p.s2 / p.eps**2) * phi1,
+        mu1=s1_b * (coeff * phi1 - rhs1) - s2_e * phi1,
         phi2=phi2,
-        mu2=core + p.s1 * laplacian(grid, phi2) - (p.s2 / p.eps**2) * phi2,
+        mu2=core + s1_b * (coeff * phi2 - core) - s2_e * phi2,
         temp1=helmholtz_solve(grid, a0 / tau, p.diff, rhs_t1),
         temp2=helmholtz_solve(grid, a0 / tau, p.diff, temp_forcing),
         cg_iterations=it1 + it2,
@@ -158,8 +202,9 @@ def sav_step(
     hp = h_prime(phi_bar)
     e1 = e1_energy(grid, phi_bar, p)
     core = -(g_residual(grid, phi_bar, p) + (p.lam / p.eps) * hp * temp_bar)
+    temp_forcing = p.latent * hp / rho * mu_bar
     parts = partial_solves(
-        grid, p, tau, a0, rho, (phi_hist, temp_hist), phi_bar, core, p.latent * hp / rho * mu_bar,
+        grid, p, tau, a0, rho, (phi_hist, temp_hist), phi_bar, core, temp_forcing,
         (sources.phi_at(grid, t_new), sources.temp_at(grid, t_new)), cg_tol, cg_maxit,
     )
     lam_ek = p.lam / (p.eps * p.latent)
@@ -170,11 +215,12 @@ def sav_step(
         a0 * lam_ek * norm_sq(grid, parts.temp2),
         lam_ek * tau * p.diff * grad_norm_sq(grid, parts.temp2),
     ])
-    lap_t2 = laplacian(grid, parts.temp2)
+    # the T_2 equation a0*T_2/tau - D*Lap(T_2) = temp_forcing turns the A2
+    # term <-a0*T_2 + tau*D*Lap(T_2), T_1> into -tau*<temp_forcing, T_1>
     a2 = math.fsum([
         2.0 * math.sqrt(e1) * r_hist,
         -inner(grid, core, a0 * parts.phi1 - phi_hist),
-        lam_ek * inner(grid, -a0 * parts.temp2 + tau * p.diff * lap_t2, parts.temp1),
+        -lam_ek * tau * inner(grid, temp_forcing, parts.temp1),
     ])
     if not a1 > 0.0:
         raise FloatingPointError(
@@ -209,12 +255,23 @@ def step(
     return new, report
 
 
+def _energy_norms(grid: GridSpec, state: StateBDF1) -> EnergyNorms:
+    return EnergyNorms(grad_norm_sq(grid, state.phi), norm_sq(grid, state.phi),
+                       norm_sq(grid, state.temp))
+
+
+def state_norms(grid: GridSpec, state: StateBDF1) -> EnergyNorms:
+    """The state's energy norms, evaluated once per state and grid."""
+    return state._memo(grid, _energy_norms)
+
+
 def scheme_energy(grid: GridSpec, p: ModelParams, state: StateBDF1) -> float:
     """Modified energy of the first-order discrete energy law."""
+    norms = state_norms(grid, state)
     return (
-        0.5 * p.s1 * grad_norm_sq(grid, state.phi)
-        + 0.5 * p.s2 / p.eps**2 * norm_sq(grid, state.phi)
-        + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, state.temp)
+        0.5 * p.s1 * norms.grad_phi
+        + 0.5 * p.s2 / p.eps**2 * norms.phi
+        + 0.5 * p.lam / (p.eps * p.latent) * norms.temp
         + state.r**2
     )
 
@@ -231,7 +288,9 @@ def identity_proof_lines(
     Each line is an exact algebraic consequence of one scheme equation
     tested against the increments, so each vanishes to roundoff for states
     produced by :func:`step`; their sum equals twice the telescoped energy
-    balance.  Everything is recomputed from the two states alone.
+    balance.  Everything is recomputed from the two states alone (their
+    energy norms through :func:`state_norms`); a term shared by two lines is
+    evaluated once.
     """
     rho_n = p.mobility.rho_at(before.phi)
     g_n = g_residual(grid, before.phi, p)
@@ -240,39 +299,41 @@ def identity_proof_lines(
     xi = after.r / math.sqrt(e1_n)
     lam_e = p.lam / p.eps
     lam_ek = p.lam / (p.eps * p.latent)
+    nb, na = state_norms(grid, before), state_norms(grid, after)
 
     dphi = after.phi - before.phi
     dtemp = after.temp - before.temp
     dr = after.r - before.r
-    hm_mu = hp_n / rho_n * before.mu
+    dphi_sq = norm_sq(grid, dphi)
+    dphi_grad_sq = grad_norm_sq(grid, dphi)
+    residual_work = 2.0 * xi * inner(grid, g_n, dphi)
+    coupling_work = 2.0 * xi * lam_e * inner(grid, hp_n * before.temp, dphi)
+    heat_transfer = 2.0 * xi * tau * lam_e * inner(grid, hp_n / rho_n * before.mu, after.temp)
 
     line1 = math.fsum(
         [
             (2.0 / tau) * inner(grid, rho_n * dphi, dphi),
-            (2.0 * p.s3 / p.eps**2) * norm_sq(grid, dphi),
-            2.0 * p.s4 * grad_norm_sq(grid, dphi),
-            2.0 * xi * inner(grid, g_n, dphi),
-            p.s1 * (grad_norm_sq(grid, after.phi) - grad_norm_sq(grid, before.phi)
-                    + grad_norm_sq(grid, dphi)),
-            (p.s2 / p.eps**2) * (norm_sq(grid, after.phi) - norm_sq(grid, before.phi)
-                                 + norm_sq(grid, dphi)),
-            2.0 * xi * lam_e * inner(grid, hp_n * before.temp, dphi),
+            (2.0 * p.s3 / p.eps**2) * dphi_sq,
+            2.0 * p.s4 * dphi_grad_sq,
+            residual_work,
+            p.s1 * (na.grad_phi - nb.grad_phi + dphi_grad_sq),
+            (p.s2 / p.eps**2) * (na.phi - nb.phi + dphi_sq),
+            coupling_work,
         ]
     )
     line2 = math.fsum(
         [
             2.0 * (after.r**2 - before.r**2 + dr**2),
-            -2.0 * xi * inner(grid, g_n, dphi),
-            2.0 * xi * tau * lam_e * inner(grid, hm_mu, after.temp),
-            -2.0 * xi * lam_e * inner(grid, hp_n * before.temp, dphi),
+            -residual_work,
+            heat_transfer,
+            -coupling_work,
         ]
     )
     line3 = math.fsum(
         [
-            lam_ek * (norm_sq(grid, after.temp) - norm_sq(grid, before.temp)
-                      + norm_sq(grid, dtemp)),
+            lam_ek * (na.temp - nb.temp + norm_sq(grid, dtemp)),
             2.0 * tau * lam_ek * p.diff * grad_norm_sq(grid, after.temp),
-            -2.0 * tau * xi * lam_e * inner(grid, hm_mu, after.temp),
+            -heat_transfer,
         ]
     )
     return line1, line2, line3

@@ -5,12 +5,17 @@ backward-difference-2 coefficient a0 = 3/2, history 2*(.)^n - (.)^{n-1}/2 and
 all explicit data taken at the linear extrapolations 2*(.)^n - (.)^{n-1}.
 The first level is produced by one first-order bootstrap step, which costs
 O(tau^2) globally and leaves the second-order convergence intact.
+
+The second-order energy needs the norms of each level, lead and difference
+field; :func:`state_norms2` evaluates them once per state, so the identity
+check at level n reads the norms its predecessor took of the same state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +33,10 @@ from .model import (
 
 __all__ = [
     "StateBDF2",
+    "EnergyNorms2",
     "bootstrap",
     "step2",
+    "state_norms2",
     "scheme_energy2",
     "energy_identity_residual2",
     "identity_proof_lines2",
@@ -37,7 +44,7 @@ __all__ = [
 
 
 @dataclass
-class StateBDF2:
+class StateBDF2(bdf1._NormMemo):
     """Two time levels of (phi, T, mu, R); ``prev`` fields hold level n-1."""
 
     phi: np.ndarray
@@ -50,6 +57,22 @@ class StateBDF2:
     r_prev: float
     t: float
     n: int
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class EnergyNorms2(NamedTuple):
+    """The field norms in the second-order modified energy of one state:
+    the level-n field, the lead field 2x^n - x^{n-1} and the difference
+    x^n - x^{n-1}."""
+
+    grad_phi: float  # ||grad phi^n||^2, Dirichlet form
+    phi: float  # ||phi^n||^2
+    grad_lead: float
+    lead: float
+    grad_diff: float
+    diff: float
+    temp: float
+    lead_temp: float
 
 
 def bootstrap(
@@ -116,19 +139,36 @@ def step2(
     return new, report
 
 
+def _energy_norms2(grid: GridSpec, state: StateBDF2) -> EnergyNorms2:
+    lead_phi = 2.0 * state.phi - state.phi_prev
+    dphi = state.phi - state.phi_prev
+    return EnergyNorms2(
+        grad_phi=grad_norm_sq(grid, state.phi),
+        phi=norm_sq(grid, state.phi),
+        grad_lead=grad_norm_sq(grid, lead_phi),
+        lead=norm_sq(grid, lead_phi),
+        grad_diff=grad_norm_sq(grid, dphi),
+        diff=norm_sq(grid, dphi),
+        temp=norm_sq(grid, state.temp),
+        lead_temp=norm_sq(grid, 2.0 * state.temp - state.temp_prev),
+    )
+
+
+def state_norms2(grid: GridSpec, state: StateBDF2) -> EnergyNorms2:
+    """The state's energy norms, evaluated once per state and grid."""
+    return state._memo(grid, _energy_norms2)
+
+
 def scheme_energy2(grid: GridSpec, p: ModelParams, state: StateBDF2) -> float:
     """Modified energy of the second-order discrete energy law (two levels)."""
-    lead_phi = 2.0 * state.phi - state.phi_prev
-    lead_temp = 2.0 * state.temp - state.temp_prev
-    dphi = state.phi - state.phi_prev
+    norms = state_norms2(grid, state)
     return 0.25 * math.fsum(
         [
-            p.s1 * (grad_norm_sq(grid, state.phi) + grad_norm_sq(grid, lead_phi)),
-            p.s2 / p.eps**2 * (norm_sq(grid, state.phi) + norm_sq(grid, lead_phi)),
-            2.0 * p.s3 / p.eps**2 * norm_sq(grid, dphi),
-            2.0 * p.s4 * grad_norm_sq(grid, dphi),
-            p.lam / (p.eps * p.latent)
-            * (norm_sq(grid, state.temp) + norm_sq(grid, lead_temp)),
+            p.s1 * (norms.grad_phi + norms.grad_lead),
+            p.s2 / p.eps**2 * (norms.phi + norms.lead),
+            2.0 * p.s3 / p.eps**2 * norms.diff,
+            2.0 * p.s4 * norms.grad_diff,
+            p.lam / (p.eps * p.latent) * (norms.temp + norms.lead_temp),
             2.0 * (state.r**2 + (2.0 * state.r - state.r_prev) ** 2),
         ]
     )
@@ -142,7 +182,12 @@ def identity_proof_lines2(
     after: StateBDF2,
 ) -> tuple[float, float, float]:
     """The three inner-product identities behind the second-order energy law,
-    recomputed from two consecutive states (after.prev must be before's level)."""
+    recomputed from two consecutive states (after.prev must be before's level).
+
+    The energy norms of both states come from :func:`state_norms2`; the old
+    lead fields are the explicit data phi_bar and T_bar, and a term shared by
+    two lines is evaluated once.
+    """
     phi_bar = 2.0 * before.phi - before.phi_prev
     temp_bar = 2.0 * before.temp - before.temp_prev
     mu_bar = 2.0 * before.mu - before.mu_prev
@@ -153,35 +198,26 @@ def identity_proof_lines2(
     xi = after.r / math.sqrt(e1_bar)
     lam_e = p.lam / p.eps
     lam_ek = p.lam / (p.eps * p.latent)
+    nb, na = state_norms2(grid, before), state_norms2(grid, after)
 
-    bdf_phi = 3.0 * after.phi - 4.0 * before.phi + before.phi_prev
-    curv_phi = after.phi - 2.0 * before.phi + before.phi_prev
     d_new = after.phi - before.phi
-    d_old = before.phi - before.phi_prev
-    lead_new = 2.0 * after.phi - before.phi
-    lead_old = 2.0 * before.phi - before.phi_prev
-    hm_mubar = hp_bar / rho_bar * mu_bar
+    curv_phi = after.phi - phi_bar
+    bdf_phi = 2.0 * d_new + curv_phi  # 3phi^{n+1} - 4phi^n + phi^{n-1}
     curv_sq = norm_sq(grid, curv_phi)
     curv_grad_sq = grad_norm_sq(grid, curv_phi)
+    residual_work = 2.0 * xi * inner(grid, g_bar, bdf_phi)
+    coupling_work = 2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi)
+    heat_transfer = 4.0 * tau * xi * lam_e * inner(grid, hp_bar / rho_bar * mu_bar, after.temp)
 
     line1 = math.fsum(
         [
             (1.0 / tau) * inner(grid, rho_bar * bdf_phi, bdf_phi),
-            (2.0 * p.s3 / p.eps**2)
-            * (norm_sq(grid, d_new) - norm_sq(grid, d_old) + 2.0 * curv_sq),
-            2.0 * p.s4
-            * (grad_norm_sq(grid, d_new) - grad_norm_sq(grid, d_old)
-               + 2.0 * curv_grad_sq),
-            p.s1
-            * (grad_norm_sq(grid, after.phi) + grad_norm_sq(grid, lead_new)
-               - grad_norm_sq(grid, before.phi) - grad_norm_sq(grid, lead_old)
-               + curv_grad_sq),
-            (p.s2 / p.eps**2)
-            * (norm_sq(grid, after.phi) + norm_sq(grid, lead_new)
-               - norm_sq(grid, before.phi) - norm_sq(grid, lead_old)
-               + curv_sq),
-            2.0 * xi * inner(grid, g_bar, bdf_phi),
-            2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi),
+            (2.0 * p.s3 / p.eps**2) * (na.diff - nb.diff + 2.0 * curv_sq),
+            2.0 * p.s4 * (na.grad_diff - nb.grad_diff + 2.0 * curv_grad_sq),
+            p.s1 * (na.grad_phi + na.grad_lead - nb.grad_phi - nb.grad_lead + curv_grad_sq),
+            (p.s2 / p.eps**2) * (na.phi + na.lead - nb.phi - nb.lead + curv_sq),
+            residual_work,
+            coupling_work,
         ]
     )
     line2 = math.fsum(
@@ -194,22 +230,17 @@ def identity_proof_lines2(
                 - (2.0 * before.r - before.r_prev) ** 2
                 + (after.r - 2.0 * before.r + before.r_prev) ** 2
             ),
-            -2.0 * xi * inner(grid, g_bar, bdf_phi),
-            4.0 * tau * xi * lam_e * inner(grid, hm_mubar, after.temp),
-            -2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi),
+            -residual_work,
+            heat_transfer,
+            -coupling_work,
         ]
     )
-    lead_t_new = 2.0 * after.temp - before.temp
-    lead_t_old = 2.0 * before.temp - before.temp_prev
-    curv_t = after.temp - 2.0 * before.temp + before.temp_prev
     line3 = math.fsum(
         [
-            lam_ek
-            * (norm_sq(grid, after.temp) + norm_sq(grid, lead_t_new)
-               - norm_sq(grid, before.temp) - norm_sq(grid, lead_t_old)
-               + norm_sq(grid, curv_t)),
+            lam_ek * (na.temp + na.lead_temp - nb.temp - nb.lead_temp
+                      + norm_sq(grid, after.temp - temp_bar)),
             4.0 * tau * lam_ek * p.diff * grad_norm_sq(grid, after.temp),
-            -4.0 * tau * xi * lam_e * inner(grid, hm_mubar, after.temp),
+            -heat_transfer,
         ]
     )
     return line1, line2, line3

@@ -111,6 +111,10 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in ("bdf1", "bdf2"):
             raise InvalidValueError(f"time.scheme must be bdf1 or bdf2, got {self.scheme!r}")
+        for name in ("tau", "t_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidValueError(f"time.{name}: not a finite number: {value!r}")
         if not self.tau > 0.0:
             raise InvalidValueError(f"time.tau must be positive, got {self.tau}")
         if self.t_end < self.tau:

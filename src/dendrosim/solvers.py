@@ -1,7 +1,11 @@
 """Fast elliptic solvers for (a*I - b*Laplacian) u = rhs with Neumann walls.
 
 The constant-coefficient solve diagonalizes the compact Neumann Laplacian
-in the DCT-II cosine basis, which is exact up to roundoff.  The variable
+in the DCT-II cosine basis, which is exact up to roundoff.  It allocates
+two full fields: the cosine coefficients, which the in-place inverse
+transform turns into the result, and the divisor a - b*lambda.  Divisors
+are not cached: the steppers use several (a, b) pairs per grid and each
+cached one would stay resident.  The variable
 coefficient solve (c(x)*I - b*Laplacian) runs conjugate gradients
 preconditioned with the constant solve at mean(c): the coefficients that
 arise in the time steppers vary mildly about their mean, so the
@@ -50,10 +54,12 @@ def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.n
         raise ValueError("helmholtz_solve: rhs contains non-finite values")
     if b == 0.0:
         return rhs / a
-    lam = _neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy)
+    div = np.multiply(_neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy), -b)
+    div += a
     coef = dctn(rhs, type=2, norm="ortho")
-    coef /= a - b * lam
-    return idctn(coef, type=2, norm="ortho")
+    coef /= div
+    # coef is a fresh array, never the caller's rhs, so it may be overwritten
+    return idctn(coef, type=2, norm="ortho", overwrite_x=True)
 
 
 def variable_helmholtz_solve(

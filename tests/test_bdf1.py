@@ -39,6 +39,32 @@ def solves(grid, p, tau, rho=1e3, a0=1.0, phi_bar=None, phi_hist=None, temp_hist
 # bdf2's history differs from the explicit data
 SCHEMES = pytest.mark.parametrize("a0, hist_seed", [(1.0, None), (1.5, 21)], ids=["bdf1", "bdf2"])
 
+# the phase solves of each scheme, plus the b = s1 + s4 = 0 limit (mu is read
+# off the solve equation with weight s1/b) and a phase-dependent mobility,
+# whose solves run PCG
+PHASE_CASES = pytest.mark.parametrize(
+    "a0, hist_seed, case",
+    [(1.0, None, "plain"), (1.5, 21, "plain"), (1.5, 21, "b_zero"), (1.5, 21, "pcg")],
+    ids=["bdf1", "bdf2", "bdf2-s1-s4-zero", "bdf2-pcg"],
+)
+CG_TOL = 1e-10  # the kernel's default, which the solves helper keeps
+
+
+def phase_case(case, phi_n, s3, s4):
+    """Parameters and 1/M of one PHASE_CASES case."""
+    if case == "b_zero":
+        return case2_params(s1=0.0, s3=s3, s4=0.0), 1e3
+    rho = 1e3 * (1.2 + 0.2 * np.tanh(phi_n)) if case == "pcg" else 1e3
+    return case2_params(s3=s3, s4=s4), rho
+
+
+def cg_slack(case, p, rhs):
+    """Bound on |r|/b for the residual r of a phase solve, b = s1 + s4: zero
+    for the exact cosine solve, CG_TOL*||rhs||/b for PCG.  A pair read off its
+    solve equation satisfies mu = s1*Lap(phi) - ... up to -(s1/b)*r, and the
+    phase equation up to -(s4/b)*r/rho."""
+    return CG_TOL * float(np.linalg.norm(rhs)) / (p.s1 + p.s4) if case == "pcg" else 0.0
+
 
 def raw_closure(grid, p, tau, state, parts, e1_n, rho_n):
     """A1/A2 straight from the unsimplified definitions (independent oracle
@@ -126,24 +152,29 @@ class TestPhaseSolves:
         expected = c * (rho / tau + p.s3 / p.eps**2) / (rho / tau + (p.s2 + p.s3) / p.eps**2)
         assert phi1 == pytest.approx(expected, rel=1e-12)
 
-    @SCHEMES
-    def test_phi1_back_substitution(self, grid16, a0, hist_seed):
+    @PHASE_CASES
+    def test_phi1_back_substitution(self, grid16, a0, hist_seed, case):
         # the returned pair satisfies the original coupled system
-        p = case2_params(s3=3.0, s4=2.0)
-        tau, rho = 0.02, 1e3
+        tau = 0.02
         phi_n = smooth_field(grid16, 7)
+        p, rho = phase_case(case, phi_n, s3=3.0, s4=2.0)
         phi_hist = phi_n if hist_seed is None else smooth_field(grid16, hist_seed)
-        parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist)
+        with np.errstate(all="raise"):
+            parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist)
         phi1, mu1 = parts.phi1, parts.mu1
+        if case == "b_zero":
+            assert np.array_equal(mu1, -(p.s2 / p.eps**2) * phi1)
         m = 1.0 / rho
         res_a = (a0 * phi1 - phi_hist) / tau - m * (
             mu1 - (p.s3 / p.eps**2) * (phi1 - phi_n)
             + p.s4 * (laplacian(grid16, phi1) - laplacian(grid16, phi_n))
         )
         res_b = mu1 - p.s1 * laplacian(grid16, phi1) + (p.s2 / p.eps**2) * phi1
+        rhs1 = phi_hist * (rho / tau) + (p.s3 / p.eps**2) * phi_n - p.s4 * laplacian(grid16, phi_n)
+        slack = cg_slack(case, p, rhs1)
         scale = max(1.0, np.max(np.abs(phi1)) / tau)
-        assert np.max(np.abs(res_a)) < 1e-10 * scale
-        assert np.max(np.abs(res_b)) < 1e-10 * max(1.0, np.max(np.abs(mu1)))
+        assert np.max(np.abs(res_a)) < 1e-10 * scale + p.s4 * slack / np.min(rho)
+        assert np.max(np.abs(res_b)) < 1e-10 * max(1.0, np.max(np.abs(mu1))) + p.s1 * slack
 
     def test_phi2_zero_forcing(self, grid16):
         p = case2_params()
@@ -161,25 +192,30 @@ class TestPhaseSolves:
         assert phi2 == pytest.approx(expected, rel=1e-12)
         assert np.all(phi2 < 0.0)
 
-    @SCHEMES
-    def test_phi2_back_substitution(self, grid16, a0, hist_seed):
-        p = case2_params(s3=1.0, s4=0.5)
-        tau, rho = 0.02, 1e3
+    @PHASE_CASES
+    def test_phi2_back_substitution(self, grid16, a0, hist_seed, case):
+        tau = 0.02
         phi_n = smooth_field(grid16, 8)
         temp_n = smooth_field(grid16, 9)
+        p, rho = phase_case(case, phi_n, s3=1.0, s4=0.5)
         phi_hist = phi_n if hist_seed is None else smooth_field(grid16, hist_seed)
         g_n = g_residual(grid16, phi_n, p)
         coupling = (p.lam / p.eps) * h_prime(phi_n) * temp_n
-        parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist,
-                       core=-(g_n + coupling))
+        core = -(g_n + coupling)
+        with np.errstate(all="raise"):
+            parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist, core=core)
         phi2, mu2 = parts.phi2, parts.mu2
+        if case == "b_zero":
+            assert np.array_equal(mu2, core - (p.s2 / p.eps**2) * phi2)
         m = 1.0 / rho
         res_a = a0 * phi2 / tau - m * (
             mu2 - (p.s3 / p.eps**2) * phi2 + p.s4 * laplacian(grid16, phi2)
         )
         res_b = mu2 + g_n - p.s1 * laplacian(grid16, phi2) + (p.s2 / p.eps**2) * phi2 + coupling
-        assert np.max(np.abs(res_a)) < 1e-10 * max(1.0, np.max(np.abs(phi2)) / tau)
-        assert np.max(np.abs(res_b)) < 1e-10 * max(1.0, np.max(np.abs(mu2)))
+        slack = cg_slack(case, p, core)
+        assert np.max(np.abs(res_a)) < (1e-10 * max(1.0, np.max(np.abs(phi2)) / tau)
+                                        + p.s4 * slack / np.min(rho))
+        assert np.max(np.abs(res_b)) < 1e-10 * max(1.0, np.max(np.abs(mu2))) + p.s1 * slack
 
 
 class TestTemperatureSolves:

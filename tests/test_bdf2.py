@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dendrosim import bdf1
 from dendrosim.bdf1 import init_state
 from dendrosim.bdf2 import (
     StateBDF2,
@@ -15,7 +17,8 @@ from dendrosim.bdf2 import (
     step2,
 )
 from dendrosim.config import case2_params
-from dendrosim.grid import GridSpec, inner, laplacian, norm_sq
+from dendrosim.diagnostics import make_record
+from dendrosim.grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from dendrosim.model import (
     ConstantMobility,
     EnergyPositivityError,
@@ -24,6 +27,8 @@ from dendrosim.model import (
     g_residual,
     h_prime,
 )
+
+from conftest import smooth_field
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -225,3 +230,207 @@ class TestIdentityChecker:
         after, _ = step2(grid, before, 1.0, p)
         after.r *= 1.001
         assert energy_identity_residual2(grid, p, 1.0, before, after) > 1e-6
+
+
+# The identity check as it stood before the energy norms were memoized on the
+# states: private references that recompute every norm and cross term.
+
+def _ref_identity_proof_lines(grid, p, tau, before, after):
+    rho_n = p.mobility.rho_at(before.phi)
+    g_n = g_residual(grid, before.phi, p)
+    hp_n = h_prime(before.phi)
+    e1_n = e1_energy(grid, before.phi, p)
+    xi = after.r / math.sqrt(e1_n)
+    lam_e = p.lam / p.eps
+    lam_ek = p.lam / (p.eps * p.latent)
+
+    dphi = after.phi - before.phi
+    dtemp = after.temp - before.temp
+    dr = after.r - before.r
+    hm_mu = hp_n / rho_n * before.mu
+
+    line1 = math.fsum(
+        [
+            (2.0 / tau) * inner(grid, rho_n * dphi, dphi),
+            (2.0 * p.s3 / p.eps**2) * norm_sq(grid, dphi),
+            2.0 * p.s4 * grad_norm_sq(grid, dphi),
+            2.0 * xi * inner(grid, g_n, dphi),
+            p.s1 * (grad_norm_sq(grid, after.phi) - grad_norm_sq(grid, before.phi)
+                    + grad_norm_sq(grid, dphi)),
+            (p.s2 / p.eps**2) * (norm_sq(grid, after.phi) - norm_sq(grid, before.phi)
+                                 + norm_sq(grid, dphi)),
+            2.0 * xi * lam_e * inner(grid, hp_n * before.temp, dphi),
+        ]
+    )
+    line2 = math.fsum(
+        [
+            2.0 * (after.r**2 - before.r**2 + dr**2),
+            -2.0 * xi * inner(grid, g_n, dphi),
+            2.0 * xi * tau * lam_e * inner(grid, hm_mu, after.temp),
+            -2.0 * xi * lam_e * inner(grid, hp_n * before.temp, dphi),
+        ]
+    )
+    line3 = math.fsum(
+        [
+            lam_ek * (norm_sq(grid, after.temp) - norm_sq(grid, before.temp)
+                      + norm_sq(grid, dtemp)),
+            2.0 * tau * lam_ek * p.diff * grad_norm_sq(grid, after.temp),
+            -2.0 * tau * xi * lam_e * inner(grid, hm_mu, after.temp),
+        ]
+    )
+    return line1, line2, line3
+
+
+def _ref_identity_proof_lines2(grid, p, tau, before, after):
+    phi_bar = 2.0 * before.phi - before.phi_prev
+    temp_bar = 2.0 * before.temp - before.temp_prev
+    mu_bar = 2.0 * before.mu - before.mu_prev
+    rho_bar = p.mobility.rho_at(phi_bar)
+    g_bar = g_residual(grid, phi_bar, p)
+    hp_bar = h_prime(phi_bar)
+    e1_bar = e1_energy(grid, phi_bar, p)
+    xi = after.r / math.sqrt(e1_bar)
+    lam_e = p.lam / p.eps
+    lam_ek = p.lam / (p.eps * p.latent)
+
+    bdf_phi = 3.0 * after.phi - 4.0 * before.phi + before.phi_prev
+    curv_phi = after.phi - 2.0 * before.phi + before.phi_prev
+    d_new = after.phi - before.phi
+    d_old = before.phi - before.phi_prev
+    lead_new = 2.0 * after.phi - before.phi
+    lead_old = 2.0 * before.phi - before.phi_prev
+    hm_mubar = hp_bar / rho_bar * mu_bar
+    curv_sq = norm_sq(grid, curv_phi)
+    curv_grad_sq = grad_norm_sq(grid, curv_phi)
+
+    line1 = math.fsum(
+        [
+            (1.0 / tau) * inner(grid, rho_bar * bdf_phi, bdf_phi),
+            (2.0 * p.s3 / p.eps**2)
+            * (norm_sq(grid, d_new) - norm_sq(grid, d_old) + 2.0 * curv_sq),
+            2.0 * p.s4
+            * (grad_norm_sq(grid, d_new) - grad_norm_sq(grid, d_old)
+               + 2.0 * curv_grad_sq),
+            p.s1
+            * (grad_norm_sq(grid, after.phi) + grad_norm_sq(grid, lead_new)
+               - grad_norm_sq(grid, before.phi) - grad_norm_sq(grid, lead_old)
+               + curv_grad_sq),
+            (p.s2 / p.eps**2)
+            * (norm_sq(grid, after.phi) + norm_sq(grid, lead_new)
+               - norm_sq(grid, before.phi) - norm_sq(grid, lead_old)
+               + curv_sq),
+            2.0 * xi * inner(grid, g_bar, bdf_phi),
+            2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi),
+        ]
+    )
+    line2 = math.fsum(
+        [
+            2.0
+            * (
+                after.r**2
+                + (2.0 * after.r - before.r) ** 2
+                - before.r**2
+                - (2.0 * before.r - before.r_prev) ** 2
+                + (after.r - 2.0 * before.r + before.r_prev) ** 2
+            ),
+            -2.0 * xi * inner(grid, g_bar, bdf_phi),
+            4.0 * tau * xi * lam_e * inner(grid, hm_mubar, after.temp),
+            -2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi),
+        ]
+    )
+    lead_t_new = 2.0 * after.temp - before.temp
+    lead_t_old = 2.0 * before.temp - before.temp_prev
+    curv_t = after.temp - 2.0 * before.temp + before.temp_prev
+    line3 = math.fsum(
+        [
+            lam_ek
+            * (norm_sq(grid, after.temp) + norm_sq(grid, lead_t_new)
+               - norm_sq(grid, before.temp) - norm_sq(grid, lead_t_old)
+               + norm_sq(grid, curv_t)),
+            4.0 * tau * lam_ek * p.diff * grad_norm_sq(grid, after.temp),
+            -4.0 * tau * xi * lam_e * inner(grid, hm_mubar, after.temp),
+        ]
+    )
+    return line1, line2, line3
+
+
+# scheme -> (step, production lines, reference lines, modified energy)
+ORACLE_SCHEMES = {
+    "bdf1": (bdf1.step, bdf1.identity_proof_lines, _ref_identity_proof_lines,
+             bdf1.scheme_energy),
+    "bdf2": (step2, identity_proof_lines2, _ref_identity_proof_lines2, scheme_energy2),
+}
+
+
+def _stepped_pairs(scheme, case2, p, tau=0.1, levels=4):
+    """(before, after) pairs of consecutive states, stepped with the identity
+    check on, so each state's norms are memoized the way a run memoizes them."""
+    grid, _, phi0, temp0 = case2
+    step_fn = ORACLE_SCHEMES[scheme][0]
+    if scheme == "bdf1":
+        state = init_state(grid, phi0, temp0, p)
+    else:
+        state, _ = bootstrap(grid, phi0, temp0, tau, p, check_identity=True)
+    pairs = []
+    for _ in range(levels):
+        new, _ = step_fn(grid, state, tau, p, check_identity=True)
+        pairs.append((state, new))
+        state = new
+    return pairs
+
+
+@pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
+@pytest.mark.parametrize("s_set", [(0.9, 10.0, 0.0, 0.0), (0.5, 4.0, 3.0, 2.0)],
+                         ids=["case2", "s3-s4"])
+class TestProofLineOracles:
+    """The identity check, reading memoized state norms and sharing its cross
+    terms, gives the reference's proof lines to 1e-12 relative to |E^n|."""
+
+    def test_stepped_states(self, case2, scheme, s_set):
+        p = case2_params(*s_set)
+        _, lines, ref_lines, energy = ORACLE_SCHEMES[scheme]
+        grid = case2[0]
+        for before, after in _stepped_pairs(scheme, case2, p):
+            assert before._norms and after._norms
+            scale = abs(energy(grid, p, before))
+            for got, want in zip(lines(grid, p, 0.1, before, after),
+                                 ref_lines(grid, p, 0.1, before, after)):
+                assert abs(got - want) <= 1e-12 * scale
+
+    def test_tampered_states(self, case2, scheme, s_set):
+        p = case2_params(*s_set)
+        _, lines, ref_lines, energy = ORACLE_SCHEMES[scheme]
+        grid = case2[0]
+        for k, (before, after) in enumerate(_stepped_pairs(scheme, case2, p)):
+            tampered = replace(after, phi=after.phi + 0.01 * smooth_field(grid, 40 + k),
+                               temp=after.temp + 0.01 * smooth_field(grid, 50 + k),
+                               r=after.r * 1.01)
+            scale = abs(energy(grid, p, before))
+            want = ref_lines(grid, p, 0.1, before, tampered)
+            assert max(abs(w) for w in want) > 1e-3 * scale
+            for got, w in zip(lines(grid, p, 0.1, before, tampered), want):
+                assert abs(got - w) <= 1e-12 * scale
+
+    def test_ledger_energy_matches_fresh_state(self, case2, scheme, s_set):
+        # a row's e_modified is read from the norms the identity check memoized;
+        # it must equal, bitwise, the energy of a copy that has no memo
+        p = case2_params(*s_set)
+        energy = ORACLE_SCHEMES[scheme][3]
+        grid = case2[0]
+        for _, after in _stepped_pairs(scheme, case2, p):
+            fresh = replace(after)
+            assert after._norms and not fresh._norms
+            rec = make_record(grid, p, after, None)
+            assert rec.e_modified == energy(grid, p, fresh)
+
+
+class TestStateNormMemo:
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
+    def test_field_assignment_drops_norms(self, case2, scheme):
+        grid, p, _, _ = case2
+        state = _stepped_pairs(scheme, case2, p, levels=1)[0][1]
+        energy = ORACLE_SCHEMES[scheme][3]
+        energy(grid, p, state)
+        state.temp = state.temp + 0.5
+        assert not state._norms
+        assert energy(grid, p, state) == energy(grid, p, replace(state))

@@ -277,6 +277,16 @@ class TestCli:
         assert "time.t_end: not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, key", [("--t-end", "t_end"), ("--tau", "tau")])
+    def test_non_finite_override_exit_code(self, tmp_path, capsys, flag, key):
+        # overrides go through dataclasses.replace, so RunConfig itself must refuse them
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(CONFIG_DIR / "case2.cfg"), "--out", str(out),
+                     flag, "inf"])
+        assert code == EXIT_CONFIG
+        assert f"time.{key}: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == EXIT_CONFIG
