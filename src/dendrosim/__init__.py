@@ -20,7 +20,9 @@ from .model import (
     FieldMobility,
     ModelParams,
     SourceTerms,
-    aniso_h,
+    Anisotropy,
+    aniso_flux,
+    anisotropy,
     big_f_well,
     e1_energy,
     f_well,
@@ -52,8 +54,10 @@ __all__ = [
     "big_f_well",
     "h_latent",
     "h_prime",
+    "Anisotropy",
+    "anisotropy",
     "kappa",
-    "aniso_h",
+    "aniso_flux",
     "g_residual",
     "e1_energy",
     "modified_energy",

@@ -38,6 +38,7 @@ from .model import (
     NO_SOURCES,
     ModelParams,
     SourceTerms,
+    anisotropy,
     e1_energy,
     g_residual,
     h_prime,
@@ -113,10 +114,8 @@ class StepReport:
 
 @dataclass
 class PartialSolves:
-    """The four decoupled sub-solutions entering the xi closure, and the
-    zeroth-order coefficient ``coeff`` of both phase solves."""
+    """The four decoupled sub-solutions entering the xi closure."""
 
-    coeff: np.ndarray | float
     phi1: np.ndarray
     mu1: np.ndarray
     phi2: np.ndarray
@@ -130,9 +129,10 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
     """Initial state with R = sqrt(E1(phi0)) and mu from the continuous
     chemical potential evaluated at the initial data (auxiliary ratio = 1)."""
     grid.check(phi0, temp0)
-    e1 = e1_energy(grid, phi0, p)
+    geom = anisotropy(grid, phi0, p.sigma)
+    e1 = e1_energy(grid, phi0, p, geom)
     mu0 = (
-        -g_residual(grid, phi0, p)
+        -g_residual(grid, phi0, p, geom)
         + p.s1 * laplacian(grid, phi0)
         - (p.s2 / p.eps**2) * phi0
         - (p.lam / p.eps) * h_prime(phi0) * temp0
@@ -172,7 +172,6 @@ def partial_solves(
     if src_temp is not None:
         rhs_t1 = rhs_t1 + src_temp
     return PartialSolves(
-        coeff=coeff,
         phi1=phi1,
         mu1=s1_b * (coeff * phi1 - rhs1) - s2_e * phi1,
         phi2=phi2,
@@ -193,27 +192,31 @@ def sav_step(
     ``hist`` = (phi_hist, T_hist, R_hist) is the history of the BDF derivative
     (a0*x^{n+1} - x_hist)/tau, ``bar`` = (phi_bar, T_bar, mu_bar) the explicit
     data.  A1 collects 2*a0 times the auxiliary energy plus weighted squares
-    of the xi-proportional parts, hence is always positive.
+    of the xi-proportional parts, hence is always positive; the solve
+    equations of phi_2 and T_2 turn those squares into the products
+    a0*<core, phi_2> and tau*<temp_forcing, T_2>.
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     (phi_hist, temp_hist, r_hist), (phi_bar, temp_bar, mu_bar) = hist, bar
     rho = p.mobility.rho_at(phi_bar)
     hp = h_prime(phi_bar)
-    e1 = e1_energy(grid, phi_bar, p)
-    core = -(g_residual(grid, phi_bar, p) + (p.lam / p.eps) * hp * temp_bar)
+    geom = anisotropy(grid, phi_bar, p.sigma)
+    e1 = e1_energy(grid, phi_bar, p, geom)
+    core = -(g_residual(grid, phi_bar, p, geom) + (p.lam / p.eps) * hp * temp_bar)
+    del geom
     temp_forcing = p.latent * hp / rho * mu_bar
     parts = partial_solves(
         grid, p, tau, a0, rho, (phi_hist, temp_hist), phi_bar, core, temp_forcing,
         (sources.phi_at(grid, t_new), sources.temp_at(grid, t_new)), cg_tol, cg_maxit,
     )
     lam_ek = p.lam / (p.eps * p.latent)
+    # <core, phi_2> = <coeff*phi_2, phi_2> + (s1 + s4)||grad phi_2||^2 and
+    # tau*<temp_forcing, T_2> = a0||T_2||^2 + tau*D||grad T_2||^2
     a1 = math.fsum([
         a0 * 2.0 * e1,
-        a0 * inner(grid, parts.coeff * parts.phi2, parts.phi2),
-        a0 * (p.s1 + p.s4) * grad_norm_sq(grid, parts.phi2),
-        a0 * lam_ek * norm_sq(grid, parts.temp2),
-        lam_ek * tau * p.diff * grad_norm_sq(grid, parts.temp2),
+        a0 * inner(grid, core, parts.phi2),
+        lam_ek * tau * inner(grid, temp_forcing, parts.temp2),
     ])
     # the T_2 equation a0*T_2/tau - D*Lap(T_2) = temp_forcing turns the A2
     # term <-a0*T_2 + tau*D*Lap(T_2), T_1> into -tau*<temp_forcing, T_1>
@@ -293,9 +296,11 @@ def identity_proof_lines(
     evaluated once.
     """
     rho_n = p.mobility.rho_at(before.phi)
-    g_n = g_residual(grid, before.phi, p)
+    geom = anisotropy(grid, before.phi, p.sigma)
+    g_n = g_residual(grid, before.phi, p, geom)
     hp_n = h_prime(before.phi)
-    e1_n = e1_energy(grid, before.phi, p)
+    e1_n = e1_energy(grid, before.phi, p, geom)
+    del geom
     xi = after.r / math.sqrt(e1_n)
     lam_e = p.lam / p.eps
     lam_ek = p.lam / (p.eps * p.latent)

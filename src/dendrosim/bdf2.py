@@ -26,6 +26,7 @@ from .model import (
     EnergyPositivityError,
     ModelParams,
     SourceTerms,
+    anisotropy,
     e1_energy,
     g_residual,
     h_prime,
@@ -192,9 +193,11 @@ def identity_proof_lines2(
     temp_bar = 2.0 * before.temp - before.temp_prev
     mu_bar = 2.0 * before.mu - before.mu_prev
     rho_bar = p.mobility.rho_at(phi_bar)
-    g_bar = g_residual(grid, phi_bar, p)
+    geom = anisotropy(grid, phi_bar, p.sigma)
+    g_bar = g_residual(grid, phi_bar, p, geom)
     hp_bar = h_prime(phi_bar)
-    e1_bar = e1_energy(grid, phi_bar, p)
+    e1_bar = e1_energy(grid, phi_bar, p, geom)
+    del geom
     xi = after.r / math.sqrt(e1_bar)
     lam_e = p.lam / p.eps
     lam_ek = p.lam / (p.eps * p.latent)

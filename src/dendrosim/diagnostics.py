@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bdf1, bdf2
 from .grid import GridSpec, integrate
-from .model import ModelParams, e1_energy, original_energy
+from .model import ModelParams, anisotropy, e1_energy, original_energy
 
 __all__ = [
     "EnergyRecord",
@@ -93,17 +93,18 @@ def make_record(
         e_mod = bdf2.scheme_energy2(grid, p, state)
     else:
         e_mod = bdf1.scheme_energy(grid, p, state)
+    geom = anisotropy(grid, state.phi, p.sigma)
     if report is None:
         xi = 1.0
         identity = 0.0
-        a1 = 2.0 * e1_energy(grid, state.phi, p)
+        a1 = 2.0 * e1_energy(grid, state.phi, p, geom)
     else:
         xi, identity, a1 = report.xi, report.identity_residual, report.a1
     return EnergyRecord(
         step=state.n,
         time=state.t,
         e_modified=e_mod,
-        e_original=original_energy(grid, state.phi, state.temp, p),
+        e_original=original_energy(grid, state.phi, state.temp, p, geom),
         xi=xi,
         area=crystal_area(grid, state.phi),
         identity_residual=identity,

@@ -24,7 +24,7 @@ from .diagnostics import (
 )
 from .grid import GridSpec, inner
 from .model import NO_SOURCES, EnergyPositivityError, SourceTerms
-from .snapshots import FieldSnapshot, write_snapshot
+from .snapshots import FieldSnapshot, SourceSeriesError, source_from_snapshots, write_snapshot
 
 __all__ = [
     "RunResult",
@@ -114,8 +114,6 @@ def _write_state_snapshots(cfg: RunConfig, out_dir: Path, state, step_index: int
 
 
 def _config_sources(cfg: RunConfig) -> SourceTerms:
-    from .snapshots import source_from_snapshots
-
     phi = temp = None
     if cfg.source_phi_dir:
         phi = source_from_snapshots(cfg.source_phi_dir, cfg.source_phi_prefix, cfg.tau)
@@ -199,7 +197,7 @@ def run_single(
                     grid, state, cfg.tau, cfg.params, sources, cfg.check_identity
                 )
                 emit(state, report)
-    except (EnergyPositivityError, FloatingPointError) as exc:
+    except (EnergyPositivityError, FloatingPointError, SourceSeriesError) as exc:
         raise type(exc)(f"level {level} (t={t_level:g}): {exc}") from exc
     finally:
         if writer is not None:

@@ -8,7 +8,10 @@ and the three energy functionals (auxiliary, modified-quadratic, original).
 Conventions shared with the time steppers:
 
 * pointwise anisotropy quantities (kappa, H, |grad phi|^2 weights) use the
-  collocated centered gradient;
+  collocated centered gradient.  :func:`anisotropy` evaluates that geometry
+  (gradient, kappa, |grad phi|^2) once per field; the residual and both
+  energies take it as an optional argument, so a step that needs the
+  residual and E1 of the same field shares one evaluation;
 * quadratic gradient energies use the face-difference Dirichlet form
   ``grad_inner`` so they pair exactly with the compact Laplacian.  The
   auxiliary energy mixes both on purpose, which keeps
@@ -18,7 +21,7 @@ Conventions shared with the time steppers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +45,10 @@ __all__ = [
     "big_f_well",
     "h_latent",
     "h_prime",
+    "Anisotropy",
+    "anisotropy",
     "kappa",
-    "aniso_h",
+    "aniso_flux",
     "g_residual",
     "e1_energy",
     "modified_energy",
@@ -179,38 +184,89 @@ def h_prime(phi: np.ndarray) -> np.ndarray:
     return q * q
 
 
+class Anisotropy(NamedTuple):
+    """The anisotropy geometry of one phase field: its centered gradient,
+    kappa and |grad phi|^2.  ``g_residual``, ``e1_energy`` and
+    ``original_energy`` read it, so a caller that needs two of them on the
+    same field evaluates it once (:func:`anisotropy`)."""
+
+    gx: np.ndarray
+    gy: np.ndarray
+    kap: np.ndarray  # 1 + sigma*cos(4 theta)
+    mag2: np.ndarray  # |grad phi|^2
+
+    @classmethod
+    def from_gradient(
+        cls, gx: np.ndarray, gy: np.ndarray, sigma: float, reg: float = DEFAULT_GRAD_REG
+    ) -> "Anisotropy":
+        """Fourfold anisotropy kappa = 1 + sigma*cos(4 theta) in rational form.
+
+        cos(4 theta) = ((gx^2 - gy^2)^2 - 4 gx^2 gy^2) / (|g|^2 + reg)^2; the
+        regularization avoids the arctan branch and the |g| = 0 bulk
+        singularity, where kappa decays harmlessly to 1.
+        """
+        x2 = gx * gx
+        y2 = gy * gy
+        mag2 = x2 + y2
+        kap = x2 - y2
+        kap *= kap
+        x2 *= y2
+        x2 *= 4.0
+        kap -= x2
+        del x2, y2
+        inv = mag2 + reg
+        np.reciprocal(inv, out=inv)
+        kap *= inv
+        kap *= inv
+        kap *= sigma
+        kap += 1.0
+        return cls(gx, gy, kap, mag2)
+
+
+def anisotropy(grid: GridSpec, phi: np.ndarray, sigma: float) -> Anisotropy:
+    """The anisotropy geometry of ``phi``, from its centered gradient."""
+    grid.check(phi)
+    return Anisotropy.from_gradient(*gradient(grid, phi), sigma)
+
+
 def kappa(gx: np.ndarray, gy: np.ndarray, sigma: float, reg: float = DEFAULT_GRAD_REG) -> np.ndarray:
-    """Fourfold anisotropy 1 + sigma*cos(4 theta) in rational form.
-
-    cos(4 theta) = (gx^4 - 6 gx^2 gy^2 + gy^4) / |g|^4 expressed through the
-    gradient components; the regularized denominator (|g|^2 + reg)^2 avoids
-    the arctan branch and the |g| = 0 bulk singularity, where the value
-    decays harmlessly to 1.
-    """
-    x2 = gx * gx
-    y2 = gy * gy
-    denom = (x2 + y2 + reg) ** 2
-    cos4 = (x2 * x2 - 6.0 * x2 * y2 + y2 * y2) / denom
-    return 1.0 + sigma * cos4
+    """Fourfold anisotropy 1 + sigma*cos(4 theta) of a gradient field."""
+    return Anisotropy.from_gradient(gx, gy, sigma, reg).kap
 
 
-def aniso_h(
-    gx: np.ndarray, gy: np.ndarray, sigma: float, reg: float = DEFAULT_GRAD_REG
+def aniso_flux(
+    geom: Anisotropy, sigma: float, reg: float = DEFAULT_GRAD_REG
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient-space derivative of kappa for fourfold anisotropy.
+    """The anisotropy vector kappa |grad phi|^2 H of the phase flux.
 
-    H = 16 sigma * (gx(gx^2 gy^2 - gy^4), gy(gx^2 gy^2 - gx^4)) / (|g|^2 + reg)^3.
+    H = 16 sigma (gx^2 - gy^2) (gx gy^2, -gy gx^2) / (|g|^2 + reg)^3 is the
+    gradient-space derivative of kappa, so the vector is c (gx gy^2, -gy gx^2)
+    with c = 16 sigma kappa |g|^2 (gx^2 - gy^2) / (|g|^2 + reg)^3.
     """
+    gx, gy, kap, mag2 = geom
     x2 = gx * gx
     y2 = gy * gy
-    denom = (x2 + y2 + reg) ** 3
-    scale = 16.0 * sigma / denom
-    hx = scale * gx * (x2 * y2 - y2 * y2)
-    hy = scale * gy * (x2 * y2 - x2 * x2)
-    return hx, hy
+    c = x2 - y2
+    c *= kap
+    c *= mag2
+    inv = mag2 + reg
+    np.reciprocal(inv, out=inv)
+    c *= inv
+    c *= inv
+    c *= inv
+    del inv
+    c *= 16.0 * sigma
+    y2 *= gx
+    y2 *= c
+    x2 *= gy
+    x2 *= c
+    np.negative(x2, out=x2)
+    return y2, x2
 
 
-def g_residual(grid: GridSpec, phi: np.ndarray, p: ModelParams) -> np.ndarray:
+def g_residual(
+    grid: GridSpec, phi: np.ndarray, p: ModelParams, geom: Anisotropy | None = None
+) -> np.ndarray:
     """Stabilized nonlinear residual of the phase equation.
 
     g(phi) = -div((kappa^2 - s1) grad phi + kappa |grad phi|^2 H)
@@ -219,33 +275,37 @@ def g_residual(grid: GridSpec, phi: np.ndarray, p: ModelParams) -> np.ndarray:
     The scalar-coefficient flux goes through face differences (so the
     isotropic limit reduces exactly to the compact Laplacian); the
     anisotropy vector goes through the collocated adjoint-consistent
-    divergence.
+    divergence.  ``geom`` is ``anisotropy(grid, phi, p.sigma)`` when the
+    caller already has it.
     """
     grid.check(phi)
+    if geom is None:
+        geom = anisotropy(grid, phi, p.sigma)
     out = (f_well(phi) - p.s2 * phi) / p.eps**2
-    gx, gy = gradient(grid, phi)
-    kap = kappa(gx, gy, p.sigma)
-    out -= face_flux_divergence(grid, kap * kap - p.s1, phi)
-    hx, hy = aniso_h(gx, gy, p.sigma)
-    mag2 = gx * gx + gy * gy
-    w = kap * mag2
-    out -= divergence(grid, w * hx, w * hy)
+    w = geom.kap * geom.kap
+    w -= p.s1
+    out -= face_flux_divergence(grid, w, phi)
+    del w
+    out -= divergence(grid, *aniso_flux(geom, p.sigma))
     return out
 
 
-def e1_energy(grid: GridSpec, phi: np.ndarray, p: ModelParams) -> float:
+def e1_energy(
+    grid: GridSpec, phi: np.ndarray, p: ModelParams, geom: Anisotropy | None = None
+) -> float:
     """Auxiliary energy E1 under the square root of the auxiliary variable.
 
     E1 = int( kappa^2 |grad phi|^2 / 2 + (F(phi) - s2 phi^2 / 2)/eps^2 + B )
          - (s1/2) * ||grad phi||^2  (Dirichlet form).
 
-    Raises EnergyPositivityError when non-positive.
+    ``geom`` is ``anisotropy(grid, phi, p.sigma)`` when the caller already
+    has it.  Raises EnergyPositivityError when non-positive.
     """
     grid.check(phi)
-    gx, gy = gradient(grid, phi)
-    kap = kappa(gx, gy, p.sigma)
-    mag2 = gx * gx + gy * gy
-    bulk = 0.5 * kap * kap * mag2 + (big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
+    if geom is None:
+        geom = anisotropy(grid, phi, p.sigma)
+    bulk = 0.5 * geom.kap * geom.kap * geom.mag2
+    bulk += (big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
     value = integrate(grid, bulk) + p.bconst * grid.area - 0.5 * p.s1 * grad_norm_sq(grid, phi)
     if value <= 0.0:
         raise EnergyPositivityError(
@@ -273,15 +333,21 @@ def modified_energy(
     return quad + r * r
 
 
-def original_energy(grid: GridSpec, phi: np.ndarray, temp: np.ndarray, p: ModelParams) -> float:
+def original_energy(
+    grid: GridSpec, phi: np.ndarray, temp: np.ndarray, p: ModelParams,
+    geom: Anisotropy | None = None,
+) -> float:
     """Free energy of the unmodified model.
 
     E(phi, T) = int( kappa^2 |grad phi|^2 / 2 + F(phi)/eps^2
                      + lam/(2 eps K) T^2 ).
+
+    ``geom`` is ``anisotropy(grid, phi, p.sigma)`` when the caller already
+    has it.
     """
     grid.check(phi, temp)
-    gx, gy = gradient(grid, phi)
-    kap = kappa(gx, gy, p.sigma)
-    mag2 = gx * gx + gy * gy
-    bulk = 0.5 * kap * kap * mag2 + big_f_well(phi) / p.eps**2
+    if geom is None:
+        geom = anisotropy(grid, phi, p.sigma)
+    bulk = 0.5 * geom.kap * geom.kap * geom.mag2
+    bulk += big_f_well(phi) / p.eps**2
     return integrate(grid, bulk) + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp)

@@ -24,11 +24,13 @@ import numpy as np
 
 from .bdf1 import StateBDF1
 from .bdf2 import StateBDF2
+from .config import ConfigError
 from .grid import GridSpec
 
 __all__ = [
     "FieldSnapshot",
     "SnapshotFormatError",
+    "SourceSeriesError",
     "write_snapshot",
     "read_snapshot",
     "checkpoint",
@@ -51,6 +53,11 @@ _BDF2_FIELDS = ("phi", "phi_prev", "temp", "temp_prev", "mu", "mu_prev")
 
 class SnapshotFormatError(ValueError):
     """Corrupt or foreign snapshot/checkpoint data."""
+
+
+class SourceSeriesError(SnapshotFormatError, ConfigError):
+    """A forcing series declared in a configuration has no usable snapshot
+    for a time level: missing, unreadable, of another shape or time."""
 
 
 @dataclass(frozen=True)
@@ -170,19 +177,34 @@ def source_from_snapshots(directory: str | Path, prefix: str, tau: float):
     """Source-term provider backed by one snapshot file per time level.
 
     The steppers evaluate sources at the new time level t^{n+1}; this
-    provider maps t to the file ``{prefix}_{round(t/tau):06d}.snp``.  Use it
-    for externally manufactured forcing (one field per level) through the
-    SourceTerms hooks.
+    provider maps t to the file ``{prefix}_{round(t/tau):06d}.snp``, whose
+    header time must lie within tau/2 of t.  Use it for externally
+    manufactured forcing (one field per level) through the SourceTerms
+    hooks.  A missing, unreadable, mis-shaped or mis-timed file raises
+    :class:`SourceSeriesError`.
     """
     directory = Path(directory)
 
     def provider(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
         level = round(t / tau)
-        snap = read_snapshot(directory / f"{prefix}_{level:06d}.snp")
+        path = directory / f"{prefix}_{level:06d}.snp"
+        try:
+            snap = read_snapshot(path)
+        except OSError as exc:
+            raise SourceSeriesError(
+                f"cannot read forcing snapshot {path}: {exc.strerror or exc}"
+            ) from exc
+        except SnapshotFormatError as exc:
+            raise SourceSeriesError(str(exc)) from exc
         if snap.values.shape != x.shape:
-            raise SnapshotFormatError(
+            raise SourceSeriesError(
                 f"source snapshot level {level} has shape {snap.values.shape}, "
                 f"expected {x.shape}"
+            )
+        if abs(snap.time - t) > 0.5 * tau:
+            raise SourceSeriesError(
+                f"source snapshot {path} holds time {snap.time:g}, more than "
+                f"tau/2 from t={t:g}"
             )
         return snap.values
 

@@ -22,6 +22,7 @@ from dendrosim.grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from dendrosim.model import (
     ConstantMobility,
     EnergyPositivityError,
+    FieldMobility,
     ModelParams,
     e1_energy,
     g_residual,
@@ -213,6 +214,53 @@ class TestStep2:
             rebuilt = phi1 + xi_prime * phi2
             expected = new.phi + (xi_prime - rep.xi) * phi2
             assert rebuilt == pytest.approx(expected, abs=1e-12)
+
+
+CG_TOL = 1e-10  # relative residual at which the PCG phase solves stop
+
+
+def pcg_identity_slack(grid, p, tau, before, after):
+    """Bound on the identity residual that PCG phase solves can leave.
+
+    The identity check gets mu^{n+1} from the solve equations, so only the
+    combined phase equation coeff*phi - (s1 + s4)*Lap(phi) = rhs_1 + xi*core
+    can fail, by the solve residual r, with ||r|| <= CG_TOL*(||rhs_1|| +
+    |xi|*||core||).  Line 1 tests that equation against
+    B = 3phi^{n+1} - 4phi^n + phi^{n-1} twice, so the lines sum to 2<r, B>
+    and the residual |sum|/(4|E^n|) is at most h_x h_y ||r|| ||B|| / (2|E^n|).
+    """
+    phi_bar = 2.0 * before.phi - before.phi_prev
+    temp_bar = 2.0 * before.temp - before.temp_prev
+    rho = p.mobility.rho_at(phi_bar)
+    rhs1 = ((2.0 * before.phi - 0.5 * before.phi_prev) * (rho / tau)
+            + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid, phi_bar))
+    core = -(g_residual(grid, phi_bar, p) + (p.lam / p.eps) * h_prime(phi_bar) * temp_bar)
+    xi = after.r / math.sqrt(e1_energy(grid, phi_bar, p))
+    r_norm = CG_TOL * (np.linalg.norm(rhs1) + abs(xi) * np.linalg.norm(core))
+    b_norm = np.linalg.norm(3.0 * after.phi - 4.0 * before.phi + before.phi_prev)
+    return grid.cell_area * r_norm * b_norm / (2.0 * abs(scheme_energy2(grid, p, before)))
+
+
+class TestFieldMobility:
+    """The paper's distinguishing claim: the second-order scheme with a
+    phase-dependent mobility keeps its energy law for any step size."""
+
+    @pytest.mark.parametrize("tau", [1e-3, 1.0, 100.0])
+    def test_energy_law_any_tau(self, case2, tau):
+        grid, p, phi0, temp0 = case2
+        p = replace(p, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
+        state, _ = bootstrap(grid, phi0, temp0, tau, p, cg_tol=CG_TOL)
+        e_prev = scheme_energy2(grid, p, state)
+        for _ in range(20):
+            new, rep = step2(grid, state, tau, p, check_identity=True, cg_tol=CG_TOL)
+            assert rep.cg_iterations > 0
+            # roundoff floor of the constant-mobility check plus the PCG slack
+            bound = 1e-12 + pcg_identity_slack(grid, p, tau, state, new)
+            assert rep.identity_residual <= bound
+            # E^{n+1} - E^n = -dissipation + (sum of the lines)/4
+            e = scheme_energy2(grid, p, new)
+            assert e <= e_prev + bound * abs(e_prev)
+            state, e_prev = new, e
 
 
 class TestIdentityChecker:

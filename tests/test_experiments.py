@@ -287,6 +287,40 @@ class TestCli:
         assert f"time.{key}: not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, level, needle", [
+        ("missing", 4, "s_phi_000004.snp: No such file or directory"),
+        ("mis-shaped", 2, "has shape (8, 8), expected (16, 16)"),
+        ("mis-timed", 2, "holds time 0.0035, more than tau/2 from t=0.002"),
+    ])
+    def test_forcing_series_failure_exit_code(self, tmp_path, capsys, case, level, needle):
+        # a case1 run fed by a [sources] series of three levels: a missing,
+        # mis-shaped or mis-timed file is a configuration error naming the level
+        from dendrosim.config import serialize_config
+        from dendrosim.snapshots import FieldSnapshot, write_snapshot
+
+        tau, grid = 1e-3, GridSpec(16, 16)
+        forcing = tmp_path / "forcing"
+        forcing.mkdir()
+        for n in (1, 2, 3):
+            snap_grid, t = grid, n * tau
+            if n == level and case == "mis-shaped":
+                snap_grid = GridSpec(8, 8)
+            if n == level and case == "mis-timed":
+                t = 3.5e-3
+            snap = FieldSnapshot(grid=snap_grid, time=t, name="s_phi",
+                                 values=snap_grid.full(0.1))
+            write_snapshot(snap, forcing / f"s_phi_{n:06d}.snp")
+        t_end = 5e-3 if case == "missing" else 3e-3
+        cfg = replace(load_config(CONFIG_DIR / "case1.cfg"), grid=grid, scheme="bdf1",
+                      tau=tau, t_end=t_end, source_phi_dir=str(forcing))
+        path = tmp_path / "case1.cfg"
+        path.write_text(serialize_config(cfg))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: level {level} (t={level * tau:g}): ")
+        assert needle in err and err.count("\n") == 1
+
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == EXIT_CONFIG

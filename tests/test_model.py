@@ -6,13 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrosim.config import case2_params
-from dendrosim.grid import GridSpec, laplacian
+from dendrosim.grid import (
+    GridSpec,
+    divergence,
+    face_flux_divergence,
+    grad_norm_sq,
+    gradient,
+    integrate,
+    laplacian,
+    norm_sq,
+)
 from dendrosim.model import (
+    Anisotropy,
     ConstantMobility,
     EnergyPositivityError,
     FieldMobility,
     ModelParams,
-    aniso_h,
+    aniso_flux,
+    anisotropy,
     big_f_well,
     e1_energy,
     f_well,
@@ -24,7 +35,7 @@ from dendrosim.model import (
     original_energy,
 )
 
-from conftest import smooth_field
+from conftest import random_field, smooth_field
 
 
 def make_params(**overrides):
@@ -114,13 +125,12 @@ class TestAnisotropy:
         w = kappa(gx, gy, p.sigma) ** 2 - p.s1
         assert np.all(w > 0.0)
 
-    def test_aniso_h_vanishes_on_symmetry_axes(self):
+    def test_aniso_flux_vanishes_on_symmetry_axes(self):
         one, zero = np.array([1.0]), np.array([0.0])
-        hx, hy = aniso_h(one, zero, 0.1, reg=1e-300)
-        assert hx[0] == 0.0 and hy[0] == 0.0
-        hx, hy = aniso_h(one, one, 0.1, reg=1e-300)
-        assert hx[0] == pytest.approx(0.0, abs=1e-15)
-        assert hy[0] == pytest.approx(0.0, abs=1e-15)
+        for gx, gy in ((one, zero), (zero, one), (one, one), (one, -one)):
+            geom = Anisotropy.from_gradient(gx, gy, 0.1, reg=1e-300)
+            vx, vy = aniso_flux(geom, 0.1, reg=1e-300)
+            assert vx[0] == 0.0 and vy[0] == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0, 2 * math.pi, allow_nan=False),
@@ -136,7 +146,8 @@ class TestAnisotropy:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 2 * math.pi, allow_nan=False))
     def test_matches_angular_derivative_of_kappa(self, theta):
-        # d kappa / d theta == H . d(grad)/d theta on unit gradients
+        # d kappa / d theta == H . d(grad)/d theta on unit gradients, where
+        # H is the residual's anisotropy vector divided by kappa |grad phi|^2
         sigma = 0.3
         d = 1e-6
 
@@ -146,8 +157,10 @@ class TestAnisotropy:
 
         fd = (kap(theta + d) - kap(theta - d)) / (2 * d)
         gx, gy = np.array([math.cos(theta)]), np.array([math.sin(theta)])
-        hx, hy = aniso_h(gx, gy, sigma, reg=1e-12)
-        analytic = hx[0] * (-math.sin(theta)) + hy[0] * math.cos(theta)
+        geom = Anisotropy.from_gradient(gx, gy, sigma, reg=1e-12)
+        vx, vy = aniso_flux(geom, sigma, reg=1e-12)
+        w = geom.kap[0] * geom.mag2[0]
+        analytic = (vx[0] * (-math.sin(theta)) + vy[0] * math.cos(theta)) / w
         assert analytic == pytest.approx(fd, abs=1e-5)
 
 
@@ -247,3 +260,117 @@ class TestEnergies:
 
         assert f_term(0.1) == pytest.approx(np.pi * 0.1 / (3 * 0.1**2), rel=0.02)
         assert f_term(0.05) / f_term(0.1) == pytest.approx(2.0, rel=0.05)
+
+
+# The anisotropy kernels as they stood before the geometry was shared: each
+# function takes its own gradient, kappa and |grad phi|^2, and H goes through
+# the generic power.  Private references for the oracle tests below.
+
+def _ref_kappa(gx, gy, sigma, reg=1e-12):
+    x2 = gx * gx
+    y2 = gy * gy
+    denom = (x2 + y2 + reg) ** 2
+    cos4 = (x2 * x2 - 6.0 * x2 * y2 + y2 * y2) / denom
+    return 1.0 + sigma * cos4
+
+
+def _ref_aniso_h(gx, gy, sigma, reg=1e-12):
+    x2 = gx * gx
+    y2 = gy * gy
+    denom = (x2 + y2 + reg) ** 3
+    scale = 16.0 * sigma / denom
+    return scale * gx * (x2 * y2 - y2 * y2), scale * gy * (x2 * y2 - x2 * x2)
+
+
+def _ref_g_residual(grid, phi, p):
+    out = (f_well(phi) - p.s2 * phi) / p.eps**2
+    gx, gy = gradient(grid, phi)
+    kap = _ref_kappa(gx, gy, p.sigma)
+    out -= face_flux_divergence(grid, kap * kap - p.s1, phi)
+    hx, hy = _ref_aniso_h(gx, gy, p.sigma)
+    w = kap * (gx * gx + gy * gy)
+    out -= divergence(grid, w * hx, w * hy)
+    return out
+
+
+def _ref_bulk(grid, phi, p):
+    gx, gy = gradient(grid, phi)
+    kap = _ref_kappa(gx, gy, p.sigma)
+    return 0.5 * kap * kap * (gx * gx + gy * gy)
+
+
+def _ref_e1_energy(grid, phi, p):
+    bulk = _ref_bulk(grid, phi, p) + (big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
+    return (integrate(grid, bulk) + p.bconst * grid.area
+            - 0.5 * p.s1 * grad_norm_sq(grid, phi))
+
+
+def _ref_original_energy(grid, phi, temp, p):
+    bulk = _ref_bulk(grid, phi, p) + big_f_well(phi) / p.eps**2
+    return integrate(grid, bulk) + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp)
+
+
+ORACLE_GRIDS = {
+    "16x16": GridSpec(16, 16),
+    "24x40": GridSpec(24, 40),
+    "hx-ne-hy": GridSpec(33, 20, x0=-1.5, x1=2.0, y0=0.0, y1=0.5),
+    "128x128": GridSpec(128, 128),
+}
+
+
+def _oracle_field(grid, kind):
+    x, y = grid.mesh()
+    cx, cy = 0.5 * (grid.x0 + grid.x1), 0.5 * (grid.y0 + grid.y1)
+    r = min(grid.x1 - grid.x0, grid.y1 - grid.y0)
+    if kind == "random":
+        return random_field(grid, 3, scale=0.5)
+    if kind == "tanh":
+        # a fourfold-perturbed disc: every gradient direction, saturated bulk
+        theta = np.arctan2(y - cy, x - cx)
+        rad = np.hypot(x - cx, y - cy)
+        return np.tanh((0.25 * r * (1.0 + 0.2 * np.cos(4.0 * theta)) - rad) / (0.05 * r))
+    if kind == "zero":
+        return grid.zeros()
+    return grid.full(0.7)
+
+
+@pytest.mark.parametrize("grid_id", list(ORACLE_GRIDS))
+@pytest.mark.parametrize("kind", ["random", "tanh", "zero", "constant"])
+@pytest.mark.parametrize("sigma, s1", [(0.05, 0.9), (0.3, 0.4)])
+class TestSharedGeometryOracle:
+    """One shared geometry evaluation and the one-product anisotropy vector
+    reproduce the separately evaluated references: g to 1e-14 of max|g|,
+    the energies to 1e-14 relative."""
+
+    def test_g_residual(self, grid_id, kind, sigma, s1):
+        grid = ORACLE_GRIDS[grid_id]
+        p = make_params(sigma=sigma, s1=s1)
+        phi = _oracle_field(grid, kind)
+        with np.errstate(all="raise"):
+            want = _ref_g_residual(grid, phi, p)
+            got = g_residual(grid, phi, p)
+            shared = g_residual(grid, phi, p, anisotropy(grid, phi, p.sigma))
+        assert np.array_equal(got, shared)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_energies(self, grid_id, kind, sigma, s1):
+        grid = ORACLE_GRIDS[grid_id]
+        p = make_params(sigma=sigma, s1=s1)
+        phi = _oracle_field(grid, kind)
+        temp = smooth_field(grid, 5)
+        with np.errstate(all="raise"):
+            geom = anisotropy(grid, phi, p.sigma)
+            e1 = e1_energy(grid, phi, p, geom)
+            orig = original_energy(grid, phi, temp, p, geom)
+            e1_want = _ref_e1_energy(grid, phi, p)
+            orig_want = _ref_original_energy(grid, phi, temp, p)
+        assert e1 == e1_energy(grid, phi, p)
+        assert orig == original_energy(grid, phi, temp, p)
+        assert abs(e1 - e1_want) <= 1e-14 * abs(e1_want)
+        assert abs(orig - orig_want) <= 1e-14 * abs(orig_want)
+
+    def test_kappa(self, grid_id, kind, sigma, s1):
+        grid = ORACLE_GRIDS[grid_id]
+        gx, gy = gradient(grid, _oracle_field(grid, kind))
+        with np.errstate(all="raise"):
+            assert np.max(np.abs(kappa(gx, gy, sigma) - _ref_kappa(gx, gy, sigma))) <= 1e-15
