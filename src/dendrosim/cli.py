@@ -111,6 +111,7 @@ def main(argv=None) -> int:
             print(f"  e_modified {res.records[0].e_modified:.8g} -> {last.e_modified:.8g}")
             print(f"  max|xi-1| {res.max_xi_dev:.3e}  min a1 {res.min_a1:.6g}")
             print(f"  max identity residual {res.max_identity_residual:.3e}")
+            print(f"  CG iterations {res.cg_iterations} (at most {res.max_cg_iterations} per level)")
             print(f"  ledger: {res.ledger_path}")
         elif args.command == "accuracy":
             reference = reference_solution(cfg, args.ref_tau)

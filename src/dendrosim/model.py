@@ -21,6 +21,7 @@ Conventions shared with the time steppers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -135,7 +136,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SourceTerms:
-    """Optional forcing hooks; each maps (X, Y, t) to a field.
+    """Optional forcing hooks; each maps (X, Y, t) to a field.  X and Y are
+    the grid's cell centres, built once per grid and read-only.
 
     ``phi`` adds to phi_t after the mobility factor, ``temp`` adds to T_t.
     The steppers evaluate both at the new time level, on the xi-independent
@@ -148,14 +150,21 @@ class SourceTerms:
     def phi_at(self, grid: GridSpec, t: float) -> np.ndarray | None:
         if self.phi is None:
             return None
-        x, y = grid.mesh()
-        return np.asarray(self.phi(x, y, t), dtype=float)
+        return np.asarray(self.phi(*_cell_centers(grid), t), dtype=float)
 
     def temp_at(self, grid: GridSpec, t: float) -> np.ndarray | None:
         if self.temp is None:
             return None
-        x, y = grid.mesh()
-        return np.asarray(self.temp(x, y, t), dtype=float)
+        return np.asarray(self.temp(*_cell_centers(grid), t), dtype=float)
+
+
+@lru_cache(maxsize=2)
+def _cell_centers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``grid.mesh()`` built once per grid for the source hooks; read-only,
+    so no hook can change what the next level's hook sees."""
+    x, y = grid.mesh()
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
 
 
 NO_SOURCES = SourceTerms()

@@ -18,6 +18,7 @@ from dendrosim.bdf2 import (
 )
 from dendrosim.config import case2_params
 from dendrosim.diagnostics import make_record
+from dendrosim.experiments import estimate_order
 from dendrosim.grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from dendrosim.model import (
     ConstantMobility,
@@ -261,6 +262,37 @@ class TestFieldMobility:
             e = scheme_energy2(grid, p, new)
             assert e <= e_prev + bound * abs(e_prev)
             state, e_prev = new, e
+
+    def test_temporal_orders(self, case2):
+        # Self-convergence at t = 0.04 against a tau = 5e-5 bdf2 reference.
+        # The solves stop at a 1e-12 relative residual: at the default 1e-10
+        # the accumulated CG error floors the bdf2 phi error near 3.6e-8 (the
+        # 5e-4 rung's truncation error is 1e-8) and pulls the slope to ~1.4.
+        grid, p, phi0, temp0 = case2
+        p = replace(p, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
+        t_end, tol = 0.04, 1e-12
+
+        def final(scheme, tau):
+            n = round(t_end / tau)
+            if scheme == "bdf1":
+                state = init_state(grid, phi0, temp0, p)
+                for _ in range(n):
+                    state, _ = bdf1.step(grid, state, tau, p, cg_tol=tol)
+            else:
+                state, _ = bootstrap(grid, phi0, temp0, tau, p, cg_tol=tol)
+                for _ in range(n - 1):
+                    state, _ = step2(grid, state, tau, p, cg_tol=tol)
+            assert state.t == pytest.approx(t_end)
+            return state.phi, state.temp
+
+        ladder = (4e-3, 2e-3, 1e-3, 5e-4)
+        ref_phi, ref_temp = final("bdf2", 5e-5)
+        for scheme, (lo, hi) in (("bdf1", (0.85, 1.15)), ("bdf2", (1.85, 2.15))):
+            finals = [final(scheme, tau) for tau in ladder]
+            for k, ref in enumerate((ref_phi, ref_temp)):
+                slope = estimate_order(
+                    [math.sqrt(inner(grid, f[k] - ref, f[k] - ref)) for f in finals], ladder)
+                assert lo <= slope <= hi, (scheme, k, slope)
 
 
 class TestIdentityChecker:

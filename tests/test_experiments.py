@@ -1,11 +1,14 @@
 import math
+import os
+import resource
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dendrosim import bdf1, bdf2
+from dendrosim import bdf1, bdf2, experiments, model
 from dendrosim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dendrosim.config import (
     RunConfig,
@@ -25,7 +28,7 @@ from dendrosim.experiments import (
     run_stability,
 )
 from dendrosim.grid import GridSpec
-from dendrosim.model import EnergyPositivityError, SourceTerms
+from dendrosim.model import EnergyPositivityError, FieldMobility, SourceTerms
 from dendrosim.snapshots import read_snapshot, source_from_snapshots
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -156,6 +159,108 @@ class TestRunSingle:
         assert np.array_equal(res_analytic.final_state.phi, res_cfg.final_state.phi)
 
 
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
+    def test_sources_build_the_mesh_once(self, monkeypatch, scheme):
+        # the source hooks get the cell centres of one cached, read-only mesh
+        # instead of a new grid.mesh() per hook and level
+        built = []
+        real_mesh = GridSpec.mesh
+        monkeypatch.setattr(GridSpec, "mesh", lambda grid: built.append(grid) or real_mesh(grid))
+        seen = []
+
+        def hook(x, y, t):
+            seen.append(x.flags.writeable or y.flags.writeable)
+            return 0.1 * np.cos(np.pi * x) * t
+
+        cfg = tiny_config(scheme=scheme)
+        model._cell_centers.cache_clear()
+        run_single(cfg, sources=SourceTerms(phi=hook, temp=hook))
+        assert len(seen) == 2 * cfg.n_steps and not any(seen)
+        # one mesh for the initial condition, one for every hook of the run
+        assert len(built) == 2
+
+    def test_reports_cg_iterations(self):
+        cfg = tiny_config(t_end=0.03)
+        res = run_single(cfg)
+        assert (res.cg_iterations, res.max_cg_iterations) == (0, 0)
+        mobility = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
+        res = run_single(replace(cfg, params=replace(cfg.params, mobility=mobility)))
+        assert 0 < res.max_cg_iterations <= res.cg_iterations <= 3 * res.max_cg_iterations
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class _FakeLibc:
+    def __init__(self, accept: bool):
+        self.accept = accept
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return int(self.accept)
+
+
+class TestRetainHeap:
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """A process that has not set the allocator yet, on a glibc."""
+        monkeypatch.setattr(experiments, "_heap_retained", False)
+        monkeypatch.setattr(experiments.os, "confstr", lambda name: "glibc 2.36")
+        return monkeypatch
+
+    def test_sets_both_thresholds_once(self, fresh):
+        libc = _FakeLibc(accept=True)
+        fresh.setattr(experiments.ctypes, "CDLL", lambda name: libc)
+        experiments._retain_heap()
+        experiments._retain_heap()
+        # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 256 MiB
+        assert libc.calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_refused_mmap_threshold_sets_nothing_else(self, fresh):
+        # the trim threshold alone would pin the mmap threshold at 128 KiB
+        libc = _FakeLibc(accept=False)
+        fresh.setattr(experiments.ctypes, "CDLL", lambda name: libc)
+        experiments._retain_heap()
+        assert libc.calls == [(-3, 32 << 20)]
+
+    def test_missing_mallopt_is_a_silent_no_op(self, fresh):
+        fresh.setattr(experiments.ctypes, "CDLL", lambda name: object())
+        experiments._retain_heap()
+        assert experiments._heap_retained
+
+    def test_other_libc_is_left_alone(self, fresh):
+        libc = _FakeLibc(accept=True)
+        fresh.setattr(experiments.ctypes, "CDLL", lambda name: libc)
+
+        def no_glibc(name):
+            raise ValueError("unrecognized configuration name")
+
+        fresh.setattr(experiments.os, "confstr", no_glibc)
+        experiments._retain_heap()
+        assert libc.calls == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or not _glibc(),
+                        reason="the allocator setting exists on glibc only")
+    def test_levels_reuse_freed_pages(self, tmp_path):
+        # glibc's defaults mmap each 256^2 temporary afresh and fault it in
+        # again every level (about 2,200 minor faults per level); once the
+        # memory stays on the heap, a second run faults in next to nothing
+        cfg = load_config(CONFIG_DIR / "dendrite.cfg")
+        levels = 10
+        cfg = replace(cfg, t_end=levels * cfg.tau, snapshot_every=0)
+        assert cfg.grid.shape == (256, 256) and cfg.scheme == "bdf2" and cfg.check_identity
+        run_single(cfg, tmp_path / "first")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_single(cfg, tmp_path / "second")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 50 * levels
+
+
 class TestRunAccuracy:
     def test_mini_ladder_first_order(self):
         cfg = tiny_config(scheme="bdf1", t_end=0.1)
@@ -228,6 +333,7 @@ class TestCli:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "finished bdf2 run" in out
+        assert "CG iterations 0 (at most 0 per level)" in out
         assert (tmp_path / "case2.csv").exists()
 
     def test_overrides_apply(self, tmp_path):
