@@ -65,13 +65,9 @@ class _NormMemo:
     """Per-grid memo ``_norms`` of a state's energy norms.
 
     The norms depend on the state's fields alone, so the identity check and
-    the ledger row of a level can share them; assigning any field drops them.
+    the ledger row of a level can share them.  States are frozen, so the
+    memo cannot go stale; ``dataclasses.replace`` starts an empty one.
     """
-
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        if name != "_norms":
-            object.__setattr__(self, "_norms", {})
 
     def _memo(self, grid: GridSpec, compute):
         norms = self._norms.get(grid)
@@ -80,7 +76,7 @@ class _NormMemo:
         return norms
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateBDF1(_NormMemo):
     """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau."""
 
@@ -143,7 +139,6 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
 def partial_solves(
     grid: GridSpec, p: ModelParams, tau: float, a0: float, rho, hist: tuple[np.ndarray, np.ndarray],
     phi_bar: np.ndarray, core: np.ndarray, temp_forcing: np.ndarray, src: tuple = (None, None),
-    cg_tol: float = 1e-10, cg_maxit: int = 500,
 ) -> PartialSolves:
     """The four linear solves of one step with leading BDF coefficient ``a0``.
 
@@ -156,7 +151,7 @@ def partial_solves(
     from another Laplacian: coeff*phi - b*Lap(phi) = rhs with b = s1 + s4
     gives s1*Lap(phi) = (s1/b)*(coeff*phi - rhs).  With the PCG path the
     pair then satisfies mu = s1*Lap(phi) - ... up to (s1/b) times the solve
-    residual, which is at most cg_tol*||rhs||.
+    residual, which is at most ``solvers.CG_TOL``*||rhs||.
     """
     (phi_hist, temp_hist), (src_phi, src_temp) = hist, src
     b = p.s1 + p.s4
@@ -166,8 +161,8 @@ def partial_solves(
     rhs1 = phi_hist * (rho / tau) + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid, phi_bar)
     if src_phi is not None:
         rhs1 = rhs1 + rho * src_phi
-    phi1, it1 = solve_shifted(grid, coeff, b, rhs1, cg_tol, cg_maxit)
-    phi2, it2 = solve_shifted(grid, coeff, b, core, cg_tol, cg_maxit)
+    phi1, it1 = solve_shifted(grid, coeff, b, rhs1)
+    phi2, it2 = solve_shifted(grid, coeff, b, core)
     rhs_t1 = temp_hist / tau
     if src_temp is not None:
         rhs_t1 = rhs_t1 + src_temp
@@ -185,7 +180,7 @@ def partial_solves(
 def sav_step(
     grid: GridSpec, p: ModelParams, tau: float, a0: float,
     hist: tuple[np.ndarray, np.ndarray, float], bar: tuple[np.ndarray, np.ndarray, np.ndarray],
-    sources: SourceTerms, t_new: float, cg_tol: float, cg_maxit: int,
+    sources: SourceTerms, t_new: float,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], StepReport]:
     """One step of either scheme to ``t_new``; returns the new (phi, T, mu, R).
 
@@ -208,7 +203,7 @@ def sav_step(
     temp_forcing = p.latent * hp / rho * mu_bar
     parts = partial_solves(
         grid, p, tau, a0, rho, (phi_hist, temp_hist), phi_bar, core, temp_forcing,
-        (sources.phi_at(grid, t_new), sources.temp_at(grid, t_new)), cg_tol, cg_maxit,
+        (sources.phi_at(grid, t_new), sources.temp_at(grid, t_new)),
     )
     lam_ek = p.lam / (p.eps * p.latent)
     # <core, phi_2> = <coeff*phi_2, phi_2> + (s1 + s4)||grad phi_2||^2 and
@@ -243,14 +238,16 @@ def step(
     p: ModelParams,
     sources: SourceTerms = NO_SOURCES,
     check_identity: bool = False,
-    cg_tol: float = 1e-10,
-    cg_maxit: int = 500,
 ) -> tuple[StateBDF1, StepReport]:
-    """Advance one time level: the SAV kernel with a0 = 1 and x_hist = x_bar = x^n."""
+    """Advance one time level: the SAV kernel with a0 = 1 and x_hist = x_bar = x^n.
+
+    ``bdf2.bootstrap`` and ``bdf2.step2`` take the same parameters, so one
+    loop drives either scheme.
+    """
     t_new = state.t + tau
     (phi, temp, mu, r), report = sav_step(
         grid, p, tau, 1.0, (state.phi, state.temp, state.r),
-        (state.phi, state.temp, state.mu), sources, t_new, cg_tol, cg_maxit,
+        (state.phi, state.temp, state.mu), sources, t_new,
     )
     new = StateBDF1(phi=phi, temp=temp, mu=mu, r=r, t=t_new, n=state.n + 1)
     if check_identity:

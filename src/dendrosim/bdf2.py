@@ -3,8 +3,10 @@
 Each step runs the shared SAV kernel ``bdf1.sav_step`` with the
 backward-difference-2 coefficient a0 = 3/2, history 2*(.)^n - (.)^{n-1}/2 and
 all explicit data taken at the linear extrapolations 2*(.)^n - (.)^{n-1}.
-The first level is produced by one first-order bootstrap step, which costs
-O(tau^2) globally and leaves the second-order convergence intact.
+The first level is produced from the level-0 ``bdf1.StateBDF1`` by one
+first-order bootstrap step, which costs O(tau^2) globally and leaves the
+second-order convergence intact.  :func:`bootstrap` and :func:`step2` take
+the parameters of ``bdf1.step``.
 
 The second-order energy needs the norms of each level, lead and difference
 field; :func:`state_norms2` evaluates them once per state, so the identity
@@ -44,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateBDF2(bdf1._NormMemo):
     """Two time levels of (phi, T, mu, R); ``prev`` fields hold level n-1."""
 
@@ -78,28 +80,23 @@ class EnergyNorms2(NamedTuple):
 
 def bootstrap(
     grid: GridSpec,
-    phi0: np.ndarray,
-    temp0: np.ndarray,
+    state: bdf1.StateBDF1,
     tau: float,
     p: ModelParams,
     sources: SourceTerms = NO_SOURCES,
     check_identity: bool = False,
-    cg_tol: float = 1e-10,
-    cg_maxit: int = 500,
-    initial: "bdf1.StateBDF1 | None" = None,
 ) -> tuple[StateBDF2, bdf1.StepReport]:
-    """Fill both levels: level 0 from the inputs, level 1 from one
-    first-order step.  ``initial`` reuses an already-built level-0 state."""
-    s0 = initial if initial is not None else bdf1.init_state(grid, phi0, temp0, p)
-    s1, report = bdf1.step(grid, s0, tau, p, sources, check_identity, cg_tol, cg_maxit)
-    state = StateBDF2(
-        phi=s1.phi, phi_prev=s0.phi,
-        temp=s1.temp, temp_prev=s0.temp,
-        mu=s1.mu, mu_prev=s0.mu,
-        r=s1.r, r_prev=s0.r,
+    """Fill both levels from the level-0 ``state`` (``bdf1.init_state``):
+    level 1 comes from one first-order step."""
+    s1, report = bdf1.step(grid, state, tau, p, sources, check_identity)
+    new = StateBDF2(
+        phi=s1.phi, phi_prev=state.phi,
+        temp=s1.temp, temp_prev=state.temp,
+        mu=s1.mu, mu_prev=state.mu,
+        r=s1.r, r_prev=state.r,
         t=s1.t, n=1,
     )
-    return state, report
+    return new, report
 
 
 def step2(
@@ -109,8 +106,6 @@ def step2(
     p: ModelParams,
     sources: SourceTerms = NO_SOURCES,
     check_identity: bool = False,
-    cg_tol: float = 1e-10,
-    cg_maxit: int = 500,
 ) -> tuple[StateBDF2, bdf1.StepReport]:
     """Advance one time level with the second-order scheme: the SAV kernel
     with a0 = 3/2, history 2x^n - x^{n-1}/2 and explicit data 2x^n - x^{n-1}."""
@@ -120,9 +115,7 @@ def step2(
     bar = (2.0 * state.phi - state.phi_prev, 2.0 * state.temp - state.temp_prev,
            2.0 * state.mu - state.mu_prev)
     try:
-        (phi, temp, mu, r), report = bdf1.sav_step(
-            grid, p, tau, 1.5, hist, bar, sources, t_new, cg_tol, cg_maxit
-        )
+        (phi, temp, mu, r), report = bdf1.sav_step(grid, p, tau, 1.5, hist, bar, sources, t_new)
     except EnergyPositivityError as exc:
         raise EnergyPositivityError(
             f"{exc} (extrapolated field at t={t_new:g}; a larger bconst or a "

@@ -24,7 +24,7 @@ __all__ = [
     "ConfigError", "UnknownKeyError", "MissingKeyError", "InvalidValueError",
     "StabilizerBoundError", "InitialCondition", "RunConfig",
     "parse_config", "load_config", "serialize_config",
-    "case1_params", "case2_params", "dendrite_params", "case2_initial", "dendrite_initial",
+    "case2_params", "dendrite_params", "case2_initial", "dendrite_initial",
 ]
 
 
@@ -265,15 +265,6 @@ def serialize_config(cfg: RunConfig) -> str:
         value = _format(attrgetter(attr)(cfg))
         blocks.setdefault(section, [f"[{section}]\n"]).append(f"{key} = {value}\n")
     return "\n".join("".join(lines) for lines in blocks.values())
-
-
-def case1_params() -> ModelParams:
-    """Manufactured-solution accuracy test parameters (Case-I)."""
-    return ModelParams(
-        eps=0.1, lam=0.1, diff=2.25e-2, latent=0.01, sigma=0.05,
-        mobility=ConstantMobility(4e3),
-        s1=0.9, s2=10.0, s3=0.0, s4=0.0, bconst=1e4,
-    )
 
 
 def case2_params(s1: float = 0.9, s2: float = 10.0, s3: float = 0.0, s4: float = 0.0) -> ModelParams:

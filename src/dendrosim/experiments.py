@@ -1,8 +1,9 @@
 """Experiment drivers: single runs, accuracy ladders, stability sweeps, and
 dendritic growth, matching the reference study at desk scale.
 
-Every driver writes its resolved configuration next to its outputs, so a
-run directory is self-describing.
+Every driver goes through ``run_single``, whose one stepping loop serves
+both schemes, and writes its resolved configuration next to its outputs, so
+a run directory is self-describing.
 
 ``run_single`` changes one process-wide setting, once per process: on glibc
 it keeps the memory that a time level frees on the heap for the next level
@@ -175,6 +176,9 @@ def run_single(
 ) -> RunResult:
     """Run one simulation to t_end, recording one ledger row per level.
 
+    Level 0 is ``bdf1.init_state`` of the initial condition; every later
+    level is one call of a stepper with the shared signature: ``bdf1.step``,
+    or for bdf2 ``bdf2.bootstrap`` at level 1 and ``bdf2.step2`` after it.
     ``sources`` overrides any snapshot-series forcing declared in the
     configuration's [sources] section.
     """
@@ -221,30 +225,18 @@ def run_single(
     # level and time being computed, named in a numerical breakdown
     level, t_level = 0, 0.0
     try:
-        if cfg.scheme == "bdf1":
-            state = bdf1.init_state(grid, phi0, temp0, cfg.params)
-            emit(state, None)
-            for _ in range(cfg.n_steps):
-                level, t_level = state.n + 1, state.t + cfg.tau
-                state, report = bdf1.step(
-                    grid, state, cfg.tau, cfg.params, sources, cfg.check_identity
-                )
-                emit(state, report)
-        else:
-            start = bdf1.init_state(grid, phi0, temp0, cfg.params)
-            emit(start, None)
-            level, t_level = 1, start.t + cfg.tau
-            state, report = bdf2.bootstrap(
-                grid, phi0, temp0, cfg.tau, cfg.params, sources,
-                cfg.check_identity, initial=start,
-            )
+        state = bdf1.init_state(grid, phi0, temp0, cfg.params)
+        emit(state, None)
+        for _ in range(cfg.n_steps):
+            level, t_level = state.n + 1, state.t + cfg.tau
+            # looked up per level, so a rebound module attribute takes effect
+            if cfg.scheme == "bdf1":
+                advance = bdf1.step
+            else:
+                advance = bdf2.bootstrap if state.n == 0 else bdf2.step2
+            state, report = advance(grid, state, cfg.tau, cfg.params, sources,
+                                    cfg.check_identity)
             emit(state, report)
-            for _ in range(cfg.n_steps - 1):
-                level, t_level = state.n + 1, state.t + cfg.tau
-                state, report = bdf2.step2(
-                    grid, state, cfg.tau, cfg.params, sources, cfg.check_identity
-                )
-                emit(state, report)
     except (EnergyPositivityError, FloatingPointError, SourceSeriesError) as exc:
         raise type(exc)(f"level {level} (t={t_level:g}): {exc}") from exc
     finally:

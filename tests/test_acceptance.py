@@ -244,13 +244,15 @@ def test_criterion_7_solver_oracles():
 
 def test_criterion_8_determinism_and_persistence():
     """Checkpoint/restore mid-run equals uninterrupted stepping bit for bit."""
+    from dendrosim import bdf1
     from dendrosim import bdf2 as b2
 
     cfg = case2_cfg(tau=0.05)
     grid = cfg.grid
     phi0, temp0 = cfg.initial.build(grid)
 
-    state, _ = b2.bootstrap(grid, phi0, temp0, cfg.tau, cfg.params)
+    start = bdf1.init_state(grid, phi0, temp0, cfg.params)
+    state, _ = b2.bootstrap(grid, start, cfg.tau, cfg.params)
 
     def advance(s, n):
         for _ in range(n):

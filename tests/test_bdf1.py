@@ -1,8 +1,11 @@
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dendrosim import bdf1, bdf2
 from dendrosim.bdf1 import (
     identity_proof_lines,
     init_state,
@@ -20,6 +23,7 @@ from dendrosim.model import (
     g_residual,
     h_prime,
 )
+from dendrosim.solvers import CG_TOL
 
 from conftest import smooth_field
 
@@ -47,7 +51,6 @@ PHASE_CASES = pytest.mark.parametrize(
     [(1.0, None, "plain"), (1.5, 21, "plain"), (1.5, 21, "b_zero"), (1.5, 21, "pcg")],
     ids=["bdf1", "bdf2", "bdf2-s1-s4-zero", "bdf2-pcg"],
 )
-CG_TOL = 1e-10  # the kernel's default, which the solves helper keeps
 
 
 def phase_case(case, phi_n, s3, s4):
@@ -102,10 +105,10 @@ def case2_state(grid, p, seed=None):
     state = init_state(grid, phi0, temp0, p)
     if seed is not None:
         # roughen the state so closure oracles see generic data
-        state.phi = phi0 + 0.05 * smooth_field(grid, seed)
-        state.temp = temp0 + 0.05 * smooth_field(grid, seed + 1)
-        state.mu = smooth_field(grid, seed + 2)
-        state.r = math.sqrt(e1_energy(grid, state.phi, p)) * 1.01
+        phi = phi0 + 0.05 * smooth_field(grid, seed)
+        state = replace(state, phi=phi, temp=temp0 + 0.05 * smooth_field(grid, seed + 1),
+                        mu=smooth_field(grid, seed + 2),
+                        r=math.sqrt(e1_energy(grid, phi, p)) * 1.01)
     return state
 
 
@@ -243,7 +246,7 @@ class TestClosure:
         # zero phi, T and mu make phi2 = mu2 = temp2 = 0, which forces xi = R / sqrt(E1)
         p = case2_params()
         s = init_state(grid16, grid16.zeros(), grid16.zeros(), p)
-        s.r *= 1.23
+        s = replace(s, r=s.r * 1.23)
         e1_n = e1_energy(grid16, s.phi, p)
         _, rep = step(grid16, s, 0.1, p)
         xi, a1 = rep.xi, rep.a1
@@ -361,12 +364,19 @@ class TestStep:
         s = init_state(grid, phi0, temp0, p_var)
         e_prev = scheme_energy(grid, p_var, s)
         for _ in range(3):
-            s, rep = step(grid, s, 0.5, p_var, check_identity=True, cg_tol=1e-12)
+            s, rep = step(grid, s, 0.5, p_var, check_identity=True)
             assert rep.cg_iterations > 0
             assert rep.identity_residual <= 1e-8
             e = scheme_energy(grid, p_var, s)
             assert e <= e_prev + 1e-9 * abs(e_prev)
             e_prev = e
+
+    def test_steppers_share_one_signature(self):
+        # one run_single loop drives bdf1.step, bdf2.bootstrap and bdf2.step2
+        def params(fn):
+            return [(q.name, q.kind, q.default) for q in inspect.signature(fn).parameters.values()]
+
+        assert params(bdf1.step) == params(bdf2.bootstrap) == params(bdf2.step2)
 
     def test_rejects_nonpositive_tau(self, case2):
         grid, p, phi0, temp0 = case2

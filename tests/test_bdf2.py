@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -16,9 +16,9 @@ from dendrosim.bdf2 import (
     scheme_energy2,
     step2,
 )
-from dendrosim.config import case2_params
+from dendrosim.config import RunConfig, case2_initial, case2_params
 from dendrosim.diagnostics import make_record
-from dendrosim.experiments import estimate_order
+from dendrosim.experiments import reference_solution, run_accuracy
 from dendrosim.grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from dendrosim.model import (
     ConstantMobility,
@@ -29,6 +29,7 @@ from dendrosim.model import (
     g_residual,
     h_prime,
 )
+from dendrosim.solvers import CG_TOL
 
 from conftest import smooth_field
 
@@ -56,7 +57,7 @@ class TestTelescopingIdentities:
 class TestBootstrap:
     def test_level_zero_preserved(self, case2):
         grid, p, phi0, temp0 = case2
-        state, report = bootstrap(grid, phi0, temp0, 0.01, p)
+        state, report = bootstrap(grid, init_state(grid, phi0, temp0, p), 0.01, p)
         assert np.array_equal(state.phi_prev, phi0)
         assert np.array_equal(state.temp_prev, temp0)
         assert state.n == 1
@@ -67,8 +68,9 @@ class TestBootstrap:
     def test_mu_prev_comes_from_initialization(self, case2):
         grid, p, phi0, temp0 = case2
         s0 = init_state(grid, phi0, temp0, p)
-        state, _ = bootstrap(grid, phi0, temp0, 0.01, p)
+        state, _ = bootstrap(grid, s0, 0.01, p)
         assert np.array_equal(state.mu_prev, s0.mu)
+        assert state.r_prev == s0.r
 
 
 class TestStep2:
@@ -92,7 +94,7 @@ class TestStep2:
         grid, p, phi0, temp0 = case2
         p = case2_params(s3=2.0, s4=1.5)
         tau = 0.05
-        state, _ = bootstrap(grid, phi0, temp0, tau, p)
+        state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
         new, rep = step2(grid, state, tau, p)
 
         phi_bar = 2 * state.phi - state.phi_prev
@@ -132,7 +134,7 @@ class TestStep2:
     @pytest.mark.parametrize("tau", [1e-3, 1.0, 10.0, 100.0])
     def test_energy_identity_any_tau(self, case2, tau):
         grid, p, phi0, temp0 = case2
-        state, _ = bootstrap(grid, phi0, temp0, tau, p)
+        state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
         e_prev = scheme_energy2(grid, p, state)
         for _ in range(5):
             state, rep = step2(grid, state, tau, p, check_identity=True)
@@ -143,7 +145,7 @@ class TestStep2:
 
     def test_proof_lines_vanish_individually(self, case2):
         grid, p, phi0, temp0 = case2
-        before, _ = bootstrap(grid, phi0, temp0, 0.5, p)
+        before, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), 0.5, p)
         after, _ = step2(grid, before, 0.5, p)
         scale = abs(scheme_energy2(grid, p, before))
         for line in identity_proof_lines2(grid, p, 0.5, before, after):
@@ -152,7 +154,7 @@ class TestStep2:
     def test_long_large_step_dissipation(self, case2):
         # strict monotone decay over 1000 steps at tau = 100
         grid, p, phi0, temp0 = case2
-        state, _ = bootstrap(grid, phi0, temp0, 100.0, p)
+        state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), 100.0, p)
         e_prev = scheme_energy2(grid, p, state)
         for _ in range(1000):
             state, _rep = step2(grid, state, 100.0, p)
@@ -170,7 +172,7 @@ class TestStep2:
         temp0 = -0.5 * phi0
 
         def solve(tau, t_end=0.2):
-            state, _ = bootstrap(grid, phi0, temp0, tau, p)
+            state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
             for _ in range(round(t_end / tau) - 1):
                 state, _rep = step2(grid, state, tau, p)
             return state.phi
@@ -200,7 +202,7 @@ class TestStep2:
         # from separate solves and a perturbed xi' reproduces phi1 + xi'*phi2
         grid, p, phi0, temp0 = case2
         tau = 0.1
-        state, _ = bootstrap(grid, phi0, temp0, tau, p)
+        state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
         new, rep = step2(grid, state, tau, p)
         phi_bar = 2 * state.phi - state.phi_prev
         temp_bar = 2 * state.temp - state.temp_prev
@@ -215,9 +217,6 @@ class TestStep2:
             rebuilt = phi1 + xi_prime * phi2
             expected = new.phi + (xi_prime - rep.xi) * phi2
             assert rebuilt == pytest.approx(expected, abs=1e-12)
-
-
-CG_TOL = 1e-10  # relative residual at which the PCG phase solves stop
 
 
 def pcg_identity_slack(grid, p, tau, before, after):
@@ -250,10 +249,10 @@ class TestFieldMobility:
     def test_energy_law_any_tau(self, case2, tau):
         grid, p, phi0, temp0 = case2
         p = replace(p, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
-        state, _ = bootstrap(grid, phi0, temp0, tau, p, cg_tol=CG_TOL)
+        state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
         e_prev = scheme_energy2(grid, p, state)
         for _ in range(20):
-            new, rep = step2(grid, state, tau, p, check_identity=True, cg_tol=CG_TOL)
+            new, rep = step2(grid, state, tau, p, check_identity=True)
             assert rep.cg_iterations > 0
             # roundoff floor of the constant-mobility check plus the PCG slack
             bound = 1e-12 + pcg_identity_slack(grid, p, tau, state, new)
@@ -264,41 +263,27 @@ class TestFieldMobility:
             state, e_prev = new, e
 
     def test_temporal_orders(self, case2):
-        # Self-convergence at t = 0.04 against a tau = 5e-5 bdf2 reference.
-        # The solves stop at a 1e-12 relative residual: at the default 1e-10
-        # the accumulated CG error floors the bdf2 phi error near 3.6e-8 (the
-        # 5e-4 rung's truncation error is 1e-8) and pulls the slope to ~1.4.
-        grid, p, phi0, temp0 = case2
+        # Self-convergence through run_accuracy (so through run_single, with
+        # the solver's own PCG tolerance) at t = 0.1 against a tau = 5e-5
+        # bdf2 reference.  A PCG tolerance of 1e-10 floors the bdf2 phi error
+        # near 3.6e-8 (the 5e-4 rung's truncation error is 1e-8) and pulls
+        # the slope to about 1.4.
+        grid, p, _, _ = case2
         p = replace(p, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
-        t_end, tol = 0.04, 1e-12
-
-        def final(scheme, tau):
-            n = round(t_end / tau)
-            if scheme == "bdf1":
-                state = init_state(grid, phi0, temp0, p)
-                for _ in range(n):
-                    state, _ = bdf1.step(grid, state, tau, p, cg_tol=tol)
-            else:
-                state, _ = bootstrap(grid, phi0, temp0, tau, p, cg_tol=tol)
-                for _ in range(n - 1):
-                    state, _ = step2(grid, state, tau, p, cg_tol=tol)
-            assert state.t == pytest.approx(t_end)
-            return state.phi, state.temp
-
+        base = RunConfig(grid=grid, scheme="bdf2", tau=1e-3, t_end=0.1, params=p,
+                         initial=case2_initial(), check_identity=False)
         ladder = (4e-3, 2e-3, 1e-3, 5e-4)
-        ref_phi, ref_temp = final("bdf2", 5e-5)
+        reference = reference_solution(base, 5e-5)
         for scheme, (lo, hi) in (("bdf1", (0.85, 1.15)), ("bdf2", (1.85, 2.15))):
-            finals = [final(scheme, tau) for tau in ladder]
-            for k, ref in enumerate((ref_phi, ref_temp)):
-                slope = estimate_order(
-                    [math.sqrt(inner(grid, f[k] - ref, f[k] - ref)) for f in finals], ladder)
-                assert lo <= slope <= hi, (scheme, k, slope)
+            report = run_accuracy(replace(base, scheme=scheme), ladder, reference=reference)
+            for slope in (report.slope_phi, report.slope_temp):
+                assert lo <= slope <= hi, (scheme, report)
 
 
 class TestIdentityChecker:
     def test_residual_relative_to_energy(self, case2):
         grid, p, phi0, temp0 = case2
-        before, _ = bootstrap(grid, phi0, temp0, 1.0, p)
+        before, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), 1.0, p)
         after, _ = step2(grid, before, 1.0, p)
         res = energy_identity_residual2(grid, p, 1.0, before, after)
         assert 0.0 <= res <= 1e-12
@@ -306,9 +291,9 @@ class TestIdentityChecker:
     def test_detects_tampered_state(self, case2):
         # corrupting the new state must blow the balance up
         grid, p, phi0, temp0 = case2
-        before, _ = bootstrap(grid, phi0, temp0, 1.0, p)
+        before, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), 1.0, p)
         after, _ = step2(grid, before, 1.0, p)
-        after.r *= 1.001
+        after = replace(after, r=after.r * 1.001)
         assert energy_identity_residual2(grid, p, 1.0, before, after) > 1e-6
 
 
@@ -447,10 +432,9 @@ def _stepped_pairs(scheme, case2, p, tau=0.1, levels=4):
     check on, so each state's norms are memoized the way a run memoizes them."""
     grid, _, phi0, temp0 = case2
     step_fn = ORACLE_SCHEMES[scheme][0]
-    if scheme == "bdf1":
-        state = init_state(grid, phi0, temp0, p)
-    else:
-        state, _ = bootstrap(grid, phi0, temp0, tau, p, check_identity=True)
+    state = init_state(grid, phi0, temp0, p)
+    if scheme == "bdf2":
+        state, _ = bootstrap(grid, state, tau, p, check_identity=True)
     pairs = []
     for _ in range(levels):
         new, _ = step_fn(grid, state, tau, p, check_identity=True)
@@ -506,11 +490,17 @@ class TestProofLineOracles:
 
 class TestStateNormMemo:
     @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
-    def test_field_assignment_drops_norms(self, case2, scheme):
+    def test_states_are_frozen(self, case2, scheme):
+        # a memo of norms cannot go stale: fields cannot be reassigned, and a
+        # replaced state starts with an empty memo
         grid, p, _, _ = case2
         state = _stepped_pairs(scheme, case2, p, levels=1)[0][1]
         energy = ORACLE_SCHEMES[scheme][3]
         energy(grid, p, state)
-        state.temp = state.temp + 0.5
-        assert not state._norms
+        assert state._norms
+        with pytest.raises(FrozenInstanceError):
+            state.temp = state.temp + 0.5
+        warmer = replace(state, temp=state.temp + 0.5)
+        assert not warmer._norms
+        assert energy(grid, p, warmer) != energy(grid, p, state)
         assert energy(grid, p, state) == energy(grid, p, replace(state))

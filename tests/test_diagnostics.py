@@ -221,7 +221,7 @@ class TestCheckpoint:
 
     def test_bdf2_roundtrip_includes_previous_level(self, case2, tmp_path):
         grid, p, phi0, temp0 = case2
-        state, _ = bootstrap(grid, phi0, temp0, 0.01, p)
+        state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), 0.01, p)
         state, _ = step2(grid, state, 0.01, p)
         path = tmp_path / "state.ckpt"
         write_checkpoint(path, grid, state)
@@ -245,10 +245,9 @@ class TestCheckpoint:
                     state, _ = step2(grid, state, tau, p)
             return state
 
-        if scheme == "bdf1":
-            start = init_state(grid, phi0, temp0, p)
-        else:
-            start, _ = bootstrap(grid, phi0, temp0, tau, p)
+        start = init_state(grid, phi0, temp0, p)
+        if scheme == "bdf2":
+            start, _ = bootstrap(grid, start, tau, p)
 
         straight = advance(start, 10)
         half = advance(start, 5)
