@@ -18,18 +18,23 @@ mu_1, mu_2 and the T_2 Laplacian in A2 are taken from the equations the
 solves just satisfied, so the only real-space Laplacian of a step is the
 explicit s4 term of the phase history.
 
-``energy_identity_residual`` re-assembles the three inner-product identities
-behind the first-order discrete energy law, independently of the stepping
-code, and reports how far their sum is from zero relative to the modified
-energy.  The field norms of a state's modified energy are evaluated once per
-state (:func:`state_norms`) and shared by the check and the ledger row.
+The discrete energy law is written once for both schemes, in terms of the
+BDF order k of a state (``state.order``: 1 here, 2 for ``bdf2.StateBDF2``)
+and its lead rule (``state.lead``: the explicit data of the next level,
+x^n here).  :func:`scheme_energy` is the modified energy, summed over the
+level and its lead for k = 2; :func:`identity_proof_lines` re-assembles the
+three inner-product identities behind the law, independently of the
+stepping code, and ``energy_identity_residual`` (``bdf2.energy_identity_residual2``
+for k = 2) reports how far their sum is from zero relative to the modified
+energy.  The squared norms of a state's modified energy are evaluated once
+per state (:func:`state_norms`) and shared by the check and the ledger row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -44,6 +49,9 @@ from .model import (
     h_prime,
 )
 from .solvers import helmholtz_solve, solve_shifted
+
+if TYPE_CHECKING:
+    from .bdf2 import StateBDF2
 
 __all__ = [
     "StateBDF1",
@@ -61,23 +69,8 @@ __all__ = [
 ]
 
 
-class _NormMemo:
-    """Per-grid memo ``_norms`` of a state's energy norms.
-
-    The norms depend on the state's fields alone, so the identity check and
-    the ledger row of a level can share them.  States are frozen, so the
-    memo cannot go stale; ``dataclasses.replace`` starts an empty one.
-    """
-
-    def _memo(self, grid: GridSpec, compute):
-        norms = self._norms.get(grid)
-        if norms is None:
-            norms = self._norms[grid] = compute(grid, self)
-        return norms
-
-
 @dataclass(frozen=True)
-class StateBDF1(_NormMemo):
+class StateBDF1:
     """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau."""
 
     phi: np.ndarray
@@ -88,13 +81,27 @@ class StateBDF1(_NormMemo):
     n: int = 0
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    order = 1  # BDF order k of the scheme that advances this state
+
+    def lead(self, name: str):
+        """The explicit data of the next level for field ``name``: x^n itself."""
+        return getattr(self, name)
+
 
 class EnergyNorms(NamedTuple):
-    """The field norms in the first-order modified energy of one state."""
+    """The squared norms in the modified energy of one state of order k.
+
+    For k = 2 the level terms are summed over the level and its lead
+    (``state.lead``); the difference terms belong to x^n - x^{n-1} and are 0
+    for k = 1.
+    """
 
     grad_phi: float  # ||grad phi||^2, Dirichlet form
     phi: float  # ||phi||^2
+    grad_diff: float  # ||grad (phi^n - phi^{n-1})||^2
+    diff: float  # ||phi^n - phi^{n-1}||^2
     temp: float  # ||T||^2
+    r: float  # R^2
 
 
 @dataclass
@@ -255,24 +262,49 @@ def step(
     return new, report
 
 
-def _energy_norms(grid: GridSpec, state: StateBDF1) -> EnergyNorms:
-    return EnergyNorms(grad_norm_sq(grid, state.phi), norm_sq(grid, state.phi),
-                       norm_sq(grid, state.temp))
+def _energy_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
+    grad_phi, phi = grad_norm_sq(grid, state.phi), norm_sq(grid, state.phi)
+    temp, r = norm_sq(grid, state.temp), state.r**2
+    if state.order == 1:
+        return EnergyNorms(grad_phi, phi, 0.0, 0.0, temp, r)
+    lead_phi = state.lead("phi")
+    diff = state.phi - state.phi_prev
+    return EnergyNorms(
+        grad_phi=grad_phi + grad_norm_sq(grid, lead_phi),
+        phi=phi + norm_sq(grid, lead_phi),
+        grad_diff=grad_norm_sq(grid, diff),
+        diff=norm_sq(grid, diff),
+        temp=temp + norm_sq(grid, state.lead("temp")),
+        r=r + state.lead("r") ** 2,
+    )
 
 
-def state_norms(grid: GridSpec, state: StateBDF1) -> EnergyNorms:
-    """The state's energy norms, evaluated once per state and grid."""
-    return state._memo(grid, _energy_norms)
+def state_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
+    """The state's energy norms, evaluated once per state and grid.
+
+    They depend on the state's fields alone, so the identity check and the
+    ledger row of a level share them through the state's ``_norms`` memo.
+    States are frozen, so the memo cannot go stale; ``dataclasses.replace``
+    starts an empty one.
+    """
+    norms = state._norms.get(grid)
+    if norms is None:
+        norms = state._norms[grid] = _energy_norms(grid, state)
+    return norms
 
 
-def scheme_energy(grid: GridSpec, p: ModelParams, state: StateBDF1) -> float:
-    """Modified energy of the first-order discrete energy law."""
+def scheme_energy(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2) -> float:
+    """Modified energy of the discrete energy law of the state's order k."""
     norms = state_norms(grid, state)
-    return (
-        0.5 * p.s1 * norms.grad_phi
-        + 0.5 * p.s2 / p.eps**2 * norms.phi
-        + 0.5 * p.lam / (p.eps * p.latent) * norms.temp
-        + state.r**2
+    return 1.0 / (2 * state.order) * math.fsum(
+        [
+            p.s1 * norms.grad_phi,
+            p.s2 / p.eps**2 * norms.phi,
+            2.0 * p.s3 / p.eps**2 * norms.diff,
+            2.0 * p.s4 * norms.grad_diff,
+            p.lam / (p.eps * p.latent) * norms.temp,
+            2.0 * norms.r,
+        ]
     )
 
 
@@ -280,52 +312,55 @@ def identity_proof_lines(
     grid: GridSpec,
     p: ModelParams,
     tau: float,
-    before: StateBDF1,
-    after: StateBDF1,
+    before: StateBDF1 | StateBDF2,
+    after: StateBDF1 | StateBDF2,
 ) -> tuple[float, float, float]:
     """Assemble the three inner-product identities behind the energy law.
 
-    Each line is an exact algebraic consequence of one scheme equation
-    tested against the increments, so each vanishes to roundoff for states
-    produced by :func:`step`; their sum equals twice the telescoped energy
-    balance.  Everything is recomputed from the two states alone (their
-    energy norms through :func:`state_norms`); a term shared by two lines is
-    evaluated once.
+    Each line tests one scheme equation of order k = ``before.order`` with
+    the BDF increment w (phi^{n+1} - phi^n for k = 1, 3phi^{n+1} - 4phi^n +
+    phi^{n-1} = 2(phi^{n+1} - phi^n) + c for k = 2, with c = phi^{n+1} -
+    phi_bar), so each vanishes to roundoff for states produced by the
+    stepper; their sum is 2k times the telescoped energy balance.
+    Everything is recomputed from the two states alone (their energy norms
+    through :func:`state_norms`, the explicit data through ``before.lead``);
+    a term shared by two lines is evaluated once.
     """
-    rho_n = p.mobility.rho_at(before.phi)
-    geom = anisotropy(grid, before.phi, p.sigma)
-    g_n = g_residual(grid, before.phi, p, geom)
-    hp_n = h_prime(before.phi)
-    e1_n = e1_energy(grid, before.phi, p, geom)
+    k = before.order
+    phi_bar, temp_bar, mu_bar = before.lead("phi"), before.lead("temp"), before.lead("mu")
+    rho_bar = p.mobility.rho_at(phi_bar)
+    geom = anisotropy(grid, phi_bar, p.sigma)
+    g_bar = g_residual(grid, phi_bar, p, geom)
+    hp_bar = h_prime(phi_bar)
+    e1_bar = e1_energy(grid, phi_bar, p, geom)
     del geom
-    xi = after.r / math.sqrt(e1_n)
+    xi = after.r / math.sqrt(e1_bar)
     lam_e = p.lam / p.eps
     lam_ek = p.lam / (p.eps * p.latent)
     nb, na = state_norms(grid, before), state_norms(grid, after)
 
-    dphi = after.phi - before.phi
-    dtemp = after.temp - before.temp
-    dr = after.r - before.r
-    dphi_sq = norm_sq(grid, dphi)
-    dphi_grad_sq = grad_norm_sq(grid, dphi)
-    residual_work = 2.0 * xi * inner(grid, g_n, dphi)
-    coupling_work = 2.0 * xi * lam_e * inner(grid, hp_n * before.temp, dphi)
-    heat_transfer = 2.0 * xi * tau * lam_e * inner(grid, hp_n / rho_n * before.mu, after.temp)
+    curv = after.phi - phi_bar
+    bdf_phi = curv if k == 1 else 2.0 * (after.phi - before.phi) + curv
+    curv_sq = norm_sq(grid, curv)
+    curv_grad_sq = grad_norm_sq(grid, curv)
+    residual_work = 2.0 * xi * inner(grid, g_bar, bdf_phi)
+    coupling_work = 2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi)
+    heat_transfer = 2.0 * k * xi * tau * lam_e * inner(grid, hp_bar / rho_bar * mu_bar, after.temp)
 
     line1 = math.fsum(
         [
-            (2.0 / tau) * inner(grid, rho_n * dphi, dphi),
-            (2.0 * p.s3 / p.eps**2) * dphi_sq,
-            2.0 * p.s4 * dphi_grad_sq,
+            (2.0 / (k * tau)) * inner(grid, rho_bar * bdf_phi, bdf_phi),
+            (2.0 * p.s3 / p.eps**2) * (na.diff - nb.diff + k * curv_sq),
+            2.0 * p.s4 * (na.grad_diff - nb.grad_diff + k * curv_grad_sq),
+            p.s1 * (na.grad_phi - nb.grad_phi + curv_grad_sq),
+            (p.s2 / p.eps**2) * (na.phi - nb.phi + curv_sq),
             residual_work,
-            p.s1 * (na.grad_phi - nb.grad_phi + dphi_grad_sq),
-            (p.s2 / p.eps**2) * (na.phi - nb.phi + dphi_sq),
             coupling_work,
         ]
     )
     line2 = math.fsum(
         [
-            2.0 * (after.r**2 - before.r**2 + dr**2),
+            2.0 * (na.r - nb.r + (after.r - before.lead("r")) ** 2),
             -residual_work,
             heat_transfer,
             -coupling_work,
@@ -333,12 +368,20 @@ def identity_proof_lines(
     )
     line3 = math.fsum(
         [
-            lam_ek * (na.temp - nb.temp + norm_sq(grid, dtemp)),
-            2.0 * tau * lam_ek * p.diff * grad_norm_sq(grid, after.temp),
+            lam_ek * (na.temp - nb.temp + norm_sq(grid, after.temp - temp_bar)),
+            2.0 * k * tau * lam_ek * p.diff * grad_norm_sq(grid, after.temp),
             -heat_transfer,
         ]
     )
     return line1, line2, line3
+
+
+def _identity_residual(
+    grid: GridSpec, p: ModelParams, tau: float,
+    before: StateBDF1 | StateBDF2, after: StateBDF1 | StateBDF2,
+) -> float:
+    lines = identity_proof_lines(grid, p, tau, before, after)
+    return abs(math.fsum(lines)) / (2.0 * before.order * abs(scheme_energy(grid, p, before)))
 
 
 def energy_identity_residual(
@@ -354,5 +397,4 @@ def energy_identity_residual(
     increment square and the doubled s3/s4 weights the summed proof lines
     actually produce).
     """
-    lines = identity_proof_lines(grid, p, tau, before, after)
-    return abs(math.fsum(lines)) / (2.0 * abs(scheme_energy(grid, p, before)))
+    return _identity_residual(grid, p, tau, before, after)

@@ -2,52 +2,39 @@
 
 Each step runs the shared SAV kernel ``bdf1.sav_step`` with the
 backward-difference-2 coefficient a0 = 3/2, history 2*(.)^n - (.)^{n-1}/2 and
-all explicit data taken at the linear extrapolations 2*(.)^n - (.)^{n-1}.
+all explicit data taken at the lead of the state, the linear extrapolation
+2*(.)^n - (.)^{n-1} (:meth:`StateBDF2.lead`, the one place it is formed).
 The first level is produced from the level-0 ``bdf1.StateBDF1`` by one
 first-order bootstrap step, which costs O(tau^2) globally and leaves the
 second-order convergence intact.  :func:`bootstrap` and :func:`step2` take
 the parameters of ``bdf1.step``.
 
-The second-order energy needs the norms of each level, lead and difference
-field; :func:`state_norms2` evaluates them once per state, so the identity
-check at level n reads the norms its predecessor took of the same state.
+The energy law is the one of ``bdf1`` at order k = 2: ``bdf1.scheme_energy``,
+``bdf1.state_norms`` and ``bdf1.identity_proof_lines`` read the state's
+``order`` and ``lead``.  :func:`energy_identity_residual2` is the
+second-order entry point of that check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import bdf1
-from .grid import GridSpec, grad_norm_sq, inner, norm_sq
-from .model import (
-    NO_SOURCES,
-    EnergyPositivityError,
-    ModelParams,
-    SourceTerms,
-    anisotropy,
-    e1_energy,
-    g_residual,
-    h_prime,
-)
+from .grid import GridSpec
+from .model import NO_SOURCES, EnergyPositivityError, ModelParams, SourceTerms
 
 __all__ = [
     "StateBDF2",
-    "EnergyNorms2",
     "bootstrap",
     "step2",
-    "state_norms2",
-    "scheme_energy2",
     "energy_identity_residual2",
-    "identity_proof_lines2",
 ]
 
 
 @dataclass(frozen=True)
-class StateBDF2(bdf1._NormMemo):
+class StateBDF2:
     """Two time levels of (phi, T, mu, R); ``prev`` fields hold level n-1."""
 
     phi: np.ndarray
@@ -62,20 +49,12 @@ class StateBDF2(bdf1._NormMemo):
     n: int
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    order = 2  # BDF order k of the scheme that advances this state
 
-class EnergyNorms2(NamedTuple):
-    """The field norms in the second-order modified energy of one state:
-    the level-n field, the lead field 2x^n - x^{n-1} and the difference
-    x^n - x^{n-1}."""
-
-    grad_phi: float  # ||grad phi^n||^2, Dirichlet form
-    phi: float  # ||phi^n||^2
-    grad_lead: float
-    lead: float
-    grad_diff: float
-    diff: float
-    temp: float
-    lead_temp: float
+    def lead(self, name: str):
+        """The explicit data of the next level for field ``name``: the linear
+        extrapolation 2x^n - x^{n-1}."""
+        return 2.0 * getattr(self, name) - getattr(self, name + "_prev")
 
 
 def bootstrap(
@@ -112,8 +91,7 @@ def step2(
     t_new = state.t + tau
     hist = (2.0 * state.phi - 0.5 * state.phi_prev, 2.0 * state.temp - 0.5 * state.temp_prev,
             2.0 * state.r - 0.5 * state.r_prev)
-    bar = (2.0 * state.phi - state.phi_prev, 2.0 * state.temp - state.temp_prev,
-           2.0 * state.mu - state.mu_prev)
+    bar = (state.lead("phi"), state.lead("temp"), state.lead("mu"))
     try:
         (phi, temp, mu, r), report = bdf1.sav_step(grid, p, tau, 1.5, hist, bar, sources, t_new)
     except EnergyPositivityError as exc:
@@ -133,115 +111,6 @@ def step2(
     return new, report
 
 
-def _energy_norms2(grid: GridSpec, state: StateBDF2) -> EnergyNorms2:
-    lead_phi = 2.0 * state.phi - state.phi_prev
-    dphi = state.phi - state.phi_prev
-    return EnergyNorms2(
-        grad_phi=grad_norm_sq(grid, state.phi),
-        phi=norm_sq(grid, state.phi),
-        grad_lead=grad_norm_sq(grid, lead_phi),
-        lead=norm_sq(grid, lead_phi),
-        grad_diff=grad_norm_sq(grid, dphi),
-        diff=norm_sq(grid, dphi),
-        temp=norm_sq(grid, state.temp),
-        lead_temp=norm_sq(grid, 2.0 * state.temp - state.temp_prev),
-    )
-
-
-def state_norms2(grid: GridSpec, state: StateBDF2) -> EnergyNorms2:
-    """The state's energy norms, evaluated once per state and grid."""
-    return state._memo(grid, _energy_norms2)
-
-
-def scheme_energy2(grid: GridSpec, p: ModelParams, state: StateBDF2) -> float:
-    """Modified energy of the second-order discrete energy law (two levels)."""
-    norms = state_norms2(grid, state)
-    return 0.25 * math.fsum(
-        [
-            p.s1 * (norms.grad_phi + norms.grad_lead),
-            p.s2 / p.eps**2 * (norms.phi + norms.lead),
-            2.0 * p.s3 / p.eps**2 * norms.diff,
-            2.0 * p.s4 * norms.grad_diff,
-            p.lam / (p.eps * p.latent) * (norms.temp + norms.lead_temp),
-            2.0 * (state.r**2 + (2.0 * state.r - state.r_prev) ** 2),
-        ]
-    )
-
-
-def identity_proof_lines2(
-    grid: GridSpec,
-    p: ModelParams,
-    tau: float,
-    before: StateBDF2,
-    after: StateBDF2,
-) -> tuple[float, float, float]:
-    """The three inner-product identities behind the second-order energy law,
-    recomputed from two consecutive states (after.prev must be before's level).
-
-    The energy norms of both states come from :func:`state_norms2`; the old
-    lead fields are the explicit data phi_bar and T_bar, and a term shared by
-    two lines is evaluated once.
-    """
-    phi_bar = 2.0 * before.phi - before.phi_prev
-    temp_bar = 2.0 * before.temp - before.temp_prev
-    mu_bar = 2.0 * before.mu - before.mu_prev
-    rho_bar = p.mobility.rho_at(phi_bar)
-    geom = anisotropy(grid, phi_bar, p.sigma)
-    g_bar = g_residual(grid, phi_bar, p, geom)
-    hp_bar = h_prime(phi_bar)
-    e1_bar = e1_energy(grid, phi_bar, p, geom)
-    del geom
-    xi = after.r / math.sqrt(e1_bar)
-    lam_e = p.lam / p.eps
-    lam_ek = p.lam / (p.eps * p.latent)
-    nb, na = state_norms2(grid, before), state_norms2(grid, after)
-
-    d_new = after.phi - before.phi
-    curv_phi = after.phi - phi_bar
-    bdf_phi = 2.0 * d_new + curv_phi  # 3phi^{n+1} - 4phi^n + phi^{n-1}
-    curv_sq = norm_sq(grid, curv_phi)
-    curv_grad_sq = grad_norm_sq(grid, curv_phi)
-    residual_work = 2.0 * xi * inner(grid, g_bar, bdf_phi)
-    coupling_work = 2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi)
-    heat_transfer = 4.0 * tau * xi * lam_e * inner(grid, hp_bar / rho_bar * mu_bar, after.temp)
-
-    line1 = math.fsum(
-        [
-            (1.0 / tau) * inner(grid, rho_bar * bdf_phi, bdf_phi),
-            (2.0 * p.s3 / p.eps**2) * (na.diff - nb.diff + 2.0 * curv_sq),
-            2.0 * p.s4 * (na.grad_diff - nb.grad_diff + 2.0 * curv_grad_sq),
-            p.s1 * (na.grad_phi + na.grad_lead - nb.grad_phi - nb.grad_lead + curv_grad_sq),
-            (p.s2 / p.eps**2) * (na.phi + na.lead - nb.phi - nb.lead + curv_sq),
-            residual_work,
-            coupling_work,
-        ]
-    )
-    line2 = math.fsum(
-        [
-            2.0
-            * (
-                after.r**2
-                + (2.0 * after.r - before.r) ** 2
-                - before.r**2
-                - (2.0 * before.r - before.r_prev) ** 2
-                + (after.r - 2.0 * before.r + before.r_prev) ** 2
-            ),
-            -residual_work,
-            heat_transfer,
-            -coupling_work,
-        ]
-    )
-    line3 = math.fsum(
-        [
-            lam_ek * (na.temp + na.lead_temp - nb.temp - nb.lead_temp
-                      + norm_sq(grid, after.temp - temp_bar)),
-            4.0 * tau * lam_ek * p.diff * grad_norm_sq(grid, after.temp),
-            -heat_transfer,
-        ]
-    )
-    return line1, line2, line3
-
-
 def energy_identity_residual2(
     grid: GridSpec,
     p: ModelParams,
@@ -249,6 +118,6 @@ def energy_identity_residual2(
     before: StateBDF2,
     after: StateBDF2,
 ) -> float:
-    """Energy-law balance of one second-order step, relative to |E^n|."""
-    lines = identity_proof_lines2(grid, p, tau, before, after)
-    return abs(math.fsum(lines)) / (4.0 * abs(scheme_energy2(grid, p, before)))
+    """Energy-law balance of one second-order step, relative to |E^n|
+    (the order-k law of ``bdf1`` at k = 2)."""
+    return bdf1._identity_residual(grid, p, tau, before, after)

@@ -1,6 +1,7 @@
 """Command-line driver for single runs and the experiment reproductions.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
+Exit codes: 0 success, 2 configuration error or an output path that cannot
+be written (the one stderr line names the path), 3 solver failure,
 4 energy-law violation under --strict-energy, 5 numerical breakdown (a
 non-positive auxiliary energy E1 or closure denominator A1, or a non-finite
 ledger value), reported with the level and time it happened at.
@@ -146,6 +147,10 @@ def main(argv=None) -> int:
     except (EnergyPositivityError, FloatingPointError) as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # inputs fail as ConfigError, so this is an output file
+        path = exc.filename if exc.filename is not None else args.out
+        print(f"output error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

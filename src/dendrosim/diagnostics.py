@@ -89,10 +89,7 @@ def make_record(
     identity residual is 0, and a1 takes its decoupled-limit value
     2*E1(phi).
     """
-    if isinstance(state, bdf2.StateBDF2):
-        e_mod = bdf2.scheme_energy2(grid, p, state)
-    else:
-        e_mod = bdf1.scheme_energy(grid, p, state)
+    e_mod = bdf1.scheme_energy(grid, p, state)
     geom = anisotropy(grid, state.phi, p.sigma)
     if report is None:
         xi = 1.0

@@ -191,9 +191,11 @@ def run_single(
     ledger_path: Path | None = None
     writer = None
     if out_dir is not None:
+        # a configuration that cannot be written (ConfigError) creates nothing
+        resolved = serialize_config(cfg)
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "resolved.cfg").write_text(serialize_config(cfg))
+        (out_dir / "resolved.cfg").write_text(resolved)
         ledger_path = out_dir / cfg.ledger
         writer = LedgerWriter(
             ledger_path,

@@ -7,15 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrosim import bdf1
-from dendrosim.bdf1 import init_state
-from dendrosim.bdf2 import (
-    StateBDF2,
-    bootstrap,
-    energy_identity_residual2,
-    identity_proof_lines2,
-    scheme_energy2,
-    step2,
-)
+from dendrosim.bdf1 import identity_proof_lines, init_state, scheme_energy
+from dendrosim.bdf2 import StateBDF2, bootstrap, energy_identity_residual2, step2
 from dendrosim.config import RunConfig, case2_initial, case2_params
 from dendrosim.diagnostics import make_record
 from dendrosim.experiments import reference_solution, run_accuracy
@@ -135,11 +128,11 @@ class TestStep2:
     def test_energy_identity_any_tau(self, case2, tau):
         grid, p, phi0, temp0 = case2
         state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
-        e_prev = scheme_energy2(grid, p, state)
+        e_prev = scheme_energy(grid, p, state)
         for _ in range(5):
             state, rep = step2(grid, state, tau, p, check_identity=True)
             assert rep.identity_residual <= 1e-9
-            e = scheme_energy2(grid, p, state)
+            e = scheme_energy(grid, p, state)
             assert e <= e_prev + 1e-9 * abs(e_prev)
             e_prev = e
 
@@ -147,18 +140,18 @@ class TestStep2:
         grid, p, phi0, temp0 = case2
         before, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), 0.5, p)
         after, _ = step2(grid, before, 0.5, p)
-        scale = abs(scheme_energy2(grid, p, before))
-        for line in identity_proof_lines2(grid, p, 0.5, before, after):
+        scale = abs(scheme_energy(grid, p, before))
+        for line in identity_proof_lines(grid, p, 0.5, before, after):
             assert abs(line) <= 1e-9 * scale
 
     def test_long_large_step_dissipation(self, case2):
         # strict monotone decay over 1000 steps at tau = 100
         grid, p, phi0, temp0 = case2
         state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), 100.0, p)
-        e_prev = scheme_energy2(grid, p, state)
+        e_prev = scheme_energy(grid, p, state)
         for _ in range(1000):
             state, _rep = step2(grid, state, 100.0, p)
-            e = scheme_energy2(grid, p, state)
+            e = scheme_energy(grid, p, state)
             assert e <= e_prev + 1e-9 * abs(e_prev)
             e_prev = e
 
@@ -238,7 +231,7 @@ def pcg_identity_slack(grid, p, tau, before, after):
     xi = after.r / math.sqrt(e1_energy(grid, phi_bar, p))
     r_norm = CG_TOL * (np.linalg.norm(rhs1) + abs(xi) * np.linalg.norm(core))
     b_norm = np.linalg.norm(3.0 * after.phi - 4.0 * before.phi + before.phi_prev)
-    return grid.cell_area * r_norm * b_norm / (2.0 * abs(scheme_energy2(grid, p, before)))
+    return grid.cell_area * r_norm * b_norm / (2.0 * abs(scheme_energy(grid, p, before)))
 
 
 class TestFieldMobility:
@@ -250,7 +243,7 @@ class TestFieldMobility:
         grid, p, phi0, temp0 = case2
         p = replace(p, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
         state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
-        e_prev = scheme_energy2(grid, p, state)
+        e_prev = scheme_energy(grid, p, state)
         for _ in range(20):
             new, rep = step2(grid, state, tau, p, check_identity=True)
             assert rep.cg_iterations > 0
@@ -258,7 +251,7 @@ class TestFieldMobility:
             bound = 1e-12 + pcg_identity_slack(grid, p, tau, state, new)
             assert rep.identity_residual <= bound
             # E^{n+1} - E^n = -dissipation + (sum of the lines)/4
-            e = scheme_energy2(grid, p, new)
+            e = scheme_energy(grid, p, new)
             assert e <= e_prev + bound * abs(e_prev)
             state, e_prev = new, e
 
@@ -419,11 +412,41 @@ def _ref_identity_proof_lines2(grid, p, tau, before, after):
     return line1, line2, line3
 
 
-# scheme -> (step, production lines, reference lines, modified energy)
+# The modified energies as they stood before both schemes shared one order-k
+# energy law: private references that evaluate every norm afresh.
+
+def _ref_scheme_energy(grid, p, state):
+    return (
+        0.5 * p.s1 * grad_norm_sq(grid, state.phi)
+        + 0.5 * p.s2 / p.eps**2 * norm_sq(grid, state.phi)
+        + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, state.temp)
+        + state.r**2
+    )
+
+
+def _ref_scheme_energy2(grid, p, state):
+    lead_phi = 2.0 * state.phi - state.phi_prev
+    dphi = state.phi - state.phi_prev
+    return 0.25 * math.fsum(
+        [
+            p.s1 * (grad_norm_sq(grid, state.phi) + grad_norm_sq(grid, lead_phi)),
+            p.s2 / p.eps**2 * (norm_sq(grid, state.phi) + norm_sq(grid, lead_phi)),
+            2.0 * p.s3 / p.eps**2 * norm_sq(grid, dphi),
+            2.0 * p.s4 * grad_norm_sq(grid, dphi),
+            p.lam / (p.eps * p.latent)
+            * (norm_sq(grid, state.temp) + norm_sq(grid, 2.0 * state.temp - state.temp_prev)),
+            2.0 * (state.r**2 + (2.0 * state.r - state.r_prev) ** 2),
+        ]
+    )
+
+
+# scheme -> (step, production lines, reference lines, modified energy,
+#            reference energy, ulps the energy may differ from the reference)
 ORACLE_SCHEMES = {
-    "bdf1": (bdf1.step, bdf1.identity_proof_lines, _ref_identity_proof_lines,
-             bdf1.scheme_energy),
-    "bdf2": (step2, identity_proof_lines2, _ref_identity_proof_lines2, scheme_energy2),
+    "bdf1": (bdf1.step, identity_proof_lines, _ref_identity_proof_lines, scheme_energy,
+             _ref_scheme_energy, 1),
+    "bdf2": (step2, identity_proof_lines, _ref_identity_proof_lines2, scheme_energy,
+             _ref_scheme_energy2, 0),
 }
 
 
@@ -452,7 +475,7 @@ class TestProofLineOracles:
 
     def test_stepped_states(self, case2, scheme, s_set):
         p = case2_params(*s_set)
-        _, lines, ref_lines, energy = ORACLE_SCHEMES[scheme]
+        _, lines, ref_lines, energy = ORACLE_SCHEMES[scheme][:4]
         grid = case2[0]
         for before, after in _stepped_pairs(scheme, case2, p):
             assert before._norms and after._norms
@@ -463,7 +486,7 @@ class TestProofLineOracles:
 
     def test_tampered_states(self, case2, scheme, s_set):
         p = case2_params(*s_set)
-        _, lines, ref_lines, energy = ORACLE_SCHEMES[scheme]
+        _, lines, ref_lines, energy = ORACLE_SCHEMES[scheme][:4]
         grid = case2[0]
         for k, (before, after) in enumerate(_stepped_pairs(scheme, case2, p)):
             tampered = replace(after, phi=after.phi + 0.01 * smooth_field(grid, 40 + k),
@@ -474,6 +497,17 @@ class TestProofLineOracles:
             assert max(abs(w) for w in want) > 1e-3 * scale
             for got, w in zip(lines(grid, p, 0.1, before, tampered), want):
                 assert abs(got - w) <= 1e-12 * scale
+
+    def test_energy_matches_reference(self, case2, scheme, s_set):
+        # the one order-k energy law gives bdf2's former energy bitwise and
+        # bdf1's to 1 ulp (its terms are now summed with fsum)
+        p = case2_params(*s_set)
+        energy, ref_energy, ulps = ORACLE_SCHEMES[scheme][3:]
+        grid = case2[0]
+        pairs = _stepped_pairs(scheme, case2, p)
+        for state in [pairs[0][0]] + [after for _, after in pairs]:
+            want = ref_energy(grid, p, state)
+            assert abs(energy(grid, p, state) - want) <= ulps * math.ulp(want)
 
     def test_ledger_energy_matches_fresh_state(self, case2, scheme, s_set):
         # a row's e_modified is read from the norms the identity check memoized;

@@ -11,6 +11,7 @@ import pytest
 from dendrosim import bdf1, bdf2, experiments, model
 from dendrosim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dendrosim.config import (
+    ConfigError,
     RunConfig,
     case2_initial,
     case2_params,
@@ -186,6 +187,16 @@ class TestRunSingle:
         mobility = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
         res = run_single(replace(cfg, params=replace(cfg.params, mobility=mobility)))
         assert 0 < res.max_cg_iterations <= res.cg_iterations <= 3 * res.max_cg_iterations
+
+    def test_unwritable_config_creates_no_directory(self, tmp_path):
+        # a variable mobility cannot be written to resolved.cfg; the run must
+        # fail before it creates its output directory
+        mobility = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
+        cfg = tiny_config(t_end=0.02, params=replace(case2_params(), mobility=mobility))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="only constant mobility"):
+            run_single(cfg, out)
+        assert not out.exists()
 
 
 def _glibc() -> bool:
@@ -426,6 +437,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: level {level} (t={level * tau:g}): ")
         assert needle in err and err.count("\n") == 1
+
+    def test_unusable_out_path_exit_code(self, tmp_path, capsys):
+        # --out below a regular file cannot be created: exit 2, one line
+        # that names the path, no traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        cfg = self._write_tiny_cfg(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot write {out}: ") and err.count("\n") == 1
 
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.cfg"
