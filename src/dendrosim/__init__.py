@@ -29,8 +29,6 @@ from .model import (
     g_residual,
     h_latent,
     h_prime,
-    kappa,
-    modified_energy,
     original_energy,
 )
 from .solvers import SolverError, helmholtz_solve, variable_helmholtz_solve
@@ -56,11 +54,9 @@ __all__ = [
     "h_prime",
     "Anisotropy",
     "anisotropy",
-    "kappa",
     "aniso_flux",
     "g_residual",
     "e1_energy",
-    "modified_energy",
     "original_energy",
     "SolverError",
     "helmholtz_solve",

@@ -18,16 +18,23 @@ mu_1, mu_2 and the T_2 Laplacian in A2 are taken from the equations the
 solves just satisfied, so the only real-space Laplacian of a step is the
 explicit s4 term of the phase history.
 
+The explicit data of the step from a state (the leads, 1/M, h', E1 and the
+anisotropy geometry at phi_bar) is evaluated once per state by
+:func:`explicit_data` and kept in the state's memo, where the step's
+identity check finds it again.
+
 The discrete energy law is written once for both schemes, in terms of the
 BDF order k of a state (``state.order``: 1 here, 2 for ``bdf2.StateBDF2``)
 and its lead rule (``state.lead``: the explicit data of the next level,
 x^n here).  :func:`scheme_energy` is the modified energy, summed over the
 level and its lead for k = 2; :func:`identity_proof_lines` re-assembles the
-three inner-product identities behind the law, independently of the
-stepping code, and ``energy_identity_residual`` (``bdf2.energy_identity_residual2``
-for k = 2) reports how far their sum is from zero relative to the modified
+three inner-product identities behind the law from the two states, their
+memoized explicit data and its own evaluation of the nonlinear residual g,
+and ``energy_identity_residual`` (``bdf2.energy_identity_residual2`` for
+k = 2) reports how far their sum is from zero relative to the modified
 energy.  The squared norms of a state's modified energy are evaluated once
-per state (:func:`state_norms`) and shared by the check and the ledger row.
+per state (:func:`state_norms`) and shared by the check, the ledger row and
+E1 at the lead.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import numpy as np
 from .grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from .model import (
     NO_SOURCES,
+    Anisotropy,
     ModelParams,
     SourceTerms,
     anisotropy,
@@ -56,9 +64,11 @@ if TYPE_CHECKING:
 __all__ = [
     "StateBDF1",
     "EnergyNorms",
+    "ExplicitData",
     "StepReport",
     "PartialSolves",
     "init_state",
+    "explicit_data",
     "partial_solves",
     "sav_step",
     "step",
@@ -71,7 +81,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateBDF1:
-    """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau."""
+    """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau.
+
+    ``_norms`` is the state's memo: its energy norms (:func:`state_norms`) and
+    the explicit data of the step from it (:func:`explicit_data`)."""
 
     phi: np.ndarray
     temp: np.ndarray
@@ -97,11 +110,25 @@ class EnergyNorms(NamedTuple):
     """
 
     grad_phi: float  # ||grad phi||^2, Dirichlet form
+    grad_lead: float  # ||grad phi_bar||^2 of the lead alone (grad_phi for k = 1)
     phi: float  # ||phi||^2
     grad_diff: float  # ||grad (phi^n - phi^{n-1})||^2
     diff: float  # ||phi^n - phi^{n-1}||^2
     temp: float  # ||T||^2
     r: float  # R^2
+
+
+class ExplicitData(NamedTuple):
+    """The explicit data of the step from one state: the lead fields and the
+    nonlinear terms at the lead phase field phi_bar (see :func:`explicit_data`)."""
+
+    phi: np.ndarray  # phi_bar
+    temp: np.ndarray  # T_bar
+    mu: np.ndarray  # mu_bar
+    rho: float | np.ndarray  # 1/M(phi_bar)
+    hp: np.ndarray  # h'(phi_bar)
+    e1: float  # E1(phi_bar)
+    geom: Anisotropy | None  # the anisotropy geometry of phi_bar; None in an unkept memo
 
 
 @dataclass
@@ -141,6 +168,33 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
         - (p.lam / p.eps) * h_prime(phi0) * temp0
     )
     return StateBDF1(phi=phi0.copy(), temp=temp0.copy(), mu=mu0, r=math.sqrt(e1))
+
+
+def explicit_data(
+    grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2, keep_geometry: bool = False
+) -> ExplicitData:
+    """The explicit data of the step from ``state``, evaluated once per state.
+
+    The step and its identity check read it through the state's ``_norms``
+    memo, and E1(phi_bar) takes ||grad phi_bar||^2 from the state's energy
+    norms.  Only g(phi_bar) needs the geometry, and the step and the check
+    each evaluate g themselves.  The memo keeps the geometry only with
+    ``keep_geometry`` (a step that will be checked); otherwise it lives only
+    as long as the first returned tuple, and later ones hold None.
+    """
+    key = ("explicit", grid, p)
+    data = state._norms.get(key)
+    if data is None:
+        phi_bar = state.lead("phi")
+        geom = anisotropy(grid, phi_bar, p.sigma)
+        data = ExplicitData(
+            phi=phi_bar, temp=state.lead("temp"), mu=state.lead("mu"),
+            rho=p.mobility.rho_at(phi_bar), hp=h_prime(phi_bar),
+            e1=e1_energy(grid, phi_bar, p, geom, state_norms(grid, state).grad_lead),
+            geom=geom,
+        )
+        state._norms[key] = data if keep_geometry else data._replace(geom=None)
+    return data
 
 
 def partial_solves(
@@ -186,25 +240,22 @@ def partial_solves(
 
 def sav_step(
     grid: GridSpec, p: ModelParams, tau: float, a0: float,
-    hist: tuple[np.ndarray, np.ndarray, float], bar: tuple[np.ndarray, np.ndarray, np.ndarray],
+    hist: tuple[np.ndarray, np.ndarray, float], bar: ExplicitData,
     sources: SourceTerms, t_new: float,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], StepReport]:
     """One step of either scheme to ``t_new``; returns the new (phi, T, mu, R).
 
     ``hist`` = (phi_hist, T_hist, R_hist) is the history of the BDF derivative
-    (a0*x^{n+1} - x_hist)/tau, ``bar`` = (phi_bar, T_bar, mu_bar) the explicit
-    data.  A1 collects 2*a0 times the auxiliary energy plus weighted squares
+    (a0*x^{n+1} - x_hist)/tau, ``bar`` the explicit data (:func:`explicit_data`).
+    A1 collects 2*a0 times the auxiliary energy plus weighted squares
     of the xi-proportional parts, hence is always positive; the solve
     equations of phi_2 and T_2 turn those squares into the products
     a0*<core, phi_2> and tau*<temp_forcing, T_2>.
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
-    (phi_hist, temp_hist, r_hist), (phi_bar, temp_bar, mu_bar) = hist, bar
-    rho = p.mobility.rho_at(phi_bar)
-    hp = h_prime(phi_bar)
-    geom = anisotropy(grid, phi_bar, p.sigma)
-    e1 = e1_energy(grid, phi_bar, p, geom)
+    (phi_hist, temp_hist, r_hist), (phi_bar, temp_bar, mu_bar, rho, hp, e1, geom) = hist, bar
+    del bar  # an unchecked step's geometry is then freed with ``del geom``
     core = -(g_residual(grid, phi_bar, p, geom) + (p.lam / p.eps) * hp * temp_bar)
     del geom
     temp_forcing = p.latent * hp / rho * mu_bar
@@ -254,7 +305,7 @@ def step(
     t_new = state.t + tau
     (phi, temp, mu, r), report = sav_step(
         grid, p, tau, 1.0, (state.phi, state.temp, state.r),
-        (state.phi, state.temp, state.mu), sources, t_new,
+        explicit_data(grid, p, state, check_identity), sources, t_new,
     )
     new = StateBDF1(phi=phi, temp=temp, mu=mu, r=r, t=t_new, n=state.n + 1)
     if check_identity:
@@ -266,11 +317,13 @@ def _energy_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
     grad_phi, phi = grad_norm_sq(grid, state.phi), norm_sq(grid, state.phi)
     temp, r = norm_sq(grid, state.temp), state.r**2
     if state.order == 1:
-        return EnergyNorms(grad_phi, phi, 0.0, 0.0, temp, r)
+        return EnergyNorms(grad_phi, grad_phi, phi, 0.0, 0.0, temp, r)
     lead_phi = state.lead("phi")
+    grad_lead = grad_norm_sq(grid, lead_phi)
     diff = state.phi - state.phi_prev
     return EnergyNorms(
-        grad_phi=grad_phi + grad_norm_sq(grid, lead_phi),
+        grad_phi=grad_phi + grad_lead,
+        grad_lead=grad_lead,
         phi=phi + norm_sq(grid, lead_phi),
         grad_diff=grad_norm_sq(grid, diff),
         diff=norm_sq(grid, diff),
@@ -282,8 +335,9 @@ def _energy_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
 def state_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
     """The state's energy norms, evaluated once per state and grid.
 
-    They depend on the state's fields alone, so the identity check and the
-    ledger row of a level share them through the state's ``_norms`` memo.
+    They depend on the state's fields alone, so the identity check, the
+    ledger row of a level and E1 at the state's lead share them through the
+    state's ``_norms`` memo.
     States are frozen, so the memo cannot go stale; ``dataclasses.replace``
     starts an empty one.
     """
@@ -322,17 +376,15 @@ def identity_proof_lines(
     phi^{n-1} = 2(phi^{n+1} - phi^n) + c for k = 2, with c = phi^{n+1} -
     phi_bar), so each vanishes to roundoff for states produced by the
     stepper; their sum is 2k times the telescoped energy balance.
-    Everything is recomputed from the two states alone (their energy norms
-    through :func:`state_norms`, the explicit data through ``before.lead``);
-    a term shared by two lines is evaluated once.
+    Everything is read from the two states alone: their energy norms through
+    :func:`state_norms` and the explicit data through :func:`explicit_data`,
+    which the step from ``before`` memoized.  The nonlinear term g(phi_bar) is
+    evaluated here again, independently of the step; a term shared by two
+    lines is evaluated once.
     """
     k = before.order
-    phi_bar, temp_bar, mu_bar = before.lead("phi"), before.lead("temp"), before.lead("mu")
-    rho_bar = p.mobility.rho_at(phi_bar)
-    geom = anisotropy(grid, phi_bar, p.sigma)
-    g_bar = g_residual(grid, phi_bar, p, geom)
-    hp_bar = h_prime(phi_bar)
-    e1_bar = e1_energy(grid, phi_bar, p, geom)
+    phi_bar, temp_bar, mu_bar, rho_bar, hp_bar, e1_bar, geom = explicit_data(grid, p, before)
+    g_bar = g_residual(grid, phi_bar, p, geom)  # evaluates the geometry if the memo kept none
     del geom
     xi = after.r / math.sqrt(e1_bar)
     lam_e = p.lam / p.eps

@@ -3,7 +3,9 @@
 Each step runs the shared SAV kernel ``bdf1.sav_step`` with the
 backward-difference-2 coefficient a0 = 3/2, history 2*(.)^n - (.)^{n-1}/2 and
 all explicit data taken at the lead of the state, the linear extrapolation
-2*(.)^n - (.)^{n-1} (:meth:`StateBDF2.lead`, the one place it is formed).
+2*(.)^n - (.)^{n-1} (:meth:`StateBDF2.lead`, the one place it is formed,
+once per state: the ledger row's norms build the leads of phi and T, and
+``bdf1.explicit_data`` reads them at the next step).
 The first level is produced from the level-0 ``bdf1.StateBDF1`` by one
 first-order bootstrap step, which costs O(tau^2) globally and leaves the
 second-order convergence intact.  :func:`bootstrap` and :func:`step2` take
@@ -35,7 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateBDF2:
-    """Two time levels of (phi, T, mu, R); ``prev`` fields hold level n-1."""
+    """Two time levels of (phi, T, mu, R); ``prev`` fields hold level n-1.
+
+    ``_norms`` is the state's memo, as for ``bdf1.StateBDF1``; it also holds
+    the leads."""
 
     phi: np.ndarray
     phi_prev: np.ndarray
@@ -53,8 +58,12 @@ class StateBDF2:
 
     def lead(self, name: str):
         """The explicit data of the next level for field ``name``: the linear
-        extrapolation 2x^n - x^{n-1}."""
-        return 2.0 * getattr(self, name) - getattr(self, name + "_prev")
+        extrapolation 2x^n - x^{n-1}, formed once per state in its memo, so
+        the ledger row's norms, the step and its check share it."""
+        key = ("lead", name)
+        if key not in self._norms:
+            self._norms[key] = 2.0 * getattr(self, name) - getattr(self, name + "_prev")
+        return self._norms[key]
 
 
 def bootstrap(
@@ -91,9 +100,11 @@ def step2(
     t_new = state.t + tau
     hist = (2.0 * state.phi - 0.5 * state.phi_prev, 2.0 * state.temp - 0.5 * state.temp_prev,
             2.0 * state.r - 0.5 * state.r_prev)
-    bar = (state.lead("phi"), state.lead("temp"), state.lead("mu"))
     try:
-        (phi, temp, mu, r), report = bdf1.sav_step(grid, p, tau, 1.5, hist, bar, sources, t_new)
+        (phi, temp, mu, r), report = bdf1.sav_step(
+            grid, p, tau, 1.5, hist, bdf1.explicit_data(grid, p, state, check_identity),
+            sources, t_new,
+        )
     except EnergyPositivityError as exc:
         raise EnergyPositivityError(
             f"{exc} (extrapolated field at t={t_new:g}; a larger bconst or a "

@@ -115,6 +115,7 @@ def main(argv=None) -> int:
             print(f"  CG iterations {res.cg_iterations} (at most {res.max_cg_iterations} per level)")
             print(f"  ledger: {res.ledger_path}")
         elif args.command == "accuracy":
+            args.out.mkdir(parents=True, exist_ok=True)  # fail before the reference run
             reference = reference_solution(cfg, args.ref_tau)
             for scheme in ("bdf1", "bdf2"):
                 rep = run_accuracy(replace(cfg, scheme=scheme), args.ladder,

@@ -290,6 +290,9 @@ def run_accuracy(
             f"ladder step {min(ladder)} too close to reference tau {ref_tau}; "
             "need at least a factor 10"
         )
+    if out_dir is not None:  # an unusable directory fails before any stepping
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     if reference is None:
         reference = reference_solution(base, ref_tau)
     ref_phi, ref_temp = reference
@@ -317,8 +320,6 @@ def run_accuracy(
         min_a1=min_a1,
     )
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         lines = ["tau,error_phi,error_temp"]
         for tau, ep, et in zip(ladder, errors_phi, errors_temp):
             lines.append(f"{tau!r},{ep!r},{et!r}")

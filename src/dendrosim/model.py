@@ -3,7 +3,8 @@
 Holds the physical parameters, the double-well potential and latent-heat
 nonlinearity, the fourfold anisotropy function and its gradient-space
 derivative, the stabilized nonlinear residual driving the phase equation,
-and the three energy functionals (auxiliary, modified-quadratic, original).
+and the auxiliary and original energy functionals (the modified energy of
+the schemes is ``bdf1.scheme_energy``).
 
 Conventions shared with the time steppers:
 
@@ -20,6 +21,7 @@ Conventions shared with the time steppers:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -32,7 +34,6 @@ from .grid import (
     face_flux_divergence,
     grad_norm_sq,
     gradient,
-    integrate,
     norm_sq,
 )
 
@@ -48,11 +49,9 @@ __all__ = [
     "h_prime",
     "Anisotropy",
     "anisotropy",
-    "kappa",
     "aniso_flux",
     "g_residual",
     "e1_energy",
-    "modified_energy",
     "original_energy",
 ]
 
@@ -119,6 +118,8 @@ class ModelParams:
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
+        if self.eps * self.eps < sys.float_info.min:  # the steps divide by eps^2
+            raise ValueError(f"eps={self.eps!r} is too small: eps**2 underflows")
         if not self.diff > 0.0:
             raise ValueError("diff must be positive")
         if not 0.0 <= self.sigma < 1.0:
@@ -238,11 +239,6 @@ def anisotropy(grid: GridSpec, phi: np.ndarray, sigma: float) -> Anisotropy:
     return Anisotropy.from_gradient(*gradient(grid, phi), sigma)
 
 
-def kappa(gx: np.ndarray, gy: np.ndarray, sigma: float, reg: float = DEFAULT_GRAD_REG) -> np.ndarray:
-    """Fourfold anisotropy 1 + sigma*cos(4 theta) of a gradient field."""
-    return Anisotropy.from_gradient(gx, gy, sigma, reg).kap
-
-
 def aniso_flux(
     geom: Anisotropy, sigma: float, reg: float = DEFAULT_GRAD_REG
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,47 +295,45 @@ def g_residual(
     return out
 
 
+def _dot(f: np.ndarray, g: np.ndarray) -> float:
+    return float(np.dot(f.ravel(), g.ravel()))
+
+
+def _interface_sums(phi: np.ndarray, geom: Anisotropy) -> tuple[float, float]:
+    """Cell sums of kappa^2 |grad phi|^2 / 2 and of F(phi), as dot products:
+    <kappa^2, |grad phi|^2>/2 and <q, q>/4 with q = phi^2 - 1."""
+    q = phi * phi
+    q -= 1.0
+    return 0.5 * _dot(geom.kap * geom.kap, geom.mag2), 0.25 * _dot(q, q)
+
+
 def e1_energy(
-    grid: GridSpec, phi: np.ndarray, p: ModelParams, geom: Anisotropy | None = None
+    grid: GridSpec, phi: np.ndarray, p: ModelParams, geom: Anisotropy | None = None,
+    grad_sq: float | None = None,
 ) -> float:
     """Auxiliary energy E1 under the square root of the auxiliary variable.
 
     E1 = int( kappa^2 |grad phi|^2 / 2 + (F(phi) - s2 phi^2 / 2)/eps^2 + B )
          - (s1/2) * ||grad phi||^2  (Dirichlet form).
 
-    ``geom`` is ``anisotropy(grid, phi, p.sigma)`` when the caller already
-    has it.  Raises EnergyPositivityError when non-positive.
+    ``geom`` is ``anisotropy(grid, phi, p.sigma)`` and ``grad_sq`` is
+    ``grad_norm_sq(grid, phi)`` when the caller already has them.  Raises
+    EnergyPositivityError when non-positive.
     """
     grid.check(phi)
     if geom is None:
         geom = anisotropy(grid, phi, p.sigma)
-    bulk = 0.5 * geom.kap * geom.kap * geom.mag2
-    bulk += (big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
-    value = integrate(grid, bulk) + p.bconst * grid.area - 0.5 * p.s1 * grad_norm_sq(grid, phi)
+    if grad_sq is None:
+        grad_sq = grad_norm_sq(grid, phi)
+    aniso, well = _interface_sums(phi, geom)
+    bulk = aniso + (well - 0.5 * p.s2 * _dot(phi, phi)) / p.eps**2
+    value = bulk * grid.cell_area + p.bconst * grid.area - 0.5 * p.s1 * grad_sq
     if value <= 0.0:
         raise EnergyPositivityError(
             f"auxiliary energy E1={value:.6g} is not positive; increase bconst "
             f"(currently {p.bconst}) for this configuration"
         )
     return value
-
-
-def modified_energy(
-    grid: GridSpec, phi: np.ndarray, r: float, temp: np.ndarray, p: ModelParams
-) -> float:
-    """Reformulated quadratic energy plus R^2.
-
-    E(phi, R, T) = int( lam/(2 eps K) T^2 + s2/(2 eps^2) phi^2 - B )
-                   + (s1/2) ||grad phi||^2 + R^2.
-    """
-    grid.check(phi, temp)
-    quad = (
-        0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp)
-        + 0.5 * p.s1 * grad_norm_sq(grid, phi)
-        + 0.5 * p.s2 / p.eps**2 * norm_sq(grid, phi)
-        - p.bconst * grid.area
-    )
-    return quad + r * r
 
 
 def original_energy(
@@ -357,6 +351,6 @@ def original_energy(
     grid.check(phi, temp)
     if geom is None:
         geom = anisotropy(grid, phi, p.sigma)
-    bulk = 0.5 * geom.kap * geom.kap * geom.mag2
-    bulk += big_f_well(phi) / p.eps**2
-    return integrate(grid, bulk) + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp)
+    aniso, well = _interface_sums(phi, geom)
+    return ((aniso + well / p.eps**2) * grid.cell_area
+            + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp))

@@ -538,3 +538,81 @@ class TestStateNormMemo:
         assert not warmer._norms
         assert energy(grid, p, warmer) != energy(grid, p, state)
         assert energy(grid, p, state) == energy(grid, p, replace(state))
+
+
+def _explicit_memos(state):
+    return [v for v in state._norms.values() if isinstance(v, bdf1.ExplicitData)]
+
+
+@pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
+class TestExplicitDataMemo:
+    """A state's explicit data is evaluated once, by the step from it, and
+    read again by that step's identity check."""
+
+    def test_memo_equals_fresh_evaluation(self, case2, scheme):
+        # the memoized leads, rho, h', E1 and geometry equal, bitwise, those
+        # of a copy of the state that has no memo
+        grid, p, _, _ = case2
+        for before, _ in _stepped_pairs(scheme, case2, p, levels=2):
+            got = bdf1.explicit_data(grid, p, before)
+            (memo,) = _explicit_memos(before)
+            assert memo is got
+            fresh = replace(before)
+            want = bdf1.explicit_data(grid, p, fresh)
+            for name in ("phi", "temp", "mu", "hp"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.rho == want.rho and got.e1 == want.e1
+            for a, b in zip(got.geom, want.geom):
+                assert np.array_equal(a, b)
+            for name in ("phi", "temp", "mu", "r"):
+                assert np.array_equal(before.lead(name), fresh.lead(name))
+            # E1 at the lead reads ||grad phi_bar||^2 from the state's norms
+            assert got.e1 == e1_energy(grid, fresh.lead("phi"), p)
+
+    def test_memo_keeps_geometry_only_for_checked_step(self, case2, scheme):
+        grid, p, phi0, temp0 = case2
+        state = init_state(grid, phi0, temp0, p)
+        step_fn = bdf1.step
+        if scheme == "bdf2":
+            state, _ = bootstrap(grid, state, 0.1, p)
+            step_fn = step2
+        for check, kept in ((False, False), (True, True)):
+            before = replace(state)
+            step_fn(grid, before, 0.1, p, check_identity=check)
+            (memo,) = _explicit_memos(before)
+            assert (memo.geom is not None) == kept
+
+    def test_checked_run_evaluates_once_per_level(self, case2, scheme, monkeypatch):
+        # a checked run_single calls e1_energy and h_prime once per level
+        # (the bdf2 bootstrap included): the step evaluates them, and its
+        # identity check reads them from the memo
+        from dendrosim import diagnostics, experiments, model
+
+        calls = {"e1_energy": 0, "h_prime": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            fn = getattr(model, name)
+            for module in (model, bdf1, diagnostics):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(name, fn))
+        seen, record = [], experiments.make_record
+
+        def counted_record(*args):
+            rec = record(*args)
+            seen.append(dict(calls))  # the counts up to this level's ledger row
+            return rec
+
+        monkeypatch.setattr(experiments, "make_record", counted_record)
+        grid = case2[0]
+        cfg = RunConfig(grid=grid, scheme=scheme, tau=0.01, t_end=0.06, params=case2[1],
+                        initial=case2_initial(), check_identity=True)
+        res = experiments.run_single(cfg)
+        assert res.max_identity_residual > 0.0
+        levels = [{k: b[k] - a[k] for k in calls} for a, b in zip(seen, seen[1:])]
+        assert levels == [{"e1_energy": 1, "h_prime": 1}] * 6

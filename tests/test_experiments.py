@@ -449,6 +449,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"output error: cannot write {out}: ") and err.count("\n") == 1
 
+    def test_tiny_eps_exit_code(self, tmp_path, capsys):
+        # an eps whose square underflows is a configuration error (it was a
+        # ZeroDivisionError traceback after the output directory was made)
+        cfg = tmp_path / "case2.cfg"
+        text = (CONFIG_DIR / "case2.cfg").read_text()
+        assert "\neps = 0.1\n" in text
+        cfg.write_text(text.replace("\neps = 0.1\n", "\neps = 1e-200\n"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: model: eps=1e-200 ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_accuracy_unusable_out_steps_nothing(self, tmp_path, capsys, monkeypatch):
+        # an --out that cannot be created fails before the reference run
+        runs, run = [], experiments.run_single
+
+        def counted_run(*args, **kwargs):
+            runs.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_single", counted_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        cfg = self._write_tiny_cfg(tmp_path)
+        code = main(["accuracy", "--config", str(cfg), "--out", str(out),
+                     "--ladder", "1e-2,5e-3", "--ref-tau", "5e-4"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"output error: cannot write {out}: ")
+        with pytest.raises(OSError):
+            run_accuracy(tiny_config(), ladder=(1e-2, 5e-3), ref_tau=5e-4, out_dir=out)
+        assert runs == []
+
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendrosim.config import case2_params
+from dendrosim import bdf2
+from dendrosim.bdf1 import init_state, scheme_energy
+from dendrosim.config import (
+    case2_initial,
+    case2_params,
+    dendrite_initial,
+    dendrite_params,
+)
 from dendrosim.grid import (
     GridSpec,
     divergence,
@@ -30,8 +37,6 @@ from dendrosim.model import (
     g_residual,
     h_latent,
     h_prime,
-    kappa,
-    modified_energy,
     original_energy,
 )
 
@@ -57,6 +62,13 @@ class TestParams:
 
     def test_s1_zero_allowed(self):
         make_params(s1=0.0)
+
+    def test_rejects_eps_whose_square_underflows(self):
+        # the steppers divide by eps^2; a zero or subnormal square is refused
+        for eps in (1e-200, 1e-160):
+            with pytest.raises(ValueError, match="eps"):
+                make_params(eps=eps)
+        make_params(eps=1e-150)
 
     def test_rejects_nonpositive_mobility(self):
         with pytest.raises(ValueError, match="rho"):
@@ -103,18 +115,18 @@ class TestPotentials:
 class TestAnisotropy:
     def test_isotropic_limit(self):
         g = np.linspace(-2, 2, 7)
-        assert kappa(g, g[::-1], sigma=0.0) == pytest.approx(1.0)
+        assert Anisotropy.from_gradient(g, g[::-1], 0.0).kap == pytest.approx(1.0)
 
     def test_principal_directions(self):
         one, zero = np.array([1.0]), np.array([0.0])
-        assert kappa(one, zero, 0.05, reg=1e-300)[0] == pytest.approx(1.05)
-        assert kappa(one, one, 0.05, reg=1e-300)[0] == pytest.approx(0.95)
+        assert Anisotropy.from_gradient(one, zero, 0.05, reg=1e-300).kap[0] == pytest.approx(1.05)
+        assert Anisotropy.from_gradient(one, one, 0.05, reg=1e-300).kap[0] == pytest.approx(0.95)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False),
            st.floats(0, 0.99, allow_nan=False))
     def test_bounds(self, gx, gy, sigma):
-        val = kappa(np.array([gx]), np.array([gy]), sigma)[0]
+        val = Anisotropy.from_gradient(np.array([gx]), np.array([gy]), sigma).kap[0]
         assert 1.0 - sigma - 1e-12 <= val <= 1.0 + sigma + 1e-12
 
     def test_flux_coefficient_positive(self):
@@ -122,7 +134,7 @@ class TestAnisotropy:
         p = case2_params()
         rng = np.random.default_rng(0)
         gx, gy = rng.standard_normal((2, 50)) * 10
-        w = kappa(gx, gy, p.sigma) ** 2 - p.s1
+        w = Anisotropy.from_gradient(gx, gy, p.sigma).kap ** 2 - p.s1
         assert np.all(w > 0.0)
 
     def test_aniso_flux_vanishes_on_symmetry_axes(self):
@@ -141,7 +153,8 @@ class TestAnisotropy:
         gx = np.array([r * math.cos(theta)])
         gy = np.array([r * math.sin(theta)])
         expected = 1.0 + sigma * math.cos(4.0 * math.atan2(gy[0], gx[0]))
-        assert kappa(gx, gy, sigma, reg=1e-300)[0] == pytest.approx(expected, abs=1e-12)
+        kap = Anisotropy.from_gradient(gx, gy, sigma, reg=1e-300).kap
+        assert kap[0] == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 2 * math.pi, allow_nan=False))
@@ -152,8 +165,8 @@ class TestAnisotropy:
         d = 1e-6
 
         def kap(t):
-            return kappa(np.array([math.cos(t)]), np.array([math.sin(t)]),
-                         sigma, reg=1e-12)[0]
+            return Anisotropy.from_gradient(np.array([math.cos(t)]), np.array([math.sin(t)]),
+                                            sigma, reg=1e-12).kap[0]
 
         fd = (kap(theta + d) - kap(theta - d)) / (2 * d)
         gx, gy = np.array([math.cos(theta)]), np.array([math.sin(theta)])
@@ -212,20 +225,22 @@ class TestEnergies:
         with pytest.raises(EnergyPositivityError, match="bconst"):
             e1_energy(grid16, grid16.full(1.0), p)
 
+    # the modified energy E(phi, R, T) - B|Omega| of a level-0 state, whose
+    # R is sqrt(E1(phi)): the quadratic form plus R^2
     def test_modified_energy_zero_state(self, grid16):
         p = make_params()
-        r0 = math.sqrt(e1_energy(grid16, grid16.zeros(), p))
-        value = modified_energy(grid16, grid16.zeros(), r0, grid16.zeros(), p)
+        state = init_state(grid16, grid16.zeros(), grid16.zeros(), p)
+        value = scheme_energy(grid16, p, state) - p.bconst * grid16.area
         assert value == pytest.approx(grid16.area * 0.25 / p.eps**2)
 
     def test_modified_energy_quadratic_in_temp(self, grid16):
         p = make_params()
         phi = smooth_field(grid16, 2)
         temp = smooth_field(grid16, 4)
-        e1v = modified_energy(grid16, phi, 1.0, temp, p)
-        e2v = modified_energy(grid16, phi, 1.0, 2.0 * temp, p)
+        e1v = scheme_energy(grid16, p, init_state(grid16, phi, temp, p)) - p.bconst * grid16.area
+        e2v = (scheme_energy(grid16, p, init_state(grid16, phi, 2.0 * temp, p))
+               - p.bconst * grid16.area)
         t_norm = 0.5 * p.lam / (p.eps * p.latent)
-        from dendrosim.grid import norm_sq
 
         assert e2v - e1v == pytest.approx(3.0 * t_norm * norm_sq(grid16, temp), rel=1e-12)
 
@@ -235,9 +250,9 @@ class TestEnergies:
         for seed in range(5):
             phi = smooth_field(grid16, seed)
             temp = smooth_field(grid16, seed + 100)
-            r = math.sqrt(e1_energy(grid16, phi, p))
             lhs = original_energy(grid16, phi, temp, p)
-            rhs = modified_energy(grid16, phi, r, temp, p)
+            state = init_state(grid16, phi, temp, p)
+            rhs = scheme_energy(grid16, p, state) - p.bconst * grid16.area
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_original_energy_zero_state(self, grid16):
@@ -373,4 +388,43 @@ class TestSharedGeometryOracle:
         grid = ORACLE_GRIDS[grid_id]
         gx, gy = gradient(grid, _oracle_field(grid, kind))
         with np.errstate(all="raise"):
-            assert np.max(np.abs(kappa(gx, gy, sigma) - _ref_kappa(gx, gy, sigma))) <= 1e-15
+            kap = Anisotropy.from_gradient(gx, gy, sigma).kap
+            assert np.max(np.abs(kap - _ref_kappa(gx, gy, sigma))) <= 1e-15
+
+
+# e1_energy and original_energy as they stood before their sums became dot
+# products: one bulk field, integrated.  Private references for the test below.
+
+def _bulk_e1_energy(grid, phi, p, geom):
+    bulk = 0.5 * geom.kap * geom.kap * geom.mag2
+    bulk += (big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
+    return integrate(grid, bulk) + p.bconst * grid.area - 0.5 * p.s1 * grad_norm_sq(grid, phi)
+
+
+def _bulk_original_energy(grid, phi, temp, p, geom):
+    bulk = 0.5 * geom.kap * geom.kap * geom.mag2
+    bulk += big_f_well(phi) / p.eps**2
+    return integrate(grid, bulk) + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp)
+
+
+@pytest.mark.parametrize("case", ["case2", "dendrite"])
+def test_energy_dot_products_match_bulk_sums(case):
+    # on the levels and leads of a few bdf2 levels, the dot-product energies
+    # agree with the bulk-field integrals to 1e-14 relative
+    if case == "case2":
+        grid, p, initial, tau = GridSpec(64, 64), case2_params(), case2_initial(), 1e-3
+    else:
+        grid, p, initial, tau = GridSpec(128, 128), dendrite_params(), dendrite_initial(), 1e-2
+    state = init_state(grid, *initial.build(grid), p)
+    state, _ = bdf2.bootstrap(grid, state, tau, p)
+    fields = []
+    for _ in range(4):
+        state, _ = bdf2.step2(grid, state, tau, p)
+        fields += [(state.phi, state.temp), (state.lead("phi"), state.lead("temp"))]
+    for phi, temp in fields:
+        geom = anisotropy(grid, phi, p.sigma)
+        e1, e1_want = e1_energy(grid, phi, p, geom), _bulk_e1_energy(grid, phi, p, geom)
+        orig = original_energy(grid, phi, temp, p, geom)
+        orig_want = _bulk_original_energy(grid, phi, temp, p, geom)
+        assert abs(e1 - e1_want) <= 1e-14 * abs(e1_want)
+        assert abs(orig - orig_want) <= 1e-14 * abs(orig_want)
