@@ -17,6 +17,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .diagnostics import EnergyLawViolation
 from .experiments import (
+    check_ladder,
     run_accuracy,
     run_dendrite,
     run_single,
@@ -115,7 +116,9 @@ def main(argv=None) -> int:
             print(f"  CG iterations {res.cg_iterations} (at most {res.max_cg_iterations} per level)")
             print(f"  ledger: {res.ledger_path}")
         elif args.command == "accuracy":
-            args.out.mkdir(parents=True, exist_ok=True)  # fail before the reference run
+            # a bad ladder or --out fails before the reference run
+            check_ladder(args.ladder, args.ref_tau)
+            args.out.mkdir(parents=True, exist_ok=True)
             reference = reference_solution(cfg, args.ref_tau)
             for scheme in ("bdf1", "bdf2"):
                 rep = run_accuracy(replace(cfg, scheme=scheme), args.ladder,
@@ -126,9 +129,9 @@ def main(argv=None) -> int:
                     print(f"  tau={tau:<8g} err_phi={ep:.6e} err_T={et:.6e}")
         elif args.command == "stability":
             results = run_stability(cfg, args.taus, args.out, n_steps=args.steps)
-            print("stabilizers (s1,s2,s3,s4)   tau      monotone  max|xi-1|   min a1")
+            print("stabilizers (s1,s2,s3,s4)   tau      max|xi-1|   min a1")
             for r in results:
-                print(f"  {str(r.stabilizers):<24} {r.tau:<8g} {str(r.monotone):<9} "
+                print(f"  {str(r.stabilizers):<24} {r.tau:<8g} "
                       f"{r.max_xi_dev:<11.3e} {r.min_a1:.6g}")
         elif args.command == "dendrite":
             results = run_dendrite(cfg, args.k_values, args.out)

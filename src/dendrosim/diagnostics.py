@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,20 +32,9 @@ __all__ = [
     "count_axis_branches",
 ]
 
-LEDGER_FIELDS = (
-    "step",
-    "time",
-    "e_modified",
-    "e_original",
-    "xi",
-    "area",
-    "identity_residual",
-    "a1",
-)
-
 
 class EnergyLawViolation(RuntimeError):
-    """Modified energy increased beyond tolerance in strict mode."""
+    """Under strict_energy, the modified energy rose from one level to the next."""
 
 
 class NonFiniteRecordError(ValueError, FloatingPointError):
@@ -54,7 +43,7 @@ class NonFiniteRecordError(ValueError, FloatingPointError):
 
 @dataclass
 class EnergyRecord:
-    """One ledger row."""
+    """One ledger row; its fields, in order, are the ledger's columns."""
 
     step: int
     time: float
@@ -66,10 +55,11 @@ class EnergyRecord:
     a1: float
 
     def __post_init__(self):
-        values = [self.time, self.e_modified, self.e_original, self.xi,
-                  self.area, self.identity_residual, self.a1]
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(getattr(self, name)) for name in LEDGER_FIELDS):
             raise NonFiniteRecordError(f"non-finite value in energy record: {self}")
+
+
+LEDGER_FIELDS = tuple(f.name for f in fields(EnergyRecord))
 
 
 def crystal_area(grid: GridSpec, phi: np.ndarray) -> float:
@@ -110,43 +100,18 @@ def make_record(
 
 
 class LedgerWriter:
-    """Streams energy records to CSV.
+    """Streams energy records to CSV, one row per record."""
 
-    With ``strict=True`` an increase of e_modified between consecutive rows
-    (beyond tol * |previous|) raises EnergyLawViolation.  ``strict_from``
-    delays the check; second-order runs pass 1 because their two-level
-    modified energy is only defined (and only provably monotone) from the
-    first full level onward.
-    """
-
-    def __init__(self, path: str | Path, strict: bool = False,
-                 tol: float = 1e-9, strict_from: int = 0):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.strict = strict
-        self.tol = tol
-        self.strict_from = strict_from
-        self._prev: EnergyRecord | None = None
         self._fh = open(self.path, "w", newline="")
         self._writer = csv.writer(self._fh, lineterminator="\n")
         self._writer.writerow(LEDGER_FIELDS)
 
     def append(self, rec: EnergyRecord) -> None:
-        prev = self._prev
-        if (
-            self.strict
-            and prev is not None
-            and prev.step >= self.strict_from
-            and rec.e_modified > prev.e_modified + self.tol * abs(prev.e_modified)
-        ):
-            self._fh.close()
-            raise EnergyLawViolation(
-                f"modified energy increased at step {rec.step}: "
-                f"{prev.e_modified!r} -> {rec.e_modified!r}"
-            )
         self._writer.writerow(
             [rec.step] + [repr(float(getattr(rec, name))) for name in LEDGER_FIELDS[1:]]
         )
-        self._prev = rec
 
     def close(self) -> None:
         self._fh.close()

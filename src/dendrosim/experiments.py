@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bdf1, bdf2
-from .config import RunConfig, dendrite_initial, dendrite_params, serialize_config
+from .config import InvalidValueError, RunConfig, serialize_config
 from .diagnostics import (
     EnergyLawViolation,
     EnergyRecord,
@@ -30,7 +30,7 @@ from .diagnostics import (
     count_axis_branches,
     make_record,
 )
-from .grid import GridSpec, inner
+from .grid import inner
 from .model import NO_SOURCES, EnergyPositivityError, SourceTerms
 from .snapshots import FieldSnapshot, SourceSeriesError, source_from_snapshots, write_snapshot
 
@@ -42,12 +42,12 @@ __all__ = [
     "STABILIZER_SETS",
     "DENDRITE_SNAPSHOT_TIMES",
     "run_single",
+    "check_ladder",
     "reference_solution",
     "run_accuracy",
     "run_stability",
     "run_dendrite",
     "estimate_order",
-    "dendrite_base_config",
 ]
 
 # stabilizer sets (s1, s2, s3, s4) of the xi-quality study
@@ -92,7 +92,6 @@ class ConvergenceReport:
 class StabilityResult:
     stabilizers: tuple[float, float, float, float]
     tau: float
-    monotone: bool
     max_xi_dev: float
     min_a1: float
     ledger_path: Path | None
@@ -181,6 +180,11 @@ def run_single(
     or for bdf2 ``bdf2.bootstrap`` at level 1 and ``bdf2.step2`` after it.
     ``sources`` overrides any snapshot-series forcing declared in the
     configuration's [sources] section.
+
+    With ``cfg.strict_energy``, ledger or not, a row whose modified energy
+    exceeds the previous row's by more than 1e-9 of its magnitude raises
+    EnergyLawViolation before it is written.  Rows of states of different
+    BDF order (bdf2's bootstrap row) are not compared.
     """
     _retain_heap()
     grid = cfg.grid
@@ -197,21 +201,26 @@ def run_single(
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "resolved.cfg").write_text(resolved)
         ledger_path = out_dir / cfg.ledger
-        writer = LedgerWriter(
-            ledger_path,
-            strict=cfg.strict_energy,
-            strict_from=1 if cfg.scheme == "bdf2" else 0,
-        )
+        writer = LedgerWriter(ledger_path)
 
     pending_times = sorted(cfg.snapshot_times)
     min_a1 = math.inf
     max_xi_dev = 0.0
     max_identity = 0.0
     cg_total = cg_max = 0
+    last_order = 0  # BDF order of the state of the last row
 
     def emit(state, report) -> None:
-        nonlocal min_a1, max_xi_dev, max_identity, cg_total, cg_max
+        nonlocal min_a1, max_xi_dev, max_identity, cg_total, cg_max, last_order
         rec = make_record(grid, cfg.params, state, report)
+        if cfg.strict_energy and state.order == last_order:
+            prev = records[-1]
+            if rec.e_modified > prev.e_modified + 1e-9 * abs(prev.e_modified):
+                raise EnergyLawViolation(
+                    f"modified energy increased at step {rec.step}: "
+                    f"{prev.e_modified!r} -> {rec.e_modified!r}"
+                )
+        last_order = state.order
         records.append(rec)
         if writer is not None:
             writer.append(rec)
@@ -258,6 +267,24 @@ def run_single(
     )
 
 
+def check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
+    """The accuracy ladder as a tuple of floats.  Raises InvalidValueError
+    unless it has at least two strictly decreasing step sizes, each at least
+    10x the reference step."""
+    ladder = tuple(float(t) for t in ladder)
+    if len(ladder) < 2:
+        raise InvalidValueError("accuracy ladder needs at least two step sizes")
+    if any(a <= b for a, b in zip(ladder, ladder[1:])):
+        raise InvalidValueError(f"accuracy ladder must be strictly decreasing: {ladder}")
+    # tolerant factor-10 gate (10*ref_tau can round above an exact 10x rung)
+    if min(ladder) < 10.0 * ref_tau * (1.0 - 1e-9):
+        raise InvalidValueError(
+            f"ladder step {min(ladder)} too close to reference tau {ref_tau}; "
+            "need at least a factor 10"
+        )
+    return ladder
+
+
 def reference_solution(cfg: RunConfig, ref_tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Fine-step second-order solution at t_end, used as the surrogate exact
     solution of the self-convergence protocol."""
@@ -277,19 +304,9 @@ def run_accuracy(
     """Self-convergence ladder: L2 errors at t_end against a fine reference.
 
     The reference runs once (second-order scheme at ref_tau) unless supplied.
-    Requires every ladder step to be at least 10x the reference step.
+    The ladder is checked (``check_ladder``) before any stepping.
     """
-    ladder = tuple(float(t) for t in ladder)
-    if len(ladder) < 2:
-        raise ValueError("accuracy ladder needs at least two step sizes")
-    if any(a <= b for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"accuracy ladder must be strictly decreasing: {ladder}")
-    # tolerant factor-10 gate (10*ref_tau can round above an exact 10x rung)
-    if min(ladder) < 10.0 * ref_tau * (1.0 - 1e-9):
-        raise ValueError(
-            f"ladder step {min(ladder)} too close to reference tau {ref_tau}; "
-            "need at least a factor 10"
-        )
+    ladder = check_ladder(ladder, ref_tau)
     if out_dir is not None:  # an unusable directory fails before any stepping
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -336,8 +353,8 @@ def run_stability(
     n_steps: int = 200,
     stabilizer_sets: tuple = STABILIZER_SETS,
 ) -> list[StabilityResult]:
-    """Sweep step sizes and stabilizer sets; every run must dissipate the
-    modified energy monotonically (raises EnergyLawViolation otherwise)."""
+    """Sweep step sizes and stabilizer sets; every run is strict, so one that
+    does not dissipate the modified energy raises EnergyLawViolation."""
     results = []
     for s_set in stabilizer_sets:
         s1, s2, s3, s4 = s_set
@@ -351,18 +368,10 @@ def run_stability(
             )
             sub_dir = None if out_dir is None else Path(out_dir) / tag
             res = run_single(cfg, sub_dir)
-            start = 1 if cfg.scheme == "bdf2" else 0
-            energies = [r.e_modified for r in res.records[start:]]
-            monotone = all(
-                b <= a + 1e-9 * abs(a) for a, b in zip(energies, energies[1:])
-            )
-            if not monotone:
-                raise EnergyLawViolation(f"stability run {tag} lost monotonicity")
             results.append(
                 StabilityResult(
                     stabilizers=s_set,
                     tau=tau,
-                    monotone=monotone,
                     max_xi_dev=res.max_xi_dev,
                     min_a1=res.min_a1,
                     ledger_path=res.ledger_path,
@@ -419,14 +428,3 @@ def estimate_order(errors, taus) -> float:
         raise ValueError("order estimation needs positive errors and taus")
     return float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
 
-
-def dendrite_base_config(nx: int = 256, tau: float = 0.01) -> RunConfig:
-    """Benchmark growth configuration at the default desk-scale resolution."""
-    return RunConfig(
-        grid=GridSpec(nx, nx),
-        scheme="bdf2",
-        tau=tau,
-        t_end=9.0,
-        params=dendrite_params(),
-        initial=dendrite_initial(),
-    )

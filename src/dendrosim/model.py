@@ -122,6 +122,8 @@ class ModelParams:
             raise ValueError(f"eps={self.eps!r} is too small: eps**2 underflows")
         if not self.diff > 0.0:
             raise ValueError("diff must be positive")
+        if not self.latent > 0.0:  # the energies divide by eps * latent
+            raise ValueError(f"latent must be positive, got {self.latent}")
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
         for name in ("s1", "s2", "s3", "s4"):

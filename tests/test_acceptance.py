@@ -7,13 +7,13 @@ is marked slow; deselect with `-m "not slow"` for a quick pass.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dendrosim.config import RunConfig, case2_initial, case2_params
+from dendrosim.config import RunConfig, case2_initial, case2_params, load_config
 from dendrosim.experiments import (
-    dendrite_base_config,
     reference_solution,
     run_accuracy,
     run_dendrite,
@@ -27,6 +27,7 @@ ACCURACY_LADDER = (4e-3, 2e-3, 1e-3, 5e-4)
 # 5e-5 keeps the whole ladder >= 10x the reference step, which the ladder
 # protocol requires (1e-4 would leave the last rung at only 5x)
 REFERENCE_TAU = 5e-5
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def case2_cfg(**overrides) -> RunConfig:
@@ -184,7 +185,7 @@ def test_criterion_5_a1_positivity(identity_runs, stability_runs,
 def test_criterion_6_dendrite_reproduction(tmp_path):
     """256x256, tau = 0.01, K in {0.6, 1.2}: four axis-aligned branches,
     strictly increasing crystal area, thinner crystal at larger K."""
-    base = dendrite_base_config(nx=256, tau=0.01)
+    base = load_config(CONFIG_DIR / "dendrite.cfg")  # 256x256, bdf2, tau = 0.01
     base = replace(base, check_identity=False, strict_energy=True)
     results = {}
     for r in run_dendrite(base, latent_values=(0.6, 1.2), out_dir=tmp_path,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dendrosim.bdf1 import init_state, step
 from dendrosim.bdf2 import bootstrap, step2
 from dendrosim.diagnostics import (
-    EnergyLawViolation,
     EnergyRecord,
     LEDGER_FIELDS,
     LedgerWriter,
@@ -102,25 +101,6 @@ class TestLedger:
         with LedgerWriter(path) as w:
             w.append(_rec(0, ugly))
         assert read_ledger(path)[0].e_modified == ugly
-
-    def test_strict_mode_raises(self, tmp_path):
-        with LedgerWriter(tmp_path / "l.csv", strict=True) as w:
-            w.append(_rec(0, 5.0))
-            w.append(_rec(1, 4.0))
-            with pytest.raises(EnergyLawViolation, match="step 2"):
-                w.append(_rec(2, 4.5))
-
-    def test_strict_from_skips_bootstrap_splice(self, tmp_path):
-        w = LedgerWriter(tmp_path / "l.csv", strict=True, strict_from=1)
-        w.append(_rec(0, 5.0))
-        w.append(_rec(1, 5.3))  # 0 -> 1 exempt
-        with pytest.raises(EnergyLawViolation):
-            w.append(_rec(2, 5.4))
-
-    def test_tolerance_absorbs_roundoff(self, tmp_path):
-        with LedgerWriter(tmp_path / "l.csv", strict=True) as w:
-            w.append(_rec(0, 5.0))
-            w.append(_rec(1, 5.0 * (1 + 1e-12)))
 
 
 class TestBranchCounting:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dendrosim import bdf1, bdf2, experiments, model
-from dendrosim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from dendrosim.cli import EXIT_CONFIG, EXIT_ENERGY, EXIT_NUMERICAL, EXIT_OK, main
 from dendrosim.config import (
     ConfigError,
     RunConfig,
@@ -19,7 +19,7 @@ from dendrosim.config import (
     dendrite_params,
     load_config,
 )
-from dendrosim.diagnostics import NonFiniteRecordError, read_ledger
+from dendrosim.diagnostics import EnergyLawViolation, NonFiniteRecordError, read_ledger
 from dendrosim.experiments import (
     STABILIZER_SETS,
     estimate_order,
@@ -199,6 +199,68 @@ class TestRunSingle:
         assert not out.exists()
 
 
+def _scripted_energies(monkeypatch, energies):
+    """Rows of real levels, with e_modified set to energies[n] at level n."""
+    real = experiments.make_record
+
+    def scripted(grid, p, state, report=None):
+        return replace(real(grid, p, state, report), e_modified=energies[state.n])
+
+    monkeypatch.setattr(experiments, "make_record", scripted)
+
+
+def _inflate_r(monkeypatch, module, name, level):
+    """Rebinds a stepper so that the state it returns at ``level`` has 1.5x its R."""
+    real_step = getattr(module, name)
+
+    def inflating_step(grid, state, *args):
+        new, report = real_step(grid, state, *args)
+        if new.n == level:
+            new = replace(new, r=1.5 * new.r)
+        return new, report
+
+    monkeypatch.setattr(module, name, inflating_step)
+
+
+class TestEnergyLawGuard:
+    """run_single holds every strict_energy run to the energy law, with or
+    without a ledger."""
+
+    def test_strict_mode_raises(self, monkeypatch, tmp_path):
+        _scripted_energies(monkeypatch, [5.0, 4.0, 4.5])
+        cfg = tiny_config(scheme="bdf1", t_end=0.02, strict_energy=True)
+        with pytest.raises(EnergyLawViolation, match="step 2"):
+            run_single(cfg, tmp_path)
+        # the row that broke the law is not written
+        assert [r.step for r in read_ledger(tmp_path / "ledger.csv")] == [0, 1]
+
+    def test_bootstrap_row_not_compared(self, monkeypatch):
+        _scripted_energies(monkeypatch, [5.0, 5.3, 5.4])
+        cfg = tiny_config(scheme="bdf2", t_end=0.02, strict_energy=True)
+        with pytest.raises(EnergyLawViolation, match="step 2"):  # 0 -> 1 exempt
+            run_single(cfg, None)
+        # bdf1 has no bootstrap: its 0 -> 1 rise is a violation
+        with pytest.raises(EnergyLawViolation, match="step 1"):
+            run_single(replace(cfg, scheme="bdf1"), None)
+
+    def test_tolerance_absorbs_roundoff(self, monkeypatch):
+        _scripted_energies(monkeypatch, [5.0, 5.0 * (1 + 1e-12)])
+        run_single(tiny_config(scheme="bdf1", t_end=0.01, strict_energy=True), None)
+
+    @pytest.mark.parametrize("scheme,module,name", [
+        ("bdf1", bdf1, "step"),
+        ("bdf2", bdf2, "step2"),
+    ])
+    def test_guards_run_without_ledger(self, monkeypatch, scheme, module, name):
+        _inflate_r(monkeypatch, module, name, level=3)
+        cfg = tiny_config(scheme=scheme, t_end=0.05)
+        res = run_single(cfg, None)  # not strict: the run goes on
+        assert res.records[3].e_modified > res.records[2].e_modified
+        with pytest.raises(EnergyLawViolation,
+                           match=r"^modified energy increased at step 3: "):
+            run_single(replace(cfg, strict_energy=True), None)
+
+
 def _glibc() -> bool:
     try:
         return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
@@ -302,7 +364,6 @@ class TestRunStability:
         results = run_stability(cfg, taus=(0.5,), out_dir=tmp_path, n_steps=10)
         assert len(results) == len(STABILIZER_SETS)
         for r in results:
-            assert r.monotone
             assert r.min_a1 > 0.0
             assert r.ledger_path.exists()
             assert len(read_ledger(r.ledger_path)) == 11
@@ -462,6 +523,57 @@ class TestCli:
         assert err.startswith("configuration error: model: eps=1e-200 ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("latent", ["0", "-0.1"])
+    def test_nonpositive_latent_exit_code(self, tmp_path, capsys, latent):
+        # the energies divide by the latent heat: a zero one was a
+        # ZeroDivisionError traceback after the output directory was made
+        cfg = tmp_path / "case2.cfg"
+        text = (CONFIG_DIR / "case2.cfg").read_text()
+        assert "\nlatent = 0.1\n" in text
+        cfg.write_text(text.replace("\nlatent = 0.1\n", f"\nlatent = {latent}\n"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: model: latent must be positive, got {float(latent)}\n"
+        assert not out.exists()
+
+    def test_strict_energy_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a modified energy that grows at level 3 ends the run with exit 4
+        _inflate_r(monkeypatch, bdf1, "step", level=3)
+        cfg = self._write_tiny_cfg(tmp_path, scheme="bdf1")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out), "--strict-energy"])
+        assert code == EXIT_ENERGY
+        err = capsys.readouterr().err
+        assert err.startswith("energy law violation: modified energy increased at step 3: ")
+        assert err.count("\n") == 1
+        assert [r.step for r in read_ledger(out / "ledger.csv")] == [0, 1, 2]
+
+    @pytest.mark.parametrize("ladder, needle", [
+        ("1e-3", "accuracy ladder needs at least two step sizes"),
+        ("5e-3,1e-2", "accuracy ladder must be strictly decreasing"),
+        ("1e-2,1e-3", "too close to reference tau"),
+    ])
+    def test_accuracy_bad_ladder_steps_nothing(self, tmp_path, capsys, monkeypatch,
+                                               ladder, needle):
+        # the ladder is checked before the reference run and before --out is made
+        runs, run = [], experiments.run_single
+
+        def counted_run(*args, **kwargs):
+            runs.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_single", counted_run)
+        cfg = self._write_tiny_cfg(tmp_path)
+        out = tmp_path / "acc"
+        code = main(["accuracy", "--config", str(cfg), "--out", str(out),
+                     "--ladder", ladder, "--ref-tau", "5e-4"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and needle in err
+        assert err.count("\n") == 1
+        assert runs == [] and not out.exists()
+
     def test_accuracy_unusable_out_steps_nothing(self, tmp_path, capsys, monkeypatch):
         # an --out that cannot be created fails before the reference run
         runs, run = [], experiments.run_single
@@ -493,7 +605,9 @@ class TestCli:
             "--out", str(tmp_path), "--taus", "0.5", "--steps", "5",
         ])
         assert code == EXIT_OK
-        assert "monotone" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("stabilizers (s1,s2,s3,s4)   tau      max|xi-1|   min a1\n")
+        assert len(out.splitlines()) == 1 + len(STABILIZER_SETS)
 
     def _write_tiny_cfg(self, tmp_path, **tweaks):
         from dendrosim.config import serialize_config
