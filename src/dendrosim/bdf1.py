@@ -2,7 +2,9 @@
 SAV step kernel shared with the second-order scheme.
 
 Both schemes write the time derivative as (a0*x^{n+1} - x_hist)/tau and take
-the nonlinear terms at explicit data x_bar; here a0 = 1, x_hist = x_bar = x^n.
+the nonlinear terms at explicit data x_bar; each state type supplies its
+``a0``, its history ``state.history`` and its lead ``state.lead``, here
+a0 = 1, x_hist = x_bar = x^n.
 :func:`sav_step` then advances (phi, T, mu, R) through four linear elliptic
 solves (:func:`partial_solves`) and a scalar closure:
 
@@ -20,8 +22,8 @@ explicit s4 term of the phase history.
 
 The explicit data of the step from a state (the leads, 1/M, h', E1 and the
 anisotropy geometry at phi_bar) is evaluated once per state by
-:func:`explicit_data` and kept in the state's memo, where the step's
-identity check finds it again.
+:func:`explicit_data`; only a checked step keeps it in the state's memo,
+where its identity check finds it again.
 
 The discrete energy law is written once for both schemes, in terms of the
 BDF order k of a state (``state.order``: 1 here, 2 for ``bdf2.StateBDF2``)
@@ -95,10 +97,13 @@ class StateBDF1:
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     order = 1  # BDF order k of the scheme that advances this state
+    a0 = 1.0  # leading coefficient of its BDF derivative (a0*x^{n+1} - history)/tau
 
     def lead(self, name: str):
         """The explicit data of the next level for field ``name``: x^n itself."""
         return getattr(self, name)
+
+    history = lead  # the history of the BDF derivative is x^n too
 
 
 class EnergyNorms(NamedTuple):
@@ -128,7 +133,7 @@ class ExplicitData(NamedTuple):
     rho: float | np.ndarray  # 1/M(phi_bar)
     hp: np.ndarray  # h'(phi_bar)
     e1: float  # E1(phi_bar)
-    geom: Anisotropy | None  # the anisotropy geometry of phi_bar; None in an unkept memo
+    geom: Anisotropy  # the anisotropy geometry of phi_bar
 
 
 @dataclass
@@ -171,16 +176,15 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
 
 
 def explicit_data(
-    grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2, keep_geometry: bool = False
+    grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2, memoize: bool = False
 ) -> ExplicitData:
     """The explicit data of the step from ``state``, evaluated once per state.
 
-    The step and its identity check read it through the state's ``_norms``
-    memo, and E1(phi_bar) takes ||grad phi_bar||^2 from the state's energy
-    norms.  Only g(phi_bar) needs the geometry, and the step and the check
-    each evaluate g themselves.  The memo keeps the geometry only with
-    ``keep_geometry`` (a step that will be checked); otherwise it lives only
-    as long as the first returned tuple, and later ones hold None.
+    A checked step evaluates it with ``memoize``, so its identity check reads
+    it again from the state's ``_norms`` memo.  An unchecked step has no
+    second reader and keeps no memo, so h' and the geometry die with the
+    step's last use of them.  E1(phi_bar) takes ||grad phi_bar||^2 from the
+    state's energy norms.
     """
     key = ("explicit", grid, p)
     data = state._norms.get(key)
@@ -193,7 +197,8 @@ def explicit_data(
             e1=e1_energy(grid, phi_bar, p, geom, state_norms(grid, state).grad_lead),
             geom=geom,
         )
-        state._norms[key] = data if keep_geometry else data._replace(geom=None)
+        if memoize:
+            state._norms[key] = data
     return data
 
 
@@ -207,6 +212,7 @@ def partial_solves(
     is forced by ``core`` = -g - (lam/eps) h' T_bar, so mu_2 = core +
     s1*Lap(phi_2) - (s2/eps^2) phi_2; T_2 is forced by ``temp_forcing`` =
     K h' M mu_bar.  ``src`` holds the optional phase and temperature sources.
+    Each right-hand side this builds dies after its solve.
 
     mu_1 and mu_2 are read off the phase solves' own equations rather than
     from another Laplacian: coeff*phi - b*Lap(phi) = rhs with b = s1 + s4
@@ -219,34 +225,34 @@ def partial_solves(
     s1_b = p.s1 / b if b > 0.0 else 0.0  # b = 0 forces s1 = 0
     s2_e = p.s2 / p.eps**2
     coeff = a0 * rho / tau + (p.s2 + p.s3) / p.eps**2
+    rhs_t1 = temp_hist / tau
+    del hist, temp_hist
+    if src_temp is not None:
+        rhs_t1 += src_temp
+    temp1 = helmholtz_solve(grid, a0 / tau, p.diff, rhs_t1)
+    del rhs_t1
+    temp2 = helmholtz_solve(grid, a0 / tau, p.diff, temp_forcing)
     rhs1 = phi_hist * (rho / tau) + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid, phi_bar)
     if src_phi is not None:
-        rhs1 = rhs1 + rho * src_phi
+        rhs1 += rho * src_phi
     phi1, it1 = solve_shifted(grid, coeff, b, rhs1)
+    mu1 = s1_b * (coeff * phi1 - rhs1) - s2_e * phi1
+    del rhs1
     phi2, it2 = solve_shifted(grid, coeff, b, core)
-    rhs_t1 = temp_hist / tau
-    if src_temp is not None:
-        rhs_t1 = rhs_t1 + src_temp
-    return PartialSolves(
-        phi1=phi1,
-        mu1=s1_b * (coeff * phi1 - rhs1) - s2_e * phi1,
-        phi2=phi2,
-        mu2=core + s1_b * (coeff * phi2 - core) - s2_e * phi2,
-        temp1=helmholtz_solve(grid, a0 / tau, p.diff, rhs_t1),
-        temp2=helmholtz_solve(grid, a0 / tau, p.diff, temp_forcing),
-        cg_iterations=it1 + it2,
-    )
+    mu2 = core + s1_b * (coeff * phi2 - core) - s2_e * phi2
+    return PartialSolves(phi1, mu1, phi2, mu2, temp1, temp2, cg_iterations=it1 + it2)
 
 
 def sav_step(
-    grid: GridSpec, p: ModelParams, tau: float, a0: float,
-    hist: tuple[np.ndarray, np.ndarray, float], bar: ExplicitData,
-    sources: SourceTerms, t_new: float,
+    grid: GridSpec, p: ModelParams, tau: float, state: StateBDF1 | StateBDF2,
+    sources: SourceTerms, t_new: float, checked: bool,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], StepReport]:
     """One step of either scheme to ``t_new``; returns the new (phi, T, mu, R).
 
-    ``hist`` = (phi_hist, T_hist, R_hist) is the history of the BDF derivative
-    (a0*x^{n+1} - x_hist)/tau, ``bar`` the explicit data (:func:`explicit_data`).
+    ``state`` supplies ``a0`` and ``history`` of the BDF derivative
+    (a0*x^{n+1} - x_hist)/tau; its explicit data (:func:`explicit_data`) is
+    memoized only for the identity check of a ``checked`` step.  Each field
+    dies at its last use, and the new fields are recombined in place.
     A1 collects 2*a0 times the auxiliary energy plus weighted squares
     of the xi-proportional parts, hence is always positive; the solve
     equations of phi_2 and T_2 turn those squares into the products
@@ -254,13 +260,15 @@ def sav_step(
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
-    (phi_hist, temp_hist, r_hist), (phi_bar, temp_bar, mu_bar, rho, hp, e1, geom) = hist, bar
-    del bar  # an unchecked step's geometry is then freed with ``del geom``
+    a0 = state.a0
+    phi_bar, temp_bar, mu_bar, rho, hp, e1, geom = explicit_data(grid, p, state, checked)
     core = -(g_residual(grid, phi_bar, p, geom) + (p.lam / p.eps) * hp * temp_bar)
     del geom
     temp_forcing = p.latent * hp / rho * mu_bar
+    del hp
+    phi_hist = state.history("phi")
     parts = partial_solves(
-        grid, p, tau, a0, rho, (phi_hist, temp_hist), phi_bar, core, temp_forcing,
+        grid, p, tau, a0, rho, (phi_hist, state.history("temp")), phi_bar, core, temp_forcing,
         (sources.phi_at(grid, t_new), sources.temp_at(grid, t_new)),
     )
     lam_ek = p.lam / (p.eps * p.latent)
@@ -274,18 +282,22 @@ def sav_step(
     # the T_2 equation a0*T_2/tau - D*Lap(T_2) = temp_forcing turns the A2
     # term <-a0*T_2 + tau*D*Lap(T_2), T_1> into -tau*<temp_forcing, T_1>
     a2 = math.fsum([
-        2.0 * math.sqrt(e1) * r_hist,
+        2.0 * math.sqrt(e1) * state.history("r"),
         -inner(grid, core, a0 * parts.phi1 - phi_hist),
         -lam_ek * tau * inner(grid, temp_forcing, parts.temp1),
     ])
+    del core, temp_forcing, phi_hist
     if not a1 > 0.0:
         raise FloatingPointError(
             f"closure denominator A1={a1} is not positive; this violates a "
             "structural invariant of the scheme"
         )
     xi = a2 / a1
-    new = (parts.phi1 + xi * parts.phi2, parts.temp1 + xi * parts.temp2,
-           parts.mu1 + xi * parts.mu2, xi * math.sqrt(e1))
+    for whole, part in ((parts.phi1, parts.phi2), (parts.temp1, parts.temp2),
+                        (parts.mu1, parts.mu2)):
+        part *= xi
+        whole += part  # bitwise whole + xi*part
+    new = (parts.phi1, parts.temp1, parts.mu1, xi * math.sqrt(e1))
     return new, StepReport(xi=xi, a1=a1, a2=a2, cg_iterations=parts.cg_iterations)
 
 
@@ -303,10 +315,7 @@ def step(
     loop drives either scheme.
     """
     t_new = state.t + tau
-    (phi, temp, mu, r), report = sav_step(
-        grid, p, tau, 1.0, (state.phi, state.temp, state.r),
-        explicit_data(grid, p, state, check_identity), sources, t_new,
-    )
+    (phi, temp, mu, r), report = sav_step(grid, p, tau, state, sources, t_new, check_identity)
     new = StateBDF1(phi=phi, temp=temp, mu=mu, r=r, t=t_new, n=state.n + 1)
     if check_identity:
         report.identity_residual = energy_identity_residual(grid, p, tau, state, new)
@@ -384,7 +393,7 @@ def identity_proof_lines(
     """
     k = before.order
     phi_bar, temp_bar, mu_bar, rho_bar, hp_bar, e1_bar, geom = explicit_data(grid, p, before)
-    g_bar = g_residual(grid, phi_bar, p, geom)  # evaluates the geometry if the memo kept none
+    g_bar = g_residual(grid, phi_bar, p, geom)
     del geom
     xi = after.r / math.sqrt(e1_bar)
     lam_e = p.lam / p.eps

@@ -1,8 +1,10 @@
 """Second-order decoupled, unconditionally energy-stable time stepper.
 
 Each step runs the shared SAV kernel ``bdf1.sav_step`` with the
-backward-difference-2 coefficient a0 = 3/2, history 2*(.)^n - (.)^{n-1}/2 and
-all explicit data taken at the lead of the state, the linear extrapolation
+backward-difference-2 coefficient a0 = 3/2 and history 2*(.)^n - (.)^{n-1}/2
+(``StateBDF2.a0`` and :meth:`StateBDF2.history`; the kernel forms the
+history after g(phi_bar)), and all explicit data taken at the lead of the
+state, the linear extrapolation
 2*(.)^n - (.)^{n-1} (:meth:`StateBDF2.lead`, the one place it is formed,
 once per state: the ledger row's norms build the leads of phi and T, and
 ``bdf1.explicit_data`` reads them at the next step).
@@ -55,6 +57,7 @@ class StateBDF2:
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     order = 2  # BDF order k of the scheme that advances this state
+    a0 = 1.5  # leading coefficient of its BDF derivative (a0*x^{n+1} - history)/tau
 
     def lead(self, name: str):
         """The explicit data of the next level for field ``name``: the linear
@@ -64,6 +67,11 @@ class StateBDF2:
         if key not in self._norms:
             self._norms[key] = 2.0 * getattr(self, name) - getattr(self, name + "_prev")
         return self._norms[key]
+
+    def history(self, name: str):
+        """The history of the BDF derivative for field ``name``, 2x^n - x^{n-1}/2;
+        formed afresh at each call, so it dies with the step's last use."""
+        return 2.0 * getattr(self, name) - 0.5 * getattr(self, name + "_prev")
 
 
 def bootstrap(
@@ -98,13 +106,9 @@ def step2(
     """Advance one time level with the second-order scheme: the SAV kernel
     with a0 = 3/2, history 2x^n - x^{n-1}/2 and explicit data 2x^n - x^{n-1}."""
     t_new = state.t + tau
-    hist = (2.0 * state.phi - 0.5 * state.phi_prev, 2.0 * state.temp - 0.5 * state.temp_prev,
-            2.0 * state.r - 0.5 * state.r_prev)
     try:
-        (phi, temp, mu, r), report = bdf1.sav_step(
-            grid, p, tau, 1.5, hist, bdf1.explicit_data(grid, p, state, check_identity),
-            sources, t_new,
-        )
+        (phi, temp, mu, r), report = bdf1.sav_step(grid, p, tau, state, sources, t_new,
+                                                   check_identity)
     except EnergyPositivityError as exc:
         raise EnergyPositivityError(
             f"{exc} (extrapolated field at t={t_new:g}; a larger bconst or a "

@@ -237,6 +237,7 @@ def run_single(
     level, t_level = 0, 0.0
     try:
         state = bdf1.init_state(grid, phi0, temp0, cfg.params)
+        del phi0, temp0  # the state holds copies
         emit(state, None)
         for _ in range(cfg.n_steps):
             level, t_level = state.n + 1, state.t + cfg.tau

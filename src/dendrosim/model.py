@@ -120,6 +120,8 @@ class ModelParams:
             raise ValueError("eps must be positive")
         if self.eps * self.eps < sys.float_info.min:  # the steps divide by eps^2
             raise ValueError(f"eps={self.eps!r} is too small: eps**2 underflows")
+        if not self.lam > 0.0:  # the modified energy weighs ||T||^2 by lam/(eps*latent)
+            raise ValueError(f"lambda must be positive, got {self.lam}")
         if not self.diff > 0.0:
             raise ValueError("diff must be positive")
         if not self.latent > 0.0:  # the energies divide by eps * latent
@@ -288,8 +290,11 @@ def g_residual(
     grid.check(phi)
     if geom is None:
         geom = anisotropy(grid, phi, p.sigma)
-    out = (f_well(phi) - p.s2 * phi) / p.eps**2
-    w = geom.kap * geom.kap
+    out = f_well(phi)
+    w = np.multiply(phi, p.s2)  # one buffer: s2*phi, then kappa^2 - s1
+    out -= w
+    out /= p.eps**2
+    np.multiply(geom.kap, geom.kap, out=w)
     w -= p.s1
     out -= face_flux_divergence(grid, w, phi)
     del w

@@ -3,9 +3,10 @@
 The constant-coefficient solve diagonalizes the compact Neumann Laplacian
 in the DCT-II cosine basis, which is exact up to roundoff.  It allocates
 two full fields: the cosine coefficients, which the in-place inverse
-transform turns into the result, and the divisor a - b*lambda.  Divisors
-are not cached: the steppers use several (a, b) pairs per grid and each
-cached one would stay resident.  The variable
+transform turns into the result, and the divisor a - b*lambda.  Only the
+two 1-D eigenvalue vectors are cached per grid: the divisor is built from
+them as (lx_i + ly_j)*(-b) + a, the same rounded sums a cached 2-D lambda
+would hold, and neither it nor a 2-D lambda stays resident.  The variable
 coefficient solve (c(x)*I - b*Laplacian) runs conjugate gradients
 preconditioned with the constant solve at mean(c): the coefficients that
 arise in the time steppers vary mildly about their mean, so the
@@ -44,10 +45,12 @@ class SolverError(RuntimeError):
 
 
 @lru_cache(maxsize=32)
-def _neumann_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
+def _neumann_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D eigenvalues of the Neumann Laplacian along x (a column) and y."""
     lx = -(2.0 / hx**2) * (1.0 - np.cos(np.pi * np.arange(nx) / nx))
     ly = -(2.0 / hy**2) * (1.0 - np.cos(np.pi * np.arange(ny) / ny))
-    return lx[:, None] + ly[None, :]
+    lx.flags.writeable = ly.flags.writeable = False  # shared by every solve on the grid
+    return lx[:, None], ly
 
 
 def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
@@ -64,7 +67,8 @@ def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.n
         raise ValueError("helmholtz_solve: rhs contains non-finite values")
     if b == 0.0:
         return rhs / a
-    div = np.multiply(_neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy), -b)
+    div = np.add(*_neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy))  # lx_i + ly_j
+    div *= -b
     div += a
     coef = dctn(rhs, type=2, norm="ortho")
     coef /= div

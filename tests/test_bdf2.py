@@ -14,6 +14,7 @@ from dendrosim.diagnostics import make_record
 from dendrosim.experiments import reference_solution, run_accuracy
 from dendrosim.grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from dendrosim.model import (
+    Anisotropy,
     ConstantMobility,
     EnergyPositivityError,
     FieldMobility,
@@ -570,17 +571,22 @@ class TestExplicitDataMemo:
             assert got.e1 == e1_energy(grid, fresh.lead("phi"), p)
 
     def test_memo_keeps_geometry_only_for_checked_step(self, case2, scheme):
+        # the identity check is the only second reader of the explicit data:
+        # an unchecked step keeps no memo, so h' and the geometry die with the
+        # step, and a checked one keeps it, geometry included
         grid, p, phi0, temp0 = case2
         state = init_state(grid, phi0, temp0, p)
         step_fn = bdf1.step
         if scheme == "bdf2":
             state, _ = bootstrap(grid, state, 0.1, p)
             step_fn = step2
-        for check, kept in ((False, False), (True, True)):
-            before = replace(state)
-            step_fn(grid, before, 0.1, p, check_identity=check)
-            (memo,) = _explicit_memos(before)
-            assert (memo.geom is not None) == kept
+        before = replace(state)
+        step_fn(grid, before, 0.1, p, check_identity=False)
+        assert _explicit_memos(before) == []
+        before = replace(state)
+        step_fn(grid, before, 0.1, p, check_identity=True)
+        (memo,) = _explicit_memos(before)
+        assert isinstance(memo.geom, Anisotropy)
 
     def test_checked_run_evaluates_once_per_level(self, case2, scheme, monkeypatch):
         # a checked run_single calls e1_energy and h_prime once per level

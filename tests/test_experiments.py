@@ -2,6 +2,7 @@ import math
 import os
 import resource
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -334,6 +335,35 @@ class TestRetainHeap:
         assert faults < 50 * levels
 
 
+class TestWorkingSet:
+    """A level holds the state, its leads and the fields of its solves, and
+    every transient of the step dies at its last use."""
+
+    # peak traced fields over the run's baseline, half a field above what the
+    # steps reach (21.1 / 25.1 / 15.0 / 18.1); where a call's arguments live as
+    # long as the call (Python 3.10), a checked bdf2 step peaks a field higher
+    BOUNDS = {("bdf2", False): 21.5, ("bdf2", True): 26.5,
+              ("bdf1", False): 15.5, ("bdf1", True): 18.5}
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
+    @pytest.mark.parametrize("scheme, check", list(BOUNDS))
+    def test_peak_live_fields(self, scheme, check):
+        cfg = load_config(CONFIG_DIR / "dendrite.cfg")
+        grid = GridSpec(128, 128, cfg.grid.x0, cfg.grid.x1, cfg.grid.y0, cfg.grid.y1)
+        cfg = replace(cfg, grid=grid, scheme=scheme, check_identity=check,
+                      t_end=5 * cfg.tau, snapshot_times=())
+        run_single(cfg)  # caches and FFT plans are filled by a first run
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_single(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = (peak - base) / (8 * grid.nx * grid.ny)
+        assert fields <= self.BOUNDS[scheme, check]
+
+
 class TestRunAccuracy:
     def test_mini_ladder_first_order(self):
         cfg = tiny_config(scheme="bdf1", t_end=0.1)
@@ -535,6 +565,22 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"configuration error: model: latent must be positive, got {float(latent)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["0", "-1"])
+    def test_nonpositive_lambda_exit_code(self, tmp_path, capsys, lam):
+        # lambda = -1 made the modified energy unbounded below (a run without
+        # --strict-energy exited 0, with it exit 4 at step 2), and lambda = 0
+        # silently dropped the temperature energy
+        cfg = tmp_path / "case2.cfg"
+        text = (CONFIG_DIR / "case2.cfg").read_text()
+        assert "\nlambda = 1.0\n" in text
+        cfg.write_text(text.replace("\nlambda = 1.0\n", f"\nlambda = {lam}\n"))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out), "--t-end", "0.005"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: model: lambda must be positive, got {float(lam)}\n"
         assert not out.exists()
 
     def test_strict_energy_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -70,6 +70,13 @@ class TestParams:
                 make_params(eps=eps)
         make_params(eps=1e-150)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_rejects_nonpositive_lambda(self, lam):
+        # the modified energy weighs ||T||^2 by lam/(eps*latent): lam <= 0
+        # would drop that term or leave the energy unbounded below
+        with pytest.raises(ValueError, match=f"lambda must be positive, got {lam}"):
+            make_params(lam=lam)
+
     def test_rejects_nonpositive_mobility(self):
         with pytest.raises(ValueError, match="rho"):
             ConstantMobility(0.0)
