@@ -18,12 +18,13 @@ solves (:func:`partial_solves`) and a scalar closure:
 
 mu_1, mu_2 and the T_2 Laplacian in A2 are taken from the equations the
 solves just satisfied, so the only real-space Laplacian of a step is the
-explicit s4 term of the phase history.
+explicit s4 term of the phase history, and none when s4 = 0.
 
 The explicit data of the step from a state (the leads, 1/M, h', E1 and the
 anisotropy geometry at phi_bar) is evaluated once per state by
 :func:`explicit_data`; only a checked step keeps it in the state's memo,
-where its identity check finds it again.
+where its identity check finds it again.  The ledger row of phi^n = phi_bar
+hands its geometry to the step through the memo (:func:`state_geometry`).
 
 The discrete energy law is written once for both schemes, in terms of the
 BDF order k of a state (``state.order``: 1 here, 2 for ``bdf2.StateBDF2``)
@@ -71,6 +72,7 @@ __all__ = [
     "PartialSolves",
     "init_state",
     "explicit_data",
+    "state_geometry",
     "partial_solves",
     "sav_step",
     "step",
@@ -172,7 +174,19 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
         - (p.s2 / p.eps**2) * phi0
         - (p.lam / p.eps) * h_prime(phi0) * temp0
     )
-    return StateBDF1(phi=phi0.copy(), temp=temp0.copy(), mu=mu0, r=math.sqrt(e1))
+    state = StateBDF1(phi=phi0.copy(), temp=temp0.copy(), mu=mu0, r=math.sqrt(e1))
+    state._norms["geometry", grid, p] = geom  # for the level-0 row and the first step
+    return state
+
+
+def state_geometry(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2) -> Anisotropy:
+    """The anisotropy geometry of ``state.phi``.  Where phi is the state's own
+    lead, the step from the state needs it again: it stays in the state's memo
+    until :func:`explicit_data` takes it out, and dies after the step's g."""
+    geom = state._norms.get(("geometry", grid, p)) or anisotropy(grid, state.phi, p.sigma)
+    if state.lead("phi") is state.phi:
+        state._norms["geometry", grid, p] = geom
+    return geom
 
 
 def explicit_data(
@@ -190,7 +204,7 @@ def explicit_data(
     data = state._norms.get(key)
     if data is None:
         phi_bar = state.lead("phi")
-        geom = anisotropy(grid, phi_bar, p.sigma)
+        geom = state._norms.pop(("geometry", grid, p), None) or anisotropy(grid, phi_bar, p.sigma)
         data = ExplicitData(
             phi=phi_bar, temp=state.lead("temp"), mu=state.lead("mu"),
             rho=p.mobility.rho_at(phi_bar), hp=h_prime(phi_bar),
@@ -212,7 +226,7 @@ def partial_solves(
     is forced by ``core`` = -g - (lam/eps) h' T_bar, so mu_2 = core +
     s1*Lap(phi_2) - (s2/eps^2) phi_2; T_2 is forced by ``temp_forcing`` =
     K h' M mu_bar.  ``src`` holds the optional phase and temperature sources.
-    Each right-hand side this builds dies after its solve.
+    Each right-hand side dies after its solve; zero s3 and s4 terms are skipped.
 
     mu_1 and mu_2 are read off the phase solves' own equations rather than
     from another Laplacian: coeff*phi - b*Lap(phi) = rhs with b = s1 + s4
@@ -232,7 +246,11 @@ def partial_solves(
     temp1 = helmholtz_solve(grid, a0 / tau, p.diff, rhs_t1)
     del rhs_t1
     temp2 = helmholtz_solve(grid, a0 / tau, p.diff, temp_forcing)
-    rhs1 = phi_hist * (rho / tau) + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid, phi_bar)
+    rhs1 = phi_hist * (rho / tau)
+    if p.s3 > 0.0:
+        rhs1 += (p.s3 / p.eps**2) * phi_bar
+    if p.s4 > 0.0:
+        rhs1 -= p.s4 * laplacian(grid, phi_bar)
     if src_phi is not None:
         rhs1 += rho * src_phi
     phi1, it1 = solve_shifted(grid, coeff, b, rhs1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bdf1, bdf2
 from .grid import GridSpec, integrate
-from .model import ModelParams, anisotropy, e1_energy, original_energy
+from .model import ModelParams, e1_energy, original_energy
 
 __all__ = [
     "EnergyRecord",
@@ -77,10 +77,10 @@ def make_record(
 
     Without a report (the initial level) xi is 1 by convention, the
     identity residual is 0, and a1 takes its decoupled-limit value
-    2*E1(phi).
+    2*E1(phi).  Its geometry of phi goes on to a bdf1 step (``bdf1.state_geometry``).
     """
     e_mod = bdf1.scheme_energy(grid, p, state)
-    geom = anisotropy(grid, state.phi, p.sigma)
+    geom = bdf1.state_geometry(grid, p, state)
     if report is None:
         xi = 1.0
         identity = 0.0

@@ -258,7 +258,7 @@ def run_single(
     return RunResult(
         config=cfg,
         records=records,
-        final_state=state,
+        final_state=replace(state),  # a fresh memo: no step takes the last row's geometry
         ledger_path=ledger_path,
         min_a1=min_a1,
         max_xi_dev=max_xi_dev,

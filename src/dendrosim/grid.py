@@ -21,10 +21,12 @@ that exactness is what makes the discrete energy identities balance.
 No ghost cell or wall face is ever stored.  Face differences live on the
 interior faces only, (nx-1, ny) across x and (nx, ny-1) across y; the zero
 flux through the wall faces is implicit, and the wall rows and columns of
-each result are written by slice assignment.  The arithmetic is that of the
-ghost-cell formulation above, operation for operation, so the array
-operators match it bit for bit; ``grad_inner`` skips the zero wall products
-and so differs from it only in summation order.
+each result are written by slice assignment.  y-differences are taken on
+the flattened C-ordered field, one contiguous run; its entries that straddle
+two rows are overwritten by the wall-column assignments.  The arithmetic is
+that of the ghost-cell formulation above, operation for operation, so the
+array operators match it bit for bit; ``grad_inner`` skips the zero wall
+products and so differs from it only in summation order.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def gradient(grid: GridSpec, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gx[-1, :] = f[-1, :] - f[-2, :]
     gx /= 2.0 * grid.hx
     gy = np.empty(grid.shape)
-    np.subtract(f[:, 2:], f[:, :-2], out=gy[:, 1:-1])
+    np.subtract(f.ravel()[2:], f.ravel()[:-2], out=gy.ravel()[1:-1])
     gy[:, 0] = f[:, 1] - f[:, 0]
     gy[:, -1] = f[:, -1] - f[:, -2]
     gy /= 2.0 * grid.hy
@@ -135,7 +137,7 @@ def divergence(grid: GridSpec, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     dx[-1, :] = -vx[-1, :] - vx[-2, :]
     dx /= 2.0 * grid.hx
     dy = np.empty(grid.shape)
-    np.subtract(vy[:, 2:], vy[:, :-2], out=dy[:, 1:-1])
+    np.subtract(vy.ravel()[2:], vy.ravel()[:-2], out=dy.ravel()[1:-1])
     dy[:, 0] = vy[:, 1] + vy[:, 0]
     dy[:, -1] = -vy[:, -1] - vy[:, -2]
     dy /= 2.0 * grid.hy
@@ -143,33 +145,42 @@ def divergence(grid: GridSpec, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _flux_divergence(grid: GridSpec, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Divergence of face fluxes given on the interior faces only.
+def _face_fluxes(f: np.ndarray, w: np.ndarray | None, h: float) -> np.ndarray:
+    """Fluxes w*(f[1:] - f[:-1])/h along the first axis, w averaged onto faces."""
+    flux = np.subtract(f[1:], f[:-1])
+    if w is not None:
+        w_face = np.add(w[1:], w[:-1])
+        w_face *= 0.5
+        flux *= w_face
+    flux /= h
+    return flux
 
-    ``fx`` has shape (nx-1, ny) and ``fy`` (nx, ny-1); the flux through
-    the wall faces is zero.
-    """
+
+def _flux_divergence(grid: GridSpec, w: np.ndarray | None, f: np.ndarray) -> np.ndarray:
+    """Divergence of the face fluxes of w*grad(f), zero through the walls.
+    The x-fluxes are reduced into the result before the y-fluxes exist; the
+    wall columns, which the straddling y-entries reach, are written last."""
+    fx = _face_fluxes(f, w, grid.hx)
     out = np.empty(grid.shape)
     out[0, :] = fx[0, :]
     np.subtract(fx[1:, :], fx[:-1, :], out=out[1:-1, :])
     out[-1, :] = -fx[-1, :]
     out /= grid.hx
-    dy = np.diff(fy, axis=1)
+    del fx
+    fy = _face_fluxes(f.ravel(), None if w is None else w.ravel(), grid.hy)
+    first = out[:, 0] + fy[::grid.ny] / grid.hy
+    last = out[:, -1] - fy[grid.ny - 2::grid.ny] / grid.hy
+    dy = np.subtract(fy[1:], fy[:-1])
     dy /= grid.hy
-    out[:, 1:-1] += dy
-    out[:, 0] += fy[:, 0] / grid.hy
-    out[:, -1] -= fy[:, -1] / grid.hy
+    out.ravel()[1:-1] += dy
+    out[:, 0], out[:, -1] = first, last
     return out
 
 
 def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     """Compact 5-point Neumann Laplacian (face fluxes, zero at the walls)."""
     grid.check(f)
-    fx = np.diff(f, axis=0)
-    fx /= grid.hx
-    fy = np.diff(f, axis=1)
-    fy /= grid.hy
-    return _flux_divergence(grid, fx, fy)
+    return _flux_divergence(grid, None, f)
 
 
 def face_flux_divergence(
@@ -181,15 +192,7 @@ def face_flux_divergence(
     this reduces bit-for-bit to :func:`laplacian`.
     """
     grid.check(w, f)
-    fx = np.add(w[1:, :], w[:-1, :])
-    fx *= 0.5
-    fx *= np.diff(f, axis=0)
-    fx /= grid.hx
-    fy = np.add(w[:, 1:], w[:, :-1])
-    fy *= 0.5
-    fy *= np.diff(f, axis=1)
-    fy /= grid.hy
-    return _flux_divergence(grid, fx, fy)
+    return _flux_divergence(grid, w, f)
 
 
 def inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:

@@ -12,10 +12,13 @@ Snapshot layout (all little-endian, no padding):
 Checkpoints stack the same header idea with a scheme tag and the full
 scalar state, followed by the state's fields in a fixed order, so
 restore-then-step reproduces uninterrupted stepping bit for bit.
+Fields are read in place; a payload cut short or followed by trailing bytes is rejected.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,14 +77,32 @@ def _field_bytes(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-def _field_from(buf: bytes, offset: int, nx: int, ny: int, where: str) -> tuple[np.ndarray, int]:
-    need = nx * ny * 8
-    if len(buf) - offset < need:
+def _read_header(fh, header: struct.Struct, magic: bytes, version: int, where: str) -> tuple:
+    head = fh.read(header.size)
+    if len(head) < header.size:
         raise SnapshotFormatError(
-            f"truncated payload in {where}: expected {need} bytes, found {len(buf) - offset}"
+            f"truncated header in {where}: expected {header.size} bytes, found {len(head)}"
         )
-    arr = np.frombuffer(buf, dtype="<f8", count=nx * ny, offset=offset)
-    return arr.reshape(nx, ny).copy(), offset + need
+    found_magic, found_version, *rest = header.unpack(head)
+    if found_magic != magic:
+        raise SnapshotFormatError(f"bad magic in {where}: {found_magic!r}")
+    if found_version != version:
+        raise SnapshotFormatError(f"unsupported version {found_version} in {where}")
+    return rest
+
+
+def _read_fields(fh, size: int, names: tuple, nx: int, ny: int, where: str) -> dict:
+    """Read the named (nx, ny) fields that must fill the rest of the ``size``
+    bytes of ``fh``, each straight into its array."""
+    need, found = 8 * nx * ny * len(names), size - fh.tell()
+    if found != need:
+        kind = "truncated payload" if found < need else "trailing bytes"
+        raise SnapshotFormatError(f"{kind} in {where}: expected {need} bytes, found {found}")
+    fields = {name: np.empty((nx, ny), dtype="<f8") for name in names}
+    for values in fields.values():
+        if fh.readinto(values) != values.nbytes:
+            raise SnapshotFormatError(f"{where} shrank while it was read")
+    return fields
 
 
 def write_snapshot(snap: FieldSnapshot, path: str | Path) -> None:
@@ -100,17 +121,11 @@ def write_snapshot(snap: FieldSnapshot, path: str | Path) -> None:
 
 
 def read_snapshot(path: str | Path) -> FieldSnapshot:
-    buf = Path(path).read_bytes()
-    if len(buf) < _SNAP_HEADER.size:
-        raise SnapshotFormatError(
-            f"truncated header in {path}: expected {_SNAP_HEADER.size} bytes, found {len(buf)}"
-        )
-    magic, version, nx, ny, x0, x1, y0, y1, time, name = _SNAP_HEADER.unpack_from(buf)
-    if magic != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"bad magic in {path}: {magic!r}")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"unsupported snapshot version {version} in {path}")
-    values, _ = _field_from(buf, _SNAP_HEADER.size, nx, ny, str(path))
+    with open(path, "rb") as fh:
+        nx, ny, x0, x1, y0, y1, time, name = _read_header(
+            fh, _SNAP_HEADER, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, str(path))
+        size = os.fstat(fh.fileno()).st_size
+        values = _read_fields(fh, size, ("values",), nx, ny, str(path))["values"]
     grid = GridSpec(nx=nx, ny=ny, x0=x0, x1=x1, y0=y0, y1=y1)
     return FieldSnapshot(grid=grid, time=time, name=name.rstrip(b"\0").decode("utf-8"),
                          values=values)
@@ -140,29 +155,18 @@ def checkpoint(grid: GridSpec, state: StateBDF1 | StateBDF2) -> bytes:
     return b"".join(chunks)
 
 
-def restore(buf: bytes) -> tuple[GridSpec, StateBDF1 | StateBDF2]:
-    if len(buf) < _CKPT_HEADER.size:
-        raise SnapshotFormatError(
-            f"truncated checkpoint header: expected {_CKPT_HEADER.size} bytes, found {len(buf)}"
-        )
-    (magic, version, tag, nx, ny, x0, x1, y0, y1, n, t, r, r_prev) = _CKPT_HEADER.unpack_from(buf)
-    if magic != CHECKPOINT_MAGIC:
-        raise SnapshotFormatError(f"bad checkpoint magic: {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise SnapshotFormatError(f"unsupported checkpoint version {version}")
+def restore(buf: bytes, where: str = "checkpoint") -> tuple[GridSpec, StateBDF1 | StateBDF2]:
+    fh = io.BytesIO(buf)
+    tag, nx, ny, x0, x1, y0, y1, n, t, r, r_prev = _read_header(
+        fh, _CKPT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, where)
     grid = GridSpec(nx=nx, ny=ny, x0=x0, x1=x1, y0=y0, y1=y1)
-    offset = _CKPT_HEADER.size
+    if tag not in (b"BDF1", b"BDF2"):
+        raise SnapshotFormatError(f"unknown scheme tag {tag!r}")
+    names = _BDF1_FIELDS if tag == b"BDF1" else _BDF2_FIELDS
+    arrays = _read_fields(fh, len(buf), names, nx, ny, where)
     if tag == b"BDF1":
-        arrays = {}
-        for name in _BDF1_FIELDS:
-            arrays[name], offset = _field_from(buf, offset, nx, ny, "checkpoint")
         return grid, StateBDF1(r=r, t=t, n=n, **arrays)
-    if tag == b"BDF2":
-        arrays = {}
-        for name in _BDF2_FIELDS:
-            arrays[name], offset = _field_from(buf, offset, nx, ny, "checkpoint")
-        return grid, StateBDF2(r=r, r_prev=r_prev, t=t, n=n, **arrays)
-    raise SnapshotFormatError(f"unknown scheme tag {tag!r}")
+    return grid, StateBDF2(r=r, r_prev=r_prev, t=t, n=n, **arrays)
 
 
 def write_checkpoint(path: str | Path, grid: GridSpec, state: StateBDF1 | StateBDF2) -> None:
@@ -170,7 +174,7 @@ def write_checkpoint(path: str | Path, grid: GridSpec, state: StateBDF1 | StateB
 
 
 def read_checkpoint(path: str | Path) -> tuple[GridSpec, StateBDF1 | StateBDF2]:
-    return restore(Path(path).read_bytes())
+    return restore(Path(path).read_bytes(), str(path))
 
 
 def source_from_snapshots(directory: str | Path, prefix: str, tau: float):

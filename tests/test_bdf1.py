@@ -23,7 +23,7 @@ from dendrosim.model import (
     g_residual,
     h_prime,
 )
-from dendrosim.solvers import CG_TOL
+from dendrosim.solvers import CG_TOL, solve_shifted
 
 from conftest import smooth_field
 
@@ -219,6 +219,47 @@ class TestPhaseSolves:
         assert np.max(np.abs(res_a)) < (1e-10 * max(1.0, np.max(np.abs(phi2)) / tau)
                                         + p.s4 * slack / np.min(rho))
         assert np.max(np.abs(res_b)) < 1e-10 * max(1.0, np.max(np.abs(mu2))) + p.s1 * slack
+
+
+class TestZeroStabilizers:
+    """A zero stabilizer weight costs nothing and moves no bit."""
+
+    @pytest.mark.parametrize("s4, laplacians", [(0.0, 0), (2.0, 1)])
+    def test_step_laplacian_calls(self, grid16, monkeypatch, s4, laplacians):
+        # the s4 term of the phase history is the only real-space Laplacian
+        # of a constant-mobility step
+        from dendrosim import grid as grid_module
+        from dendrosim import solvers
+
+        p = case2_params(s3=3.0, s4=s4)
+        state = case2_state(grid16, p, seed=5)
+        calls, real = [], grid_module.laplacian
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (grid_module, bdf1, solvers):
+            monkeypatch.setattr(module, "laplacian", counted)
+        step(grid16, state, 0.01, p)
+        assert len(calls) == laplacians
+
+    @pytest.mark.parametrize("s3", [0.0, 3.0])
+    @pytest.mark.parametrize("s4", [0.0, 2.0])
+    def test_phase_pair_matches_full_history(self, grid16, s3, s4):
+        # the phase pair equals, bitwise, that of the history written out
+        # with every stabilizer term, zero-weighted ones included
+        p = case2_params(s3=s3, s4=s4)
+        tau, rho, a0 = 0.02, 1e3, 1.5
+        phi_bar, phi_hist = smooth_field(grid16, 7), smooth_field(grid16, 21)
+        parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_bar, phi_hist=phi_hist)
+        b = p.s1 + p.s4
+        coeff = a0 * rho / tau + (p.s2 + p.s3) / p.eps**2
+        rhs1 = phi_hist * (rho / tau) + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid16, phi_bar)
+        phi1, _ = solve_shifted(grid16, coeff, b, rhs1)
+        mu1 = p.s1 / b * (coeff * phi1 - rhs1) - p.s2 / p.eps**2 * phi1
+        assert parts.phi1.tobytes() == phi1.tobytes()
+        assert parts.mu1.tobytes() == mu1.tobytes()
 
 
 class TestTemperatureSolves:

@@ -622,3 +622,38 @@ class TestExplicitDataMemo:
         assert res.max_identity_residual > 0.0
         levels = [{k: b[k] - a[k] for k in calls} for a, b in zip(seen, seen[1:])]
         assert levels == [{"e1_energy": 1, "h_prime": 1}] * 6
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_anisotropy_once_per_bdf1_level(self, case2, scheme, check, monkeypatch):
+        # bdf1's phi_bar is phi^n, so the geometry that the ledger row of level
+        # n evaluates (init_state's at level 0) serves the step to n+1: one
+        # evaluation per level; bdf2 evaluates its lead and its new level, and
+        # its bootstrap step takes the level-0 geometry.  The final state of
+        # the run carries no geometry out.
+        from dendrosim import diagnostics, experiments, model
+
+        calls, real = [], model.anisotropy
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (model, bdf1, diagnostics):
+            if getattr(module, "anisotropy", None) is real:
+                monkeypatch.setattr(module, "anisotropy", counted)
+        seen, record = [], experiments.make_record
+
+        def counted_record(*args):
+            rec = record(*args)
+            seen.append(len(calls))  # the count up to this level's ledger row
+            return rec
+
+        monkeypatch.setattr(experiments, "make_record", counted_record)
+        cfg = RunConfig(grid=case2[0], scheme=scheme, tau=0.01, t_end=0.06, params=case2[1],
+                        initial=case2_initial(), check_identity=check)
+        res = experiments.run_single(cfg)
+        levels = [b - a for a, b in zip(seen, seen[1:])]
+        assert seen[0] == 1
+        assert levels == ([1] * 6 if scheme == "bdf1" else [1] + [2] * 5)
+        memo = res.final_state._norms.values()
+        assert not any(isinstance(v, (Anisotropy, bdf1.ExplicitData)) for v in memo)

@@ -164,6 +164,16 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match=r"expected 512 bytes, found 495"):
             read_snapshot(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path, grid8):
+        # 64 doubles after the payload of an 8x8 snapshot
+        path = tmp_path / "f.snp"
+        write_snapshot(FieldSnapshot(grid8, 0.0, "phi", grid8.zeros()), path)
+        with open(path, "ab") as fh:
+            fh.write(np.ones(64).tobytes())
+        with pytest.raises(SnapshotFormatError,
+                           match=r"trailing bytes in .*f\.snp: expected 512 bytes, found 1024"):
+            read_snapshot(path)
+
     def test_bad_magic(self, tmp_path, grid8):
         path = tmp_path / "f.snp"
         write_snapshot(FieldSnapshot(grid8, 0.0, "phi", grid8.zeros()), path)
@@ -243,6 +253,19 @@ class TestCheckpoint:
         buf = checkpoint(grid, state)
         with pytest.raises(SnapshotFormatError, match="truncated"):
             restore(buf[:-100])
+
+    def test_trailing_bytes_rejected(self, case2, tmp_path):
+        grid, p, phi0, temp0 = case2
+        buf = checkpoint(grid, init_state(grid, phi0, temp0, p))
+        payload = 3 * 8 * grid.nx * grid.ny  # phi, T and mu
+        with pytest.raises(SnapshotFormatError,
+                           match=rf"trailing bytes in checkpoint: expected {payload} bytes, "
+                                 rf"found {payload + 8}"):
+            restore(buf + bytes(8))
+        path = tmp_path / "state.ckpt"
+        path.write_bytes(buf + b"x")
+        with pytest.raises(SnapshotFormatError, match=r"trailing bytes in .*state\.ckpt: "):
+            read_checkpoint(path)
 
 
 class TestSnapshotSources:

@@ -340,10 +340,12 @@ class TestWorkingSet:
     every transient of the step dies at its last use."""
 
     # peak traced fields over the run's baseline, half a field above what the
-    # steps reach (21.1 / 25.1 / 15.0 / 18.1); where a call's arguments live as
-    # long as the call (Python 3.10), a checked bdf2 step peaks a field higher
-    BOUNDS = {("bdf2", False): 21.5, ("bdf2", True): 26.5,
-              ("bdf1", False): 15.5, ("bdf1", True): 18.5}
+    # steps reach (20.1 / 25.1 / 13.1 / 18.1); where a call's arguments live as
+    # long as the call (Python 3.10), a bdf2 step peaks a field higher, as
+    # its history and source tuples outlive the phase solves
+    PY310 = 1.0 if sys.version_info < (3, 11) else 0.0
+    BOUNDS = {("bdf2", False): 20.5 + PY310, ("bdf2", True): 25.5 + PY310,
+              ("bdf1", False): 13.5, ("bdf1", True): 18.5}
 
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
     @pytest.mark.parametrize("scheme, check", list(BOUNDS))
@@ -499,10 +501,12 @@ class TestCli:
         ("missing", 4, "s_phi_000004.snp: No such file or directory"),
         ("mis-shaped", 2, "has shape (8, 8), expected (16, 16)"),
         ("mis-timed", 2, "holds time 0.0035, more than tau/2 from t=0.002"),
+        ("trailing", 3, "s_phi_000003.snp: expected 2048 bytes, found 2560"),
     ])
     def test_forcing_series_failure_exit_code(self, tmp_path, capsys, case, level, needle):
         # a case1 run fed by a [sources] series of three levels: a missing,
-        # mis-shaped or mis-timed file is a configuration error naming the level
+        # mis-shaped, mis-timed or overlong file is a configuration error
+        # naming the level
         from dendrosim.config import serialize_config
         from dendrosim.snapshots import FieldSnapshot, write_snapshot
 
@@ -518,6 +522,9 @@ class TestCli:
             snap = FieldSnapshot(grid=snap_grid, time=t, name="s_phi",
                                  values=snap_grid.full(0.1))
             write_snapshot(snap, forcing / f"s_phi_{n:06d}.snp")
+            if n == level and case == "trailing":
+                with open(forcing / f"s_phi_{n:06d}.snp", "ab") as fh:
+                    fh.write(np.ones(64).tobytes())
         t_end = 5e-3 if case == "missing" else 3e-3
         cfg = replace(load_config(CONFIG_DIR / "case1.cfg"), grid=grid, scheme="bdf1",
                       tau=tau, t_end=t_end, source_phi_dir=str(forcing))
