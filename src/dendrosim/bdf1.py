@@ -299,12 +299,15 @@ def sav_step(
     ])
     # the T_2 equation a0*T_2/tau - D*Lap(T_2) = temp_forcing turns the A2
     # term <-a0*T_2 + tau*D*Lap(T_2), T_1> into -tau*<temp_forcing, T_1>
+    dphi1 = a0 * parts.phi1
+    dphi1 -= phi_hist
+    del phi_hist
     a2 = math.fsum([
         2.0 * math.sqrt(e1) * state.history("r"),
-        -inner(grid, core, a0 * parts.phi1 - phi_hist),
+        -inner(grid, core, dphi1),
         -lam_ek * tau * inner(grid, temp_forcing, parts.temp1),
     ])
-    del core, temp_forcing, phi_hist
+    del core, temp_forcing, dphi1
     if not a1 > 0.0:
         raise FloatingPointError(
             f"closure denominator A1={a1} is not positive; this violates a "

@@ -16,14 +16,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .diagnostics import EnergyLawViolation
-from .experiments import (
-    check_ladder,
-    run_accuracy,
-    run_dendrite,
-    run_single,
-    run_stability,
-    reference_solution,
-)
+from .experiments import run_accuracy, run_dendrite, run_single, run_stability
 from .model import EnergyPositivityError
 from .solvers import SolverError
 
@@ -116,13 +109,8 @@ def main(argv=None) -> int:
             print(f"  CG iterations {res.cg_iterations} (at most {res.max_cg_iterations} per level)")
             print(f"  ledger: {res.ledger_path}")
         elif args.command == "accuracy":
-            # a bad ladder or --out fails before the reference run
-            check_ladder(args.ladder, args.ref_tau)
-            args.out.mkdir(parents=True, exist_ok=True)
-            reference = reference_solution(cfg, args.ref_tau)
-            for scheme in ("bdf1", "bdf2"):
-                rep = run_accuracy(replace(cfg, scheme=scheme), args.ladder,
-                                   args.ref_tau, reference, args.out)
+            reports = run_accuracy(cfg, args.ladder, args.ref_tau, args.out)
+            for scheme, rep in reports.items():
                 print(f"{scheme}: slope(phi)={rep.slope_phi:.3f} "
                       f"slope(T)={rep.slope_temp:.3f}")
                 for tau, ep, et in zip(rep.taus, rep.errors_phi, rep.errors_temp):
@@ -131,7 +119,8 @@ def main(argv=None) -> int:
             results = run_stability(cfg, args.taus, args.out, n_steps=args.steps)
             print("stabilizers (s1,s2,s3,s4)   tau      max|xi-1|   min a1")
             for r in results:
-                print(f"  {str(r.stabilizers):<24} {r.tau:<8g} "
+                p = r.config.params
+                print(f"  {str((p.s1, p.s2, p.s3, p.s4)):<24} {r.config.tau:<8g} "
                       f"{r.max_xi_dev:<11.3e} {r.min_a1:.6g}")
         elif args.command == "dendrite":
             results = run_dendrite(cfg, args.k_values, args.out)

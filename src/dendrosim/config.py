@@ -24,7 +24,6 @@ __all__ = [
     "ConfigError", "UnknownKeyError", "MissingKeyError", "InvalidValueError",
     "StabilizerBoundError", "InitialCondition", "RunConfig",
     "parse_config", "load_config", "serialize_config",
-    "case2_params", "dendrite_params", "case2_initial", "dendrite_initial",
 ]
 
 
@@ -266,28 +265,3 @@ def serialize_config(cfg: RunConfig) -> str:
         blocks.setdefault(section, [f"[{section}]\n"]).append(f"{key} = {value}\n")
     return "\n".join("".join(lines) for lines in blocks.values())
 
-
-def case2_params(s1: float = 0.9, s2: float = 10.0, s3: float = 0.0, s4: float = 0.0) -> ModelParams:
-    """Self-convergence / stability test parameters (Case-II)."""
-    return ModelParams(
-        eps=0.1, lam=1.0, diff=5e-2, latent=0.1, sigma=0.05,
-        mobility=ConstantMobility(1e3),
-        s1=s1, s2=s2, s3=s3, s4=s4, bconst=5e3,
-    )
-
-
-def dendrite_params(latent: float = 0.6) -> ModelParams:
-    """Fourfold dendritic growth parameters; the latent heat varies per run."""
-    return ModelParams(
-        eps=0.015, lam=4e2, diff=2.5e-3, latent=latent, sigma=0.1,
-        mobility=ConstantMobility(1e3),
-        s1=0.6, s2=10.0, s3=4.0, s4=4.0, bconst=4e5,
-    )
-
-
-def case2_initial() -> InitialCondition:
-    return InitialCondition(preset="case2_tanh", r0=0.25, eps0=0.1)
-
-
-def dendrite_initial() -> InitialCondition:
-    return InitialCondition(preset="dendrite_seed", r0=9e-4, eps0=1.8e-4, undercool=-0.6)

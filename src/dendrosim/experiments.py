@@ -37,13 +37,10 @@ from .snapshots import FieldSnapshot, SourceSeriesError, source_from_snapshots, 
 __all__ = [
     "RunResult",
     "ConvergenceReport",
-    "StabilityResult",
     "DendriteResult",
     "STABILIZER_SETS",
     "DENDRITE_SNAPSHOT_TIMES",
     "run_single",
-    "check_ladder",
-    "reference_solution",
     "run_accuracy",
     "run_stability",
     "run_dendrite",
@@ -89,21 +86,11 @@ class ConvergenceReport:
 
 
 @dataclass
-class StabilityResult:
-    stabilizers: tuple[float, float, float, float]
-    tau: float
-    max_xi_dev: float
-    min_a1: float
-    ledger_path: Path | None
-
-
-@dataclass
 class DendriteResult:
     latent: float
     result: RunResult
     arms: int
     axis_arms: int
-    area_at: dict[float, float]
 
 
 # glibc mallopt parameters (malloc.h)
@@ -268,11 +255,16 @@ def run_single(
     )
 
 
-def check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
+def _check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
     """The accuracy ladder as a tuple of floats.  Raises InvalidValueError
-    unless it has at least two strictly decreasing step sizes, each at least
-    10x the reference step."""
+    unless the reference step and every rung are finite and positive, and the
+    ladder has at least two strictly decreasing rungs, each at least 10x the
+    reference step."""
     ladder = tuple(float(t) for t in ladder)
+    for tau in (ref_tau, *ladder):
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise InvalidValueError(
+                f"accuracy step sizes must be finite and positive, got {tau!r}")
     if len(ladder) < 2:
         raise InvalidValueError("accuracy ladder needs at least two step sizes")
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
@@ -286,65 +278,54 @@ def check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
     return ladder
 
 
-def reference_solution(cfg: RunConfig, ref_tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fine-step second-order solution at t_end, used as the surrogate exact
-    solution of the self-convergence protocol."""
-    ref_cfg = replace(cfg, scheme="bdf2", tau=ref_tau, check_identity=False,
-                      snapshot_every=0, snapshot_times=())
-    res = run_single(ref_cfg)
-    return res.final_state.phi, res.final_state.temp
-
-
 def run_accuracy(
     base: RunConfig,
     ladder: tuple[float, ...] | list[float],
     ref_tau: float = 5e-5,
-    reference: tuple[np.ndarray, np.ndarray] | None = None,
     out_dir: str | Path | None = None,
-) -> ConvergenceReport:
-    """Self-convergence ladder: L2 errors at t_end against a fine reference.
+) -> dict[str, ConvergenceReport]:
+    """Self-convergence study of both schemes: L2 errors at t_end of every
+    ladder rung against one fine bdf2 reference at ``ref_tau``.
 
-    The reference runs once (second-order scheme at ref_tau) unless supplied.
-    The ladder is checked (``check_ladder``) before any stepping.
+    The ladder and ``out_dir`` are checked before any stepping.  With
+    ``out_dir``, each scheme's errors and slopes go to accuracy_<scheme>.csv.
     """
-    ladder = check_ladder(ladder, ref_tau)
-    if out_dir is not None:  # an unusable directory fails before any stepping
+    ladder = _check_ladder(ladder, ref_tau)
+    if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    if reference is None:
-        reference = reference_solution(base, ref_tau)
-    ref_phi, ref_temp = reference
+    quiet = replace(base, check_identity=False, snapshot_every=0, snapshot_times=())
+    ref = run_single(replace(quiet, scheme="bdf2", tau=ref_tau)).final_state
 
-    errors_phi, errors_temp = [], []
-    min_a1 = math.inf
-    for tau in ladder:
-        cfg = replace(base, tau=tau, check_identity=False,
-                      snapshot_every=0, snapshot_times=())
-        res = run_single(cfg)
-        min_a1 = min(min_a1, res.min_a1)
-        dphi = res.final_state.phi - ref_phi
-        dtemp = res.final_state.temp - ref_temp
-        errors_phi.append(math.sqrt(inner(base.grid, dphi, dphi)))
-        errors_temp.append(math.sqrt(inner(base.grid, dtemp, dtemp)))
-
-    report = ConvergenceReport(
-        scheme=base.scheme,
-        ref_tau=ref_tau,
-        taus=ladder,
-        errors_phi=tuple(errors_phi),
-        errors_temp=tuple(errors_temp),
-        slope_phi=estimate_order(errors_phi, ladder),
-        slope_temp=estimate_order(errors_temp, ladder),
-        min_a1=min_a1,
-    )
-    if out_dir is not None:
-        lines = ["tau,error_phi,error_temp"]
-        for tau, ep, et in zip(ladder, errors_phi, errors_temp):
-            lines.append(f"{tau!r},{ep!r},{et!r}")
-        lines.append(f"# slope_phi = {report.slope_phi!r}")
-        lines.append(f"# slope_temp = {report.slope_temp!r}")
-        (out_dir / f"accuracy_{base.scheme}.csv").write_text("\n".join(lines) + "\n")
-    return report
+    reports = {}
+    for scheme in ("bdf1", "bdf2"):
+        errors_phi, errors_temp = [], []
+        min_a1 = math.inf
+        for tau in ladder:
+            res = run_single(replace(quiet, scheme=scheme, tau=tau))
+            min_a1 = min(min_a1, res.min_a1)
+            dphi = res.final_state.phi - ref.phi
+            dtemp = res.final_state.temp - ref.temp
+            errors_phi.append(math.sqrt(inner(base.grid, dphi, dphi)))
+            errors_temp.append(math.sqrt(inner(base.grid, dtemp, dtemp)))
+        reports[scheme] = report = ConvergenceReport(
+            scheme=scheme,
+            ref_tau=ref_tau,
+            taus=ladder,
+            errors_phi=tuple(errors_phi),
+            errors_temp=tuple(errors_temp),
+            slope_phi=estimate_order(errors_phi, ladder),
+            slope_temp=estimate_order(errors_temp, ladder),
+            min_a1=min_a1,
+        )
+        if out_dir is not None:
+            lines = ["tau,error_phi,error_temp"]
+            for tau, ep, et in zip(ladder, errors_phi, errors_temp):
+                lines.append(f"{tau!r},{ep!r},{et!r}")
+            lines.append(f"# slope_phi = {report.slope_phi!r}")
+            lines.append(f"# slope_temp = {report.slope_temp!r}")
+            (out_dir / f"accuracy_{scheme}.csv").write_text("\n".join(lines) + "\n")
+    return reports
 
 
 def run_stability(
@@ -352,13 +333,12 @@ def run_stability(
     taus: tuple[float, ...] | list[float],
     out_dir: str | Path | None = None,
     n_steps: int = 200,
-    stabilizer_sets: tuple = STABILIZER_SETS,
-) -> list[StabilityResult]:
-    """Sweep step sizes and stabilizer sets; every run is strict, so one that
-    does not dissipate the modified energy raises EnergyLawViolation."""
+) -> list[RunResult]:
+    """Sweep the stabilizer sets of STABILIZER_SETS and the step sizes; every
+    run is strict, so one that does not dissipate the modified energy raises
+    EnergyLawViolation."""
     results = []
-    for s_set in stabilizer_sets:
-        s1, s2, s3, s4 = s_set
+    for s1, s2, s3, s4 in STABILIZER_SETS:
         params = replace(base.params, s1=s1, s2=s2, s3=s3, s4=s4)
         for tau in taus:
             tag = f"s{s1:g}_{s2:g}_{s3:g}_{s4:g}_tau{tau:g}"
@@ -367,17 +347,7 @@ def run_stability(
                 ledger=f"stability_{tag}.csv", prefix=f"stability_{tag}",
                 strict_energy=True,
             )
-            sub_dir = None if out_dir is None else Path(out_dir) / tag
-            res = run_single(cfg, sub_dir)
-            results.append(
-                StabilityResult(
-                    stabilizers=s_set,
-                    tau=tau,
-                    max_xi_dev=res.max_xi_dev,
-                    min_a1=res.min_a1,
-                    ledger_path=res.ledger_path,
-                )
-            )
+            results.append(run_single(cfg, None if out_dir is None else Path(out_dir) / tag))
     return results
 
 
@@ -385,35 +355,26 @@ def run_dendrite(
     base: RunConfig,
     latent_values: tuple[float, ...] | list[float] = (0.6, 0.8, 1.0, 1.2),
     out_dir: str | Path | None = None,
-    t_end_override: float | None = None,
-    snapshot_times_override: tuple[float, ...] | None = None,
 ) -> list[DendriteResult]:
     """Fourfold growth runs over the latent-heat sweep.
 
-    Each run goes to the benchmark's final snapshot instant for its latent
-    heat (overridable), dumps phi and T snapshots at the listed times, and
-    keeps a full ledger.
+    Each run dumps phi and T snapshots at the configuration's
+    ``snapshot_times`` when it sets any, else at its latent heat's instants
+    in DENDRITE_SNAPSHOT_TIMES (the configuration's t_end for a latent heat
+    outside that table), runs to the last instant and keeps a full ledger.
     """
     results = []
     for latent in latent_values:
-        times = snapshot_times_override
-        if times is None:
-            times = DENDRITE_SNAPSHOT_TIMES.get(latent, (base.t_end,))
-        t_end = t_end_override if t_end_override is not None else max(times)
-        times = tuple(t for t in times if t <= t_end + 1e-12)
+        times = base.snapshot_times or DENDRITE_SNAPSHOT_TIMES.get(latent, (base.t_end,))
         params = replace(base.params, latent=latent)
         cfg = replace(
-            base, params=params, t_end=t_end, snapshot_times=times,
+            base, params=params, t_end=max(times), snapshot_times=times,
             ledger=f"dendrite_K{latent:g}.csv", prefix=f"dendrite_K{latent:g}",
         )
         sub_dir = None if out_dir is None else Path(out_dir) / f"K{latent:g}"
         res = run_single(cfg, sub_dir)
         arms, axis_arms = count_axis_branches(cfg.grid, res.final_state.phi)
-        area_at = {rec.time: rec.area for rec in res.records}
-        results.append(
-            DendriteResult(latent=latent, result=res, arms=arms,
-                           axis_arms=axis_arms, area_at=area_at)
-        )
+        results.append(DendriteResult(latent=latent, result=res, arms=arms, axis_arms=axis_arms))
     return results
 
 

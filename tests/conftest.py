@@ -1,8 +1,17 @@
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dendrosim.config import case2_initial, case2_params
+from dendrosim.config import RunConfig, load_config
 from dendrosim.grid import GridSpec
+
+
+@cache
+def shipped_config(name: str) -> RunConfig:
+    """The shipped configs/<name>.cfg, parsed once per session."""
+    return load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
 
 
 @pytest.fixture
@@ -19,8 +28,9 @@ def grid16() -> GridSpec:
 def case2():
     """Case-II parameters with its tanh-disc initial data on a 32x32 grid."""
     grid = GridSpec(32, 32)
-    phi0, temp0 = case2_initial().build(grid)
-    return grid, case2_params(), phi0, temp0
+    cfg = shipped_config("case2")
+    phi0, temp0 = cfg.initial.build(grid)
+    return grid, cfg.params, phi0, temp0
 
 
 def random_field(grid: GridSpec, seed: int, scale: float = 1.0) -> np.ndarray:

@@ -7,27 +7,23 @@ is marked slow; deselect with `-m "not slow"` for a quick pass.
 
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dendrosim.config import RunConfig, case2_initial, case2_params, load_config
-from dendrosim.experiments import (
-    reference_solution,
-    run_accuracy,
-    run_dendrite,
-    run_single,
-)
+from dendrosim.config import RunConfig
+from dendrosim.experiments import run_accuracy, run_dendrite, run_single
 from dendrosim.grid import GridSpec, laplacian
 from dendrosim.snapshots import checkpoint, restore
 from dendrosim.solvers import helmholtz_solve, variable_helmholtz_solve
+
+from conftest import shipped_config
 
 ACCURACY_LADDER = (4e-3, 2e-3, 1e-3, 5e-4)
 # 5e-5 keeps the whole ladder >= 10x the reference step, which the ladder
 # protocol requires (1e-4 would leave the last rung at only 5x)
 REFERENCE_TAU = 5e-5
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CASE2 = shipped_config("case2")
 
 
 def case2_cfg(**overrides) -> RunConfig:
@@ -36,8 +32,8 @@ def case2_cfg(**overrides) -> RunConfig:
         scheme="bdf2",
         tau=1e-3,
         t_end=1.0,
-        params=case2_params(),
-        initial=case2_initial(),
+        params=CASE2.params,
+        initial=CASE2.initial,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -76,13 +72,7 @@ def stability_runs(a1_registry):
 
 @pytest.fixture(scope="module")
 def accuracy_reports(a1_registry):
-    base = case2_cfg(check_identity=False)
-    reference = reference_solution(base, REFERENCE_TAU)
-    reports = {
-        scheme: run_accuracy(replace(base, scheme=scheme), ACCURACY_LADDER,
-                             REFERENCE_TAU, reference)
-        for scheme in ("bdf1", "bdf2")
-    }
+    reports = run_accuracy(case2_cfg(check_identity=False), ACCURACY_LADDER, REFERENCE_TAU)
     a1_registry["criterion-3"] = min(r.min_a1 for r in reports.values())
     return reports
 
@@ -93,13 +83,14 @@ def xi_study(a1_registry):
     runs = {}
     horizons = {1e-2: 2.0, 1e-1: 20.0, 1.0: 20.0}
     for s_set in ((0.0, 0.0, 5.0, 5.0), (0.1, 4.0, 5.0, 5.0)):
+        s1, s2, s3, s4 = s_set
         for tau, t_end in horizons.items():
             cfg = case2_cfg(
-                params=case2_params(*s_set), tau=tau, t_end=t_end,
+                params=replace(CASE2.params, s1=s1, s2=s2, s3=s3, s4=s4), tau=tau, t_end=t_end,
                 check_identity=False,
             )
             runs[(s_set, tau)] = run_single(cfg)
-    cfg0 = case2_cfg(params=case2_params(0.0, 0.0, 0.0, 0.0), tau=1.0,
+    cfg0 = case2_cfg(params=replace(CASE2.params, s1=0.0, s2=0.0, s3=0.0, s4=0.0), tau=1.0,
                      t_end=20.0, check_identity=False)
     runs[((0.0, 0.0, 0.0, 0.0), 1.0)] = run_single(cfg0)
     a1_registry["criterion-4"] = min(r.min_a1 for r in runs.values())
@@ -185,12 +176,11 @@ def test_criterion_5_a1_positivity(identity_runs, stability_runs,
 def test_criterion_6_dendrite_reproduction(tmp_path):
     """256x256, tau = 0.01, K in {0.6, 1.2}: four axis-aligned branches,
     strictly increasing crystal area, thinner crystal at larger K."""
-    base = load_config(CONFIG_DIR / "dendrite.cfg")  # 256x256, bdf2, tau = 0.01
-    base = replace(base, check_identity=False, strict_energy=True)
+    base = shipped_config("dendrite")  # 256x256, bdf2, tau = 0.01
+    base = replace(base, check_identity=False, strict_energy=True,
+                   snapshot_times=(0.0, 3.0, 6.0, 9.0))
     results = {}
-    for r in run_dendrite(base, latent_values=(0.6, 1.2), out_dir=tmp_path,
-                          t_end_override=9.0,
-                          snapshot_times_override=(0.0, 3.0, 6.0, 9.0)):
+    for r in run_dendrite(base, latent_values=(0.6, 1.2), out_dir=tmp_path):
         results[r.latent] = r
         assert r.arms == 4, (r.latent, r.arms)
         assert r.axis_arms == 4, (r.latent, r.axis_arms)
@@ -199,7 +189,7 @@ def test_criterion_6_dendrite_reproduction(tmp_path):
         assert r.result.min_a1 > 0.0
         energies = [rec.e_modified for rec in r.result.records[1:]]
         assert all(b <= a + 1e-9 * abs(a) for a, b in zip(energies, energies[1:]))
-    t9 = lambda res: res.area_at[max(res.area_at)]
+    t9 = lambda res: res.result.records[-1].area
     assert t9(results[1.2]) < t9(results[0.6])
     print(f"\n[acceptance] criterion 6 PASS: 4 axis-aligned branches for both K; "
           f"area strictly increasing; area(K=1.2)={t9(results[1.2]):.4f} < "

@@ -13,7 +13,6 @@ from dendrosim.bdf1 import (
     scheme_energy,
     step,
 )
-from dendrosim.config import case2_params
 from dendrosim.grid import GridSpec, inner, laplacian, norm_sq
 from dendrosim.model import (
     FieldMobility,
@@ -25,7 +24,9 @@ from dendrosim.model import (
 )
 from dendrosim.solvers import CG_TOL, solve_shifted
 
-from conftest import smooth_field
+from conftest import shipped_config, smooth_field
+
+CASE2 = shipped_config("case2")
 
 
 def solves(grid, p, tau, rho=1e3, a0=1.0, phi_bar=None, phi_hist=None, temp_hist=None,
@@ -56,9 +57,9 @@ PHASE_CASES = pytest.mark.parametrize(
 def phase_case(case, phi_n, s3, s4):
     """Parameters and 1/M of one PHASE_CASES case."""
     if case == "b_zero":
-        return case2_params(s1=0.0, s3=s3, s4=0.0), 1e3
+        return replace(CASE2.params, s1=0.0, s3=s3, s4=0.0), 1e3
     rho = 1e3 * (1.2 + 0.2 * np.tanh(phi_n)) if case == "pcg" else 1e3
-    return case2_params(s3=s3, s4=s4), rho
+    return replace(CASE2.params, s3=s3, s4=s4), rho
 
 
 def cg_slack(case, p, rhs):
@@ -114,7 +115,7 @@ def case2_state(grid, p, seed=None):
 
 class TestInitState:
     def test_zero_data(self, grid16):
-        p = case2_params()
+        p = CASE2.params
         s = init_state(grid16, grid16.zeros(), grid16.zeros(), p)
         expected_r = math.sqrt(grid16.area * (0.25 / p.eps**2 + p.bconst))
         assert s.r == pytest.approx(expected_r)
@@ -122,7 +123,7 @@ class TestInitState:
 
     def test_case2_r0_regression(self):
         grid = GridSpec(64, 64)
-        p = case2_params()
+        p = CASE2.params
         x, y = grid.mesh()
         phi0 = np.tanh((0.25 - x**2 - y**2) / 0.1)
         s = init_state(grid, phi0, -0.5 * phi0, p)
@@ -131,7 +132,7 @@ class TestInitState:
         assert s.r == pytest.approx(135.36722186200697, abs=1e-9)
 
     def test_mu_linear_in_temp(self, grid16):
-        p = case2_params()
+        p = CASE2.params
         x, y = grid16.mesh()
         phi0 = np.tanh((0.25 - x**2 - y**2) / 0.1)
         s_zero = init_state(grid16, phi0, grid16.zeros(), p)
@@ -143,13 +144,13 @@ class TestInitState:
 
 class TestPhaseSolves:
     def test_phi1_zero_input(self, grid16):
-        p = case2_params()
+        p = CASE2.params
         parts = solves(grid16, p, 0.1)
         assert np.all(parts.phi1 == 0.0)
         assert np.all(parts.mu1 == 0.0)
 
     def test_phi1_constant_closed_form(self, grid16):
-        p = case2_params(s3=2.0, s4=1.0)
+        p = replace(CASE2.params, s3=2.0, s4=1.0)
         tau, rho, c = 0.05, 1e3, 0.8
         phi1 = solves(grid16, p, tau, rho, phi_bar=grid16.full(c)).phi1
         expected = c * (rho / tau + p.s3 / p.eps**2) / (rho / tau + (p.s2 + p.s3) / p.eps**2)
@@ -180,14 +181,14 @@ class TestPhaseSolves:
         assert np.max(np.abs(res_b)) < 1e-10 * max(1.0, np.max(np.abs(mu1))) + p.s1 * slack
 
     def test_phi2_zero_forcing(self, grid16):
-        p = case2_params()
+        p = CASE2.params
         parts = solves(grid16, p, 0.1, core=grid16.zeros())
         assert np.all(parts.phi2 == 0.0)
         assert np.all(parts.mu2 == 0.0)
 
     def test_phi2_unit_forcing_sign(self, grid16):
         # g = 1, T = 0: constant output with the closed-form negative value
-        p = case2_params()
+        p = CASE2.params
         tau, rho = 0.1, 1e3
         phi2 = solves(grid16, p, tau, rho, core=grid16.full(-1.0)).phi2  # core = -(g + 0)
         m = 1.0 / rho
@@ -231,7 +232,7 @@ class TestZeroStabilizers:
         from dendrosim import grid as grid_module
         from dendrosim import solvers
 
-        p = case2_params(s3=3.0, s4=s4)
+        p = replace(CASE2.params, s3=3.0, s4=s4)
         state = case2_state(grid16, p, seed=5)
         calls, real = [], grid_module.laplacian
 
@@ -249,7 +250,7 @@ class TestZeroStabilizers:
     def test_phase_pair_matches_full_history(self, grid16, s3, s4):
         # the phase pair equals, bitwise, that of the history written out
         # with every stabilizer term, zero-weighted ones included
-        p = case2_params(s3=s3, s4=s4)
+        p = replace(CASE2.params, s3=s3, s4=s4)
         tau, rho, a0 = 0.02, 1e3, 1.5
         phi_bar, phi_hist = smooth_field(grid16, 7), smooth_field(grid16, 21)
         parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_bar, phi_hist=phi_hist)
@@ -264,19 +265,19 @@ class TestZeroStabilizers:
 
 class TestTemperatureSolves:
     def test_constant_is_fixed_point(self, grid16):
-        p = case2_params()
+        p = CASE2.params
         t1 = solves(grid16, p, 0.25, temp_hist=grid16.full(1.7)).temp1
         assert t1 == pytest.approx(1.7, rel=1e-12)
 
     def test_zero_mu_gives_zero_t2(self, grid16):
-        p = case2_params()
+        p = CASE2.params
         assert np.all(solves(grid16, p, 0.25, temp_forcing=grid16.zeros()).temp2 == 0.0)
 
     @SCHEMES
     def test_mean_conservation(self, grid16, a0, hist_seed):
         from dendrosim.grid import integrate
 
-        p = case2_params()
+        p = CASE2.params
         temp = smooth_field(grid16, 12 if hist_seed is None else hist_seed)
         t1 = solves(grid16, p, 0.3, a0=a0, temp_hist=temp).temp1
         assert integrate(grid16, t1) == pytest.approx(integrate(grid16, temp) / a0, abs=1e-12)
@@ -285,7 +286,7 @@ class TestTemperatureSolves:
 class TestClosure:
     def test_decoupled_limit(self, grid16):
         # zero phi, T and mu make phi2 = mu2 = temp2 = 0, which forces xi = R / sqrt(E1)
-        p = case2_params()
+        p = CASE2.params
         s = init_state(grid16, grid16.zeros(), grid16.zeros(), p)
         s = replace(s, r=s.r * 1.23)
         e1_n = e1_energy(grid16, s.phi, p)
@@ -296,7 +297,7 @@ class TestClosure:
 
     def test_steady_state_is_fixed_point(self, grid16):
         # phi = 1, T = 0 with R = sqrt(E1) reproduces itself and xi = 1
-        p = case2_params(s3=1.0, s4=1.0)
+        p = replace(CASE2.params, s3=1.0, s4=1.0)
         s = init_state(grid16, grid16.full(1.0), grid16.zeros(), p)
         new, rep = step(grid16, s, 0.5, p)
         assert rep.xi == pytest.approx(1.0, rel=1e-12)
@@ -310,7 +311,7 @@ class TestClosure:
         # with the raw defining expressions of its partial solves on a roughened state
         grid = GridSpec(24, 24)
         s1, s2, s3, s4 = s_set
-        p = case2_params(s1=s1, s2=s2, s3=s3, s4=s4)
+        p = replace(CASE2.params, s1=s1, s2=s2, s3=s3, s4=s4)
         state = case2_state(grid, p, seed=42)
         tau, rho = 0.05, 1e3
         e1_n = e1_energy(grid, state.phi, p)

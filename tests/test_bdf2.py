@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from dendrosim import bdf1
 from dendrosim.bdf1 import identity_proof_lines, init_state, scheme_energy
 from dendrosim.bdf2 import StateBDF2, bootstrap, energy_identity_residual2, step2
-from dendrosim.config import RunConfig, case2_initial, case2_params
+from dendrosim.config import RunConfig
 from dendrosim.diagnostics import make_record
-from dendrosim.experiments import reference_solution, run_accuracy
+from dendrosim.experiments import run_accuracy
 from dendrosim.grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from dendrosim.model import (
     Anisotropy,
@@ -25,7 +25,9 @@ from dendrosim.model import (
 )
 from dendrosim.solvers import CG_TOL
 
-from conftest import smooth_field
+from conftest import shipped_config, smooth_field
+
+CASE2 = shipped_config("case2")
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -69,7 +71,7 @@ class TestBootstrap:
 
 class TestStep2:
     def test_steady_constant_fixed_point(self, grid16):
-        p = case2_params(s3=2.0, s4=1.0)
+        p = replace(CASE2.params, s3=2.0, s4=1.0)
         s0 = init_state(grid16, grid16.full(1.0), grid16.zeros(), p)
         state = StateBDF2(
             phi=s0.phi.copy(), phi_prev=s0.phi.copy(),
@@ -86,7 +88,7 @@ class TestStep2:
     def test_back_substitution_into_coupled_system(self, case2):
         # the recombined solution satisfies all four scheme equations
         grid, p, phi0, temp0 = case2
-        p = case2_params(s3=2.0, s4=1.5)
+        p = replace(CASE2.params, s3=2.0, s4=1.5)
         tau = 0.05
         state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
         new, rep = step2(grid, state, tau, p)
@@ -160,7 +162,7 @@ class TestStep2:
         # halving tau quarters the self-convergence error despite the
         # first-order bootstrap step
         grid = GridSpec(32, 32)
-        p = case2_params()
+        p = CASE2.params
         x, y = grid.mesh()
         phi0 = np.tanh((0.25 - x**2 - y**2) / 0.1)
         temp0 = -0.5 * phi0
@@ -265,11 +267,10 @@ class TestFieldMobility:
         grid, p, _, _ = case2
         p = replace(p, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
         base = RunConfig(grid=grid, scheme="bdf2", tau=1e-3, t_end=0.1, params=p,
-                         initial=case2_initial(), check_identity=False)
-        ladder = (4e-3, 2e-3, 1e-3, 5e-4)
-        reference = reference_solution(base, 5e-5)
+                         initial=CASE2.initial, check_identity=False)
+        reports = run_accuracy(base, (4e-3, 2e-3, 1e-3, 5e-4), ref_tau=5e-5)
         for scheme, (lo, hi) in (("bdf1", (0.85, 1.15)), ("bdf2", (1.85, 2.15))):
-            report = run_accuracy(replace(base, scheme=scheme), ladder, reference=reference)
+            report = reports[scheme]
             for slope in (report.slope_phi, report.slope_temp):
                 assert lo <= slope <= hi, (scheme, report)
 
@@ -468,14 +469,15 @@ def _stepped_pairs(scheme, case2, p, tau=0.1, levels=4):
 
 
 @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
-@pytest.mark.parametrize("s_set", [(0.9, 10.0, 0.0, 0.0), (0.5, 4.0, 3.0, 2.0)],
+@pytest.mark.parametrize("s_set", [dict(s1=0.9, s2=10.0, s3=0.0, s4=0.0),
+                                   dict(s1=0.5, s2=4.0, s3=3.0, s4=2.0)],
                          ids=["case2", "s3-s4"])
 class TestProofLineOracles:
     """The identity check, reading memoized state norms and sharing its cross
     terms, gives the reference's proof lines to 1e-12 relative to |E^n|."""
 
     def test_stepped_states(self, case2, scheme, s_set):
-        p = case2_params(*s_set)
+        p = replace(CASE2.params, **s_set)
         _, lines, ref_lines, energy = ORACLE_SCHEMES[scheme][:4]
         grid = case2[0]
         for before, after in _stepped_pairs(scheme, case2, p):
@@ -486,7 +488,7 @@ class TestProofLineOracles:
                 assert abs(got - want) <= 1e-12 * scale
 
     def test_tampered_states(self, case2, scheme, s_set):
-        p = case2_params(*s_set)
+        p = replace(CASE2.params, **s_set)
         _, lines, ref_lines, energy = ORACLE_SCHEMES[scheme][:4]
         grid = case2[0]
         for k, (before, after) in enumerate(_stepped_pairs(scheme, case2, p)):
@@ -502,7 +504,7 @@ class TestProofLineOracles:
     def test_energy_matches_reference(self, case2, scheme, s_set):
         # the one order-k energy law gives bdf2's former energy bitwise and
         # bdf1's to 1 ulp (its terms are now summed with fsum)
-        p = case2_params(*s_set)
+        p = replace(CASE2.params, **s_set)
         energy, ref_energy, ulps = ORACLE_SCHEMES[scheme][3:]
         grid = case2[0]
         pairs = _stepped_pairs(scheme, case2, p)
@@ -513,7 +515,7 @@ class TestProofLineOracles:
     def test_ledger_energy_matches_fresh_state(self, case2, scheme, s_set):
         # a row's e_modified is read from the norms the identity check memoized;
         # it must equal, bitwise, the energy of a copy that has no memo
-        p = case2_params(*s_set)
+        p = replace(CASE2.params, **s_set)
         energy = ORACLE_SCHEMES[scheme][3]
         grid = case2[0]
         for _, after in _stepped_pairs(scheme, case2, p):
@@ -617,7 +619,7 @@ class TestExplicitDataMemo:
         monkeypatch.setattr(experiments, "make_record", counted_record)
         grid = case2[0]
         cfg = RunConfig(grid=grid, scheme=scheme, tau=0.01, t_end=0.06, params=case2[1],
-                        initial=case2_initial(), check_identity=True)
+                        initial=CASE2.initial, check_identity=True)
         res = experiments.run_single(cfg)
         assert res.max_identity_residual > 0.0
         levels = [{k: b[k] - a[k] for k in calls} for a, b in zip(seen, seen[1:])]
@@ -650,7 +652,7 @@ class TestExplicitDataMemo:
 
         monkeypatch.setattr(experiments, "make_record", counted_record)
         cfg = RunConfig(grid=case2[0], scheme=scheme, tau=0.01, t_end=0.06, params=case2[1],
-                        initial=case2_initial(), check_identity=check)
+                        initial=CASE2.initial, check_identity=check)
         res = experiments.run_single(cfg)
         levels = [b - a for a, b in zip(seen, seen[1:])]
         assert seen[0] == 1

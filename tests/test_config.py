@@ -14,7 +14,6 @@ from dendrosim.config import (
     RunConfig,
     StabilizerBoundError,
     UnknownKeyError,
-    case2_params,
     load_config,
     parse_config,
     serialize_config,
@@ -76,7 +75,6 @@ class TestShippedConfigs:
         assert cfg.initial.r0 == 0.25
         assert cfg.initial.eps0 == 0.1
         assert (cfg.initial.x0, cfg.initial.y0) == (0.0, 0.0)
-        assert cfg.params == case2_params()
 
     def test_case1_matches_reference_parameters(self):
         p = load_config(CONFIG_DIR / "case1.cfg").params

@@ -14,10 +14,6 @@ from dendrosim.cli import EXIT_CONFIG, EXIT_ENERGY, EXIT_NUMERICAL, EXIT_OK, mai
 from dendrosim.config import (
     ConfigError,
     RunConfig,
-    case2_initial,
-    case2_params,
-    dendrite_initial,
-    dendrite_params,
     load_config,
 )
 from dendrosim.diagnostics import EnergyLawViolation, NonFiniteRecordError, read_ledger
@@ -33,7 +29,10 @@ from dendrosim.grid import GridSpec
 from dendrosim.model import EnergyPositivityError, FieldMobility, SourceTerms
 from dendrosim.snapshots import read_snapshot, source_from_snapshots
 
+from conftest import shipped_config
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CASE2, DENDRITE = shipped_config("case2"), shipped_config("dendrite")
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -42,8 +41,8 @@ def tiny_config(**overrides) -> RunConfig:
         scheme="bdf2",
         tau=0.01,
         t_end=0.05,
-        params=case2_params(),
-        initial=case2_initial(),
+        params=CASE2.params,
+        initial=CASE2.initial,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -122,7 +121,7 @@ class TestRunSingle:
     def test_case1_config_runs(self):
         # the manufactured-solution parameter set starts from ~zero fields
         # and steps cleanly even without its (user-supplied) forcing
-        cfg = load_config(CONFIG_DIR / "case1.cfg")
+        cfg = shipped_config("case1")
         cfg = replace(cfg, grid=GridSpec(16, 16), tau=0.01, t_end=0.03)
         res = run_single(cfg)
         assert res.final_state.n == 3
@@ -193,7 +192,7 @@ class TestRunSingle:
         # a variable mobility cannot be written to resolved.cfg; the run must
         # fail before it creates its output directory
         mobility = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
-        cfg = tiny_config(t_end=0.02, params=replace(case2_params(), mobility=mobility))
+        cfg = tiny_config(t_end=0.02, params=replace(CASE2.params, mobility=mobility))
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="only constant mobility"):
             run_single(cfg, out)
@@ -324,7 +323,7 @@ class TestRetainHeap:
         # glibc's defaults mmap each 256^2 temporary afresh and fault it in
         # again every level (about 2,200 minor faults per level); once the
         # memory stays on the heap, a second run faults in next to nothing
-        cfg = load_config(CONFIG_DIR / "dendrite.cfg")
+        cfg = shipped_config("dendrite")
         levels = 10
         cfg = replace(cfg, t_end=levels * cfg.tau, snapshot_every=0)
         assert cfg.grid.shape == (256, 256) and cfg.scheme == "bdf2" and cfg.check_identity
@@ -350,7 +349,7 @@ class TestWorkingSet:
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
     @pytest.mark.parametrize("scheme, check", list(BOUNDS))
     def test_peak_live_fields(self, scheme, check):
-        cfg = load_config(CONFIG_DIR / "dendrite.cfg")
+        cfg = shipped_config("dendrite")
         grid = GridSpec(128, 128, cfg.grid.x0, cfg.grid.x1, cfg.grid.y0, cfg.grid.y1)
         cfg = replace(cfg, grid=grid, scheme=scheme, check_identity=check,
                       t_end=5 * cfg.tau, snapshot_times=())
@@ -369,7 +368,7 @@ class TestWorkingSet:
 class TestRunAccuracy:
     def test_mini_ladder_first_order(self):
         cfg = tiny_config(scheme="bdf1", t_end=0.1)
-        report = run_accuracy(cfg, ladder=(1e-2, 5e-3), ref_tau=2e-4)
+        report = run_accuracy(cfg, ladder=(1e-2, 5e-3), ref_tau=2e-4)["bdf1"]
         assert 0.7 <= report.slope_phi <= 1.3
         assert 0.7 <= report.slope_temp <= 1.3
 
@@ -385,9 +384,24 @@ class TestRunAccuracy:
     def test_report_file(self, tmp_path):
         cfg = tiny_config(scheme="bdf1", t_end=0.05)
         run_accuracy(cfg, ladder=(1e-2, 5e-3), ref_tau=5e-4, out_dir=tmp_path)
-        text = (tmp_path / "accuracy_bdf1.csv").read_text()
-        assert text.startswith("tau,error_phi,error_temp\n")
-        assert "# slope_phi" in text
+        for scheme in ("bdf1", "bdf2"):
+            text = (tmp_path / f"accuracy_{scheme}.csv").read_text()
+            assert text.startswith("tau,error_phi,error_temp\n")
+            assert "# slope_phi" in text
+
+    def test_one_reference_for_both_ladders(self, monkeypatch):
+        # one bdf2 run at ref_tau, then each scheme's ladder, none checked
+        runs, run = [], experiments.run_single
+
+        def counted_run(cfg, *args, **kwargs):
+            runs.append((cfg.scheme, cfg.tau, cfg.check_identity))
+            return run(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_single", counted_run)
+        reports = run_accuracy(tiny_config(), ladder=(1e-2, 5e-3), ref_tau=5e-4)
+        assert runs == [("bdf2", 5e-4, False), ("bdf1", 1e-2, False), ("bdf1", 5e-3, False),
+                        ("bdf2", 1e-2, False), ("bdf2", 5e-3, False)]
+        assert {s: r.scheme for s, r in reports.items()} == {"bdf1": "bdf1", "bdf2": "bdf2"}
 
 
 class TestRunStability:
@@ -403,7 +417,8 @@ class TestRunStability:
     def test_stabilized_sets_keep_xi_near_one(self, tmp_path):
         cfg = tiny_config()
         results = run_stability(cfg, taus=(0.5,), out_dir=tmp_path, n_steps=10)
-        by_set = {r.stabilizers: r.max_xi_dev for r in results}
+        by_set = {(r.config.params.s1, r.config.params.s2, r.config.params.s3,
+                   r.config.params.s4): r.max_xi_dev for r in results}
         assert by_set[(0.0, 0.0, 5.0, 5.0)] < 0.05
         assert by_set[(0.1, 4.0, 5.0, 5.0)] < 0.05
 
@@ -411,21 +426,33 @@ class TestRunStability:
 class TestRunDendrite:
     def test_orchestration_coarse(self, tmp_path):
         # coarse, short run: checks wiring (per-K dirs, snapshots at the
-        # requested instants, ledgers), not the physics
+        # configured instants, ledgers), not the physics
         cfg = RunConfig(
             grid=GridSpec(48, 48), scheme="bdf2", tau=0.01, t_end=0.05,
-            params=dendrite_params(), initial=dendrite_initial(),
+            params=DENDRITE.params, initial=DENDRITE.initial, snapshot_times=(0.02, 0.05),
         )
-        results = run_dendrite(
-            cfg, latent_values=(0.6,), out_dir=tmp_path,
-            t_end_override=0.05, snapshot_times_override=(0.02, 0.05),
-        )
+        results = run_dendrite(cfg, latent_values=(0.6,), out_dir=tmp_path)
         assert len(results) == 1
         k_dir = tmp_path / "K0.6"
         assert (k_dir / "dendrite_K0.6.csv").exists()
         snaps = sorted(p.name for p in k_dir.glob("dendrite_K0.6_phi_*.snp"))
         assert snaps == ["dendrite_K0.6_phi_n000002.snp", "dendrite_K0.6_phi_n000005.snp"]
-        assert set(results[0].area_at) == {0.0, 0.01, 0.02, 0.03, 0.04, 0.05}
+        assert {rec.time for rec in results[0].result.records} == {
+            0.0, 0.01, 0.02, 0.03, 0.04, 0.05}
+
+    def test_configured_instants_replace_the_preset(self, tmp_path):
+        # K = 0.6 has preset instants (0, 3, 6, 9); a configuration that sets
+        # snapshot_times snapshots at exactly those and stops at the last one,
+        # whatever its t_end
+        cfg = RunConfig(
+            grid=GridSpec(32, 32), scheme="bdf2", tau=0.01, t_end=1.0,
+            params=DENDRITE.params, initial=DENDRITE.initial, snapshot_times=(0.03, 0.01),
+        )
+        (res,) = run_dendrite(cfg, latent_values=(0.6,), out_dir=tmp_path)
+        assert [rec.step for rec in res.result.records] == [0, 1, 2, 3]
+        assert res.result.config.t_end == 0.03
+        snaps = sorted(p.name for p in (tmp_path / "K0.6").glob("*_phi_*.snp"))
+        assert snaps == ["dendrite_K0.6_phi_n000001.snp", "dendrite_K0.6_phi_n000003.snp"]
 
 
 class TestCli:
@@ -460,7 +487,7 @@ class TestCli:
 
     def test_numerical_breakdown_exit_code(self, tmp_path, capsys):
         # a tiny bconst leaves the auxiliary energy E1 negative
-        cfg = self._write_tiny_cfg(tmp_path, params=replace(case2_params(), bconst=1e-9))
+        cfg = self._write_tiny_cfg(tmp_path, params=replace(CASE2.params, bconst=1e-9))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -526,7 +553,7 @@ class TestCli:
                 with open(forcing / f"s_phi_{n:06d}.snp", "ab") as fh:
                     fh.write(np.ones(64).tobytes())
         t_end = 5e-3 if case == "missing" else 3e-3
-        cfg = replace(load_config(CONFIG_DIR / "case1.cfg"), grid=grid, scheme="bdf1",
+        cfg = replace(shipped_config("case1"), grid=grid, scheme="bdf1",
                       tau=tau, t_end=t_end, source_phi_dir=str(forcing))
         path = tmp_path / "case1.cfg"
         path.write_text(serialize_config(cfg))
@@ -602,14 +629,22 @@ class TestCli:
         assert err.count("\n") == 1
         assert [r.step for r in read_ledger(out / "ledger.csv")] == [0, 1, 2]
 
-    @pytest.mark.parametrize("ladder, needle", [
-        ("1e-3", "accuracy ladder needs at least two step sizes"),
-        ("5e-3,1e-2", "accuracy ladder must be strictly decreasing"),
-        ("1e-2,1e-3", "too close to reference tau"),
+    @pytest.mark.parametrize("ladder, ref_tau, needle", [
+        pytest.param("1e-3", "5e-4", "accuracy ladder needs at least two step sizes",
+                     id="1e-3-accuracy ladder needs at least two step sizes"),
+        pytest.param("5e-3,1e-2", "5e-4", "accuracy ladder must be strictly decreasing",
+                     id="5e-3,1e-2-accuracy ladder must be strictly decreasing"),
+        pytest.param("1e-2,1e-3", "5e-4", "too close to reference tau",
+                     id="1e-2,1e-3-too close to reference tau"),
+        ("nan,1e-3", "5e-4", "finite and positive, got nan"),
+        ("inf,1e-2", "5e-4", "finite and positive, got inf"),
+        ("1e-2,5e-3", "0", "finite and positive, got 0.0"),
+        ("1e-2,5e-3", "-1", "finite and positive, got -1.0"),
     ])
     def test_accuracy_bad_ladder_steps_nothing(self, tmp_path, capsys, monkeypatch,
-                                               ladder, needle):
-        # the ladder is checked before the reference run and before --out is made
+                                               ladder, ref_tau, needle):
+        # the ladder and the reference step are checked before the reference
+        # run and before --out is made
         runs, run = [], experiments.run_single
 
         def counted_run(*args, **kwargs):
@@ -620,7 +655,7 @@ class TestCli:
         cfg = self._write_tiny_cfg(tmp_path)
         out = tmp_path / "acc"
         code = main(["accuracy", "--config", str(cfg), "--out", str(out),
-                     "--ladder", ladder, "--ref-tau", "5e-4"])
+                     "--ladder", ladder, "--ref-tau", ref_tau])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and needle in err
@@ -655,12 +690,15 @@ class TestCli:
     def test_stability_subcommand(self, tmp_path, capsys):
         code = main([
             "stability", "--config", str(CONFIG_DIR / "case2.cfg"),
-            "--out", str(tmp_path), "--taus", "0.5", "--steps", "5",
+            "--out", str(tmp_path), "--taus", "0.5,2", "--steps", "5",
         ])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("stabilizers (s1,s2,s3,s4)   tau      max|xi-1|   min a1\n")
-        assert len(out.splitlines()) == 1 + len(STABILIZER_SETS)
+        # one row per (stabilizer set, tau), naming both
+        rows = [row.rsplit(maxsplit=3) for row in out.splitlines()[1:]]
+        assert [(row[0].strip(), row[1]) for row in rows] == [
+            (str(s_set), tau) for s_set in STABILIZER_SETS for tau in ("0.5", "2")]
 
     def _write_tiny_cfg(self, tmp_path, **tweaks):
         from dendrosim.config import serialize_config
@@ -686,7 +724,7 @@ class TestCli:
         # a latent heat outside the preset table falls back to the config's
         # own t_end, which keeps this CLI path fast
         cfg_path = self._write_tiny_cfg(
-            tmp_path, params=dendrite_params(), initial=dendrite_initial(),
+            tmp_path, params=DENDRITE.params, initial=DENDRITE.initial,
             grid=GridSpec(32, 32), t_end=0.03,
         )
         code = main([

@@ -7,12 +7,6 @@ from hypothesis import strategies as st
 
 from dendrosim import bdf2
 from dendrosim.bdf1 import init_state, scheme_energy
-from dendrosim.config import (
-    case2_initial,
-    case2_params,
-    dendrite_initial,
-    dendrite_params,
-)
 from dendrosim.grid import (
     GridSpec,
     divergence,
@@ -40,7 +34,9 @@ from dendrosim.model import (
     original_energy,
 )
 
-from conftest import random_field, smooth_field
+from conftest import random_field, shipped_config, smooth_field
+
+CASE2, DENDRITE = shipped_config("case2"), shipped_config("dendrite")
 
 
 def make_params(**overrides):
@@ -138,7 +134,7 @@ class TestAnisotropy:
 
     def test_flux_coefficient_positive(self):
         # kappa^2 >= (1-sigma)^2 > s1 keeps the flux coefficient positive
-        p = case2_params()
+        p = CASE2.params
         rng = np.random.default_rng(0)
         gx, gy = rng.standard_normal((2, 50)) * 10
         w = Anisotropy.from_gradient(gx, gy, p.sigma).kap ** 2 - p.s1
@@ -217,7 +213,7 @@ class TestEnergies:
 
     def test_e1_case2_constant_one(self, grid16):
         # closed form with the Case-II constants: 4 * (5000 - 500) = 18000
-        p = case2_params()
+        p = CASE2.params
         assert e1_energy(grid16, grid16.full(1.0), p) == pytest.approx(18000.0)
 
     def test_e1_linear_in_bconst(self, grid16):
@@ -419,9 +415,9 @@ def test_energy_dot_products_match_bulk_sums(case):
     # on the levels and leads of a few bdf2 levels, the dot-product energies
     # agree with the bulk-field integrals to 1e-14 relative
     if case == "case2":
-        grid, p, initial, tau = GridSpec(64, 64), case2_params(), case2_initial(), 1e-3
+        grid, p, initial, tau = GridSpec(64, 64), CASE2.params, CASE2.initial, 1e-3
     else:
-        grid, p, initial, tau = GridSpec(128, 128), dendrite_params(), dendrite_initial(), 1e-2
+        grid, p, initial, tau = GridSpec(128, 128), DENDRITE.params, DENDRITE.initial, 1e-2
     state = init_state(grid, *initial.build(grid), p)
     state, _ = bdf2.bootstrap(grid, state, tau, p)
     fields = []
