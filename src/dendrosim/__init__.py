@@ -23,11 +23,9 @@ from .model import (
     Anisotropy,
     aniso_flux,
     anisotropy,
-    big_f_well,
     e1_energy,
     f_well,
     g_residual,
-    h_latent,
     h_prime,
     original_energy,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "SourceTerms",
     "EnergyPositivityError",
     "f_well",
-    "big_f_well",
-    "h_latent",
     "h_prime",
     "Anisotropy",
     "anisotropy",

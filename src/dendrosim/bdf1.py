@@ -8,31 +8,37 @@ a0 = 1, x_hist = x_bar = x^n.
 :func:`sav_step` then advances (phi, T, mu, R) through four linear elliptic
 solves (:func:`partial_solves`) and a scalar closure:
 
-1. the xi-independent phase pair (phi_1, mu_1) from the phase history;
-2. the xi-proportional pair (phi_2, mu_2) forced by the explicit nonlinear
+1. the xi-independent phase solve phi_1 from the phase history;
+2. the xi-proportional phase solve phi_2 forced by the explicit nonlinear
    residual and temperature coupling;
 3. the homogeneous (T_1) and forced (T_2) temperature halves;
 4. the scalar xi = A2/A1 of the SAV closure (Shen, Xu & Yang, J. Comput.
    Phys. 353, 2018), after which the new fields are the affine
    recombinations phi_1 + xi*phi_2 etc.
 
-mu_1, mu_2 and the T_2 Laplacian in A2 are taken from the equations the
-solves just satisfied, so the only real-space Laplacian of a step is the
-explicit s4 term of the phase history, and none when s4 = 0.
+The chemical potentials mu_1 and mu_2 (:func:`phase_potential`) and the T_2
+Laplacian in A2 are read off the equations the solves just satisfied, so the
+only real-space Laplacian of a step is the explicit s4 term of the phase
+history, and none when s4 = 0; mu_1 and mu_2 are formed only after xi, from
+(phi_1, rhs_1) and (phi_2, core), once the temperature forcing and the phase
+history have died.
 
 The explicit data of the step from a state (the leads, 1/M, h', E1 and the
-anisotropy geometry at phi_bar) is evaluated once per state by
-:func:`explicit_data`; only a checked step keeps it in the state's memo,
-where its identity check finds it again.  The ledger row of phi^n = phi_bar
-hands its geometry to the step through the memo (:func:`state_geometry`).
+anisotropy geometry at phi_bar) is evaluated once per state, in one order,
+and each field is owned by its last reader.  An unchecked step is that
+reader: its fields die inside the step, the leads that the ledger row's
+norms memoized in a ``bdf2.StateBDF2`` included.  A checked step keeps them
+in the state's memo, and its identity check takes them out
+(:func:`explicit_data`).  The ledger row of phi^n = phi_bar hands its
+geometry to the step through the memo (:func:`state_geometry`).
 
 The discrete energy law is written once for both schemes, in terms of the
 BDF order k of a state (``state.order``: 1 here, 2 for ``bdf2.StateBDF2``)
 and its lead rule (``state.lead``: the explicit data of the next level,
 x^n here).  :func:`scheme_energy` is the modified energy, summed over the
 level and its lead for k = 2; :func:`identity_proof_lines` re-assembles the
-three inner-product identities behind the law from the two states, their
-memoized explicit data and its own evaluation of the nonlinear residual g,
+three inner-product identities behind the law from the two states, the
+explicit data of the step and its own evaluation of the nonlinear residual g,
 and ``energy_identity_residual`` (``bdf2.energy_identity_residual2`` for
 k = 2) reports how far their sum is from zero relative to the modified
 energy.  The squared norms of a state's modified energy are evaluated once
@@ -74,6 +80,7 @@ __all__ = [
     "explicit_data",
     "state_geometry",
     "partial_solves",
+    "phase_potential",
     "sav_step",
     "step",
     "state_norms",
@@ -87,8 +94,9 @@ __all__ = [
 class StateBDF1:
     """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau.
 
-    ``_norms`` is the state's memo: its energy norms (:func:`state_norms`) and
-    the explicit data of the step from it (:func:`explicit_data`)."""
+    ``_norms`` is the state's memo: its energy norms (:func:`state_norms`) and,
+    until the identity check takes it out, the explicit data that a checked
+    step from it kept (:func:`explicit_data`)."""
 
     phi: np.ndarray
     temp: np.ndarray
@@ -101,8 +109,9 @@ class StateBDF1:
     order = 1  # BDF order k of the scheme that advances this state
     a0 = 1.0  # leading coefficient of its BDF derivative (a0*x^{n+1} - history)/tau
 
-    def lead(self, name: str):
-        """The explicit data of the next level for field ``name``: x^n itself."""
+    def lead(self, name: str, take: bool = False):
+        """The explicit data of the next level for field ``name``: x^n itself,
+        which stays with the state whether or not a reader ``take``s it."""
         return getattr(self, name)
 
     history = lead  # the history of the BDF derivative is x^n too
@@ -149,17 +158,18 @@ class StepReport:
     identity_residual: float = 0.0
 
 
-@dataclass
-class PartialSolves:
-    """The four decoupled sub-solutions entering the xi closure."""
+class PartialSolves(NamedTuple):
+    """The four decoupled sub-solutions entering the xi closure, with the
+    right-hand side of the phi_1 solve and the coefficient of both phase
+    solves, which mu_1 and mu_2 are read off after xi."""
 
     phi1: np.ndarray
-    mu1: np.ndarray
+    rhs1: np.ndarray
     phi2: np.ndarray
-    mu2: np.ndarray
     temp1: np.ndarray
     temp2: np.ndarray
-    cg_iterations: int = 0
+    coeff: float | np.ndarray  # a0/(M*tau) + (s2 + s3)/eps^2
+    cg_iterations: int
 
 
 def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelParams) -> StateBDF1:
@@ -182,83 +192,103 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
 def state_geometry(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2) -> Anisotropy:
     """The anisotropy geometry of ``state.phi``.  Where phi is the state's own
     lead, the step from the state needs it again: it stays in the state's memo
-    until :func:`explicit_data` takes it out, and dies after the step's g."""
+    until the step takes it out, and dies after the step's g."""
     geom = state._norms.get(("geometry", grid, p)) or anisotropy(grid, state.phi, p.sigma)
     if state.lead("phi") is state.phi:
         state._norms["geometry", grid, p] = geom
     return geom
 
 
-def explicit_data(
-    grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2, memoize: bool = False
-) -> ExplicitData:
-    """The explicit data of the step from ``state``, evaluated once per state.
+def _phi_bar_terms(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2, take: bool):
+    """phi_bar, its geometry, 1/M(phi_bar) and E1(phi_bar): the first explicit
+    data of the step from ``state``.  The geometry leaves the memo; phi_bar
+    leaves it too when ``take`` says the caller is its last reader."""
+    grad_lead = state_norms(grid, state).grad_lead  # reads the lead while it is memoized
+    phi_bar = state.lead("phi", take)
+    geom = state._norms.pop(("geometry", grid, p), None) or anisotropy(grid, phi_bar, p.sigma)
+    return phi_bar, geom, p.mobility.rho_at(phi_bar), e1_energy(grid, phi_bar, p, geom, grad_lead)
 
-    A checked step evaluates it with ``memoize``, so its identity check reads
-    it again from the state's ``_norms`` memo.  An unchecked step has no
-    second reader and keeps no memo, so h' and the geometry die with the
-    step's last use of them.  E1(phi_bar) takes ||grad phi_bar||^2 from the
-    state's energy norms.
-    """
-    key = ("explicit", grid, p)
-    data = state._norms.get(key)
+
+def _keep_nothing(**data) -> None:
+    """The memo of an unchecked step: its explicit data has no second reader."""
+
+
+def explicit_data(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2) -> ExplicitData:
+    """The explicit data of the step from ``state``, for that step's identity
+    check, its last reader: taken out of the state's memo, where a checked
+    step kept it, or else evaluated afresh in the step's order (phi_bar,
+    geometry, E1, T_bar, h', mu_bar).  Either way the state's memo holds no
+    field of it afterwards."""
+    data = state._norms.pop(("explicit", grid, p), None)
     if data is None:
-        phi_bar = state.lead("phi")
-        geom = state._norms.pop(("geometry", grid, p), None) or anisotropy(grid, phi_bar, p.sigma)
-        data = ExplicitData(
-            phi=phi_bar, temp=state.lead("temp"), mu=state.lead("mu"),
-            rho=p.mobility.rho_at(phi_bar), hp=h_prime(phi_bar),
-            e1=e1_energy(grid, phi_bar, p, geom, state_norms(grid, state).grad_lead),
-            geom=geom,
-        )
-        if memoize:
-            state._norms[key] = data
-    return data
+        phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=True)
+        data = dict(phi=phi_bar, geom=geom, rho=rho, e1=e1, temp=state.lead("temp", True),
+                    hp=h_prime(phi_bar), mu=state.lead("mu", True))
+    return ExplicitData(**data)
 
 
 def partial_solves(
-    grid: GridSpec, p: ModelParams, tau: float, a0: float, rho, hist: tuple[np.ndarray, np.ndarray],
-    phi_bar: np.ndarray, core: np.ndarray, temp_forcing: np.ndarray, src: tuple = (None, None),
+    grid: GridSpec, p: ModelParams, tau: float, state: StateBDF1 | StateBDF2, rho,
+    phi_hist: np.ndarray, core: np.ndarray, temp_forcing: np.ndarray,
+    sources: SourceTerms = NO_SOURCES, t_new: float = 0.0,
 ) -> PartialSolves:
-    """The four linear solves of one step with leading BDF coefficient ``a0``.
+    """The four linear solves of the step from ``state``, with its ``a0``.
 
-    ``rho`` is 1/M(phi_bar) and ``hist`` is (phi_hist, T_hist).  The phi_2 pair
-    is forced by ``core`` = -g - (lam/eps) h' T_bar, so mu_2 = core +
-    s1*Lap(phi_2) - (s2/eps^2) phi_2; T_2 is forced by ``temp_forcing`` =
-    K h' M mu_bar.  ``src`` holds the optional phase and temperature sources.
-    Each right-hand side dies after its solve; zero s3 and s4 terms are skipped.
-
-    mu_1 and mu_2 are read off the phase solves' own equations rather than
-    from another Laplacian: coeff*phi - b*Lap(phi) = rhs with b = s1 + s4
-    gives s1*Lap(phi) = (s1/b)*(coeff*phi - rhs).  With the PCG path the
-    pair then satisfies mu = s1*Lap(phi) - ... up to (s1/b) times the solve
-    residual, which is at most ``solvers.CG_TOL``*||rhs||.
+    ``rho`` is 1/M(phi_bar) and ``phi_hist`` the phase history.  The phi_2
+    solve is forced by ``core`` = -g - (lam/eps) h' T_bar, T_2 by
+    ``temp_forcing`` = K h' M mu_bar; ``sources`` are evaluated at ``t_new``.
+    What dies here is formed here, so no caller's reference outlives it: the
+    temperature history and source die in the right-hand side of T_1, which
+    dies in its solve; phi_bar, taken from the state, and the phase source
+    die in rhs_1, which is returned for mu_1.  Zero s3 and s4 terms are skipped.
     """
-    (phi_hist, temp_hist), (src_phi, src_temp) = hist, src
-    b = p.s1 + p.s4
-    s1_b = p.s1 / b if b > 0.0 else 0.0  # b = 0 forces s1 = 0
-    s2_e = p.s2 / p.eps**2
+    a0 = state.a0
     coeff = a0 * rho / tau + (p.s2 + p.s3) / p.eps**2
-    rhs_t1 = temp_hist / tau
-    del hist, temp_hist
-    if src_temp is not None:
-        rhs_t1 += src_temp
+    rhs_t1 = state.history("temp") / tau
+    src = sources.temp_at(grid, t_new)
+    if src is not None:
+        rhs_t1 += src
+    del src
     temp1 = helmholtz_solve(grid, a0 / tau, p.diff, rhs_t1)
     del rhs_t1
     temp2 = helmholtz_solve(grid, a0 / tau, p.diff, temp_forcing)
     rhs1 = phi_hist * (rho / tau)
+    phi_bar = state.lead("phi", True)
     if p.s3 > 0.0:
         rhs1 += (p.s3 / p.eps**2) * phi_bar
     if p.s4 > 0.0:
         rhs1 -= p.s4 * laplacian(grid, phi_bar)
-    if src_phi is not None:
-        rhs1 += rho * src_phi
-    phi1, it1 = solve_shifted(grid, coeff, b, rhs1)
-    mu1 = s1_b * (coeff * phi1 - rhs1) - s2_e * phi1
-    del rhs1
-    phi2, it2 = solve_shifted(grid, coeff, b, core)
-    mu2 = core + s1_b * (coeff * phi2 - core) - s2_e * phi2
-    return PartialSolves(phi1, mu1, phi2, mu2, temp1, temp2, cg_iterations=it1 + it2)
+    del phi_bar
+    src = sources.phi_at(grid, t_new)
+    if src is not None:
+        rhs1 += rho * src
+    del src
+    phi1, it1 = solve_shifted(grid, coeff, p.s1 + p.s4, rhs1)
+    phi2, it2 = solve_shifted(grid, coeff, p.s1 + p.s4, core)
+    return PartialSolves(phi1, rhs1, phi2, temp1, temp2, coeff, it1 + it2)
+
+
+def phase_potential(
+    p: ModelParams, coeff, phi: np.ndarray, rhs: np.ndarray, forced: bool = False,
+) -> np.ndarray:
+    """The chemical potential of one phase pair, read off its solve equation
+    coeff*phi - b*Lap(phi) = rhs rather than from another Laplacian.
+
+    With b = s1 + s4, s1*Lap(phi) = (s1/b)*(coeff*phi - rhs), so mu_1 =
+    (s1/b)*(coeff*phi_1 - rhs_1) - (s2/eps^2) phi_1 and, for the ``forced``
+    pair (phi_2, rhs = core), mu_2 = core + (s1/b)*(coeff*phi_2 - core) -
+    (s2/eps^2) phi_2, each formed in place in that order.  With the PCG path
+    the pair satisfies mu = s1*Lap(phi) - ... up to (s1/b) times the solve
+    residual, which is at most ``solvers.CG_TOL``*||rhs||.
+    """
+    b = p.s1 + p.s4
+    mu = coeff * phi
+    mu -= rhs
+    mu *= p.s1 / b if b > 0.0 else 0.0  # b = 0 forces s1 = 0
+    if forced:
+        mu += rhs
+    mu -= (p.s2 / p.eps**2) * phi
+    return mu
 
 
 def sav_step(
@@ -268,9 +298,13 @@ def sav_step(
     """One step of either scheme to ``t_new``; returns the new (phi, T, mu, R).
 
     ``state`` supplies ``a0`` and ``history`` of the BDF derivative
-    (a0*x^{n+1} - x_hist)/tau; its explicit data (:func:`explicit_data`) is
-    memoized only for the identity check of a ``checked`` step.  Each field
-    dies at its last use, and the new fields are recombined in place.
+    (a0*x^{n+1} - x_hist)/tau.  The explicit data is evaluated in one order,
+    phi_bar, geometry, E1, g, T_bar and h', core, mu_bar, temperature
+    forcing, and each field dies after its last reader: the geometry after
+    g, T_bar after core, mu_bar and h' after the forcing, phi_bar after
+    rhs_1.  ``checked`` only decides whether the state's memo keeps a
+    reference to the explicit data for the step's identity check.  mu_1 and
+    mu_2 are formed after xi, and the new fields are recombined in place.
     A1 collects 2*a0 times the auxiliary energy plus weighted squares
     of the xi-proportional parts, hence is always positive; the solve
     equations of phi_2 and T_2 turn those squares into the products
@@ -279,47 +313,59 @@ def sav_step(
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     a0 = state.a0
-    phi_bar, temp_bar, mu_bar, rho, hp, e1, geom = explicit_data(grid, p, state, checked)
-    core = -(g_residual(grid, phi_bar, p, geom) + (p.lam / p.eps) * hp * temp_bar)
+    # the memo of a checked step keeps the explicit data for its identity check
+    keep = state._norms.setdefault(("explicit", grid, p), {}).update if checked else _keep_nothing
+    phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=False)  # rhs_1 takes phi_bar
+    core = g_residual(grid, phi_bar, p, geom)
+    keep(phi=phi_bar, geom=geom, rho=rho, e1=e1)
     del geom
+    temp_bar, hp = state.lead("temp", True), h_prime(phi_bar)
+    del phi_bar
+    core += (p.lam / p.eps) * hp * temp_bar
+    np.negative(core, out=core)  # core = -(g + (lam/eps) h' T_bar)
+    keep(temp=temp_bar, hp=hp)
+    del temp_bar
+    mu_bar = state.lead("mu", True)
     temp_forcing = p.latent * hp / rho * mu_bar
-    del hp
+    keep(mu=mu_bar)
+    del hp, mu_bar
     phi_hist = state.history("phi")
-    parts = partial_solves(
-        grid, p, tau, a0, rho, (phi_hist, state.history("temp")), phi_bar, core, temp_forcing,
-        (sources.phi_at(grid, t_new), sources.temp_at(grid, t_new)),
-    )
+    phi1, rhs1, phi2, temp1, temp2, coeff, cg_iterations = partial_solves(
+        grid, p, tau, state, rho, phi_hist, core, temp_forcing, sources, t_new)
     lam_ek = p.lam / (p.eps * p.latent)
     # <core, phi_2> = <coeff*phi_2, phi_2> + (s1 + s4)||grad phi_2||^2 and
     # tau*<temp_forcing, T_2> = a0||T_2||^2 + tau*D||grad T_2||^2
     a1 = math.fsum([
         a0 * 2.0 * e1,
-        a0 * inner(grid, core, parts.phi2),
-        lam_ek * tau * inner(grid, temp_forcing, parts.temp2),
+        a0 * inner(grid, core, phi2),
+        lam_ek * tau * inner(grid, temp_forcing, temp2),
     ])
     # the T_2 equation a0*T_2/tau - D*Lap(T_2) = temp_forcing turns the A2
     # term <-a0*T_2 + tau*D*Lap(T_2), T_1> into -tau*<temp_forcing, T_1>
-    dphi1 = a0 * parts.phi1
+    dphi1 = a0 * phi1
     dphi1 -= phi_hist
     del phi_hist
     a2 = math.fsum([
         2.0 * math.sqrt(e1) * state.history("r"),
         -inner(grid, core, dphi1),
-        -lam_ek * tau * inner(grid, temp_forcing, parts.temp1),
+        -lam_ek * tau * inner(grid, temp_forcing, temp1),
     ])
-    del core, temp_forcing, dphi1
+    del temp_forcing, dphi1
     if not a1 > 0.0:
         raise FloatingPointError(
             f"closure denominator A1={a1} is not positive; this violates a "
             "structural invariant of the scheme"
         )
     xi = a2 / a1
-    for whole, part in ((parts.phi1, parts.phi2), (parts.temp1, parts.temp2),
-                        (parts.mu1, parts.mu2)):
+    mu1 = phase_potential(p, coeff, phi1, rhs1)
+    del rhs1
+    mu2 = phase_potential(p, coeff, phi2, core, forced=True)
+    del core
+    for whole, part in ((phi1, phi2), (temp1, temp2), (mu1, mu2)):
         part *= xi
         whole += part  # bitwise whole + xi*part
-    new = (parts.phi1, parts.temp1, parts.mu1, xi * math.sqrt(e1))
-    return new, StepReport(xi=xi, a1=a1, a2=a2, cg_iterations=parts.cg_iterations)
+    new = (phi1, temp1, mu1, xi * math.sqrt(e1))
+    return new, StepReport(xi=xi, a1=a1, a2=a2, cg_iterations=cg_iterations)
 
 
 def step(
@@ -408,9 +454,10 @@ def identity_proof_lines(
     stepper; their sum is 2k times the telescoped energy balance.
     Everything is read from the two states alone: their energy norms through
     :func:`state_norms` and the explicit data through :func:`explicit_data`,
-    which the step from ``before`` memoized.  The nonlinear term g(phi_bar) is
-    evaluated here again, independently of the step; a term shared by two
-    lines is evaluated once.
+    which takes it out of the memo where a checked step from ``before`` kept
+    it.  The nonlinear term g(phi_bar) is evaluated here again, independently
+    of the step, and the geometry dies after it; a term shared by two lines
+    is evaluated once.
     """
     k = before.order
     phi_bar, temp_bar, mu_bar, rho_bar, hp_bar, e1_bar, geom = explicit_data(grid, p, before)

@@ -7,7 +7,7 @@ history after g(phi_bar)), and all explicit data taken at the lead of the
 state, the linear extrapolation
 2*(.)^n - (.)^{n-1} (:meth:`StateBDF2.lead`, the one place it is formed,
 once per state: the ledger row's norms build the leads of phi and T, and
-``bdf1.explicit_data`` reads them at the next step).
+the step from the state, or its identity check, takes them out of the memo).
 The first level is produced from the level-0 ``bdf1.StateBDF1`` by one
 first-order bootstrap step, which costs O(tau^2) globally and leaves the
 second-order convergence intact.  :func:`bootstrap` and :func:`step2` take
@@ -59,14 +59,15 @@ class StateBDF2:
     order = 2  # BDF order k of the scheme that advances this state
     a0 = 1.5  # leading coefficient of its BDF derivative (a0*x^{n+1} - history)/tau
 
-    def lead(self, name: str):
+    def lead(self, name: str, take: bool = False):
         """The explicit data of the next level for field ``name``: the linear
         extrapolation 2x^n - x^{n-1}, formed once per state in its memo, so
-        the ledger row's norms, the step and its check share it."""
+        the ledger row's norms and the step share it.  Its last reader
+        ``take``s it: the lead leaves the memo and dies with that reader."""
         key = ("lead", name)
         if key not in self._norms:
             self._norms[key] = 2.0 * getattr(self, name) - getattr(self, name + "_prev")
-        return self._norms[key]
+        return self._norms.pop(key) if take else self._norms[key]
 
     def history(self, name: str):
         """The history of the BDF derivative for field ``name``, 2x^n - x^{n-1}/2;

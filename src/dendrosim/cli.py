@@ -41,12 +41,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, t_end: bool = True) -> None:
         p.add_argument("--config", required=True, type=Path, help="configuration file")
         p.add_argument("--out", required=True, type=Path, help="output directory")
         p.add_argument("--scheme", choices=("bdf1", "bdf2"), help="override time scheme")
         p.add_argument("--tau", type=float, help="override time step size")
-        p.add_argument("--t-end", type=float, dest="t_end", help="override final time")
+        if t_end:
+            p.add_argument("--t-end", type=float, dest="t_end", help="override final time")
+        else:  # the driver sets each run's final time, so the flag is refused
+            p.set_defaults(t_end=None)
         p.add_argument("--strict-energy", action="store_true", default=None,
                        dest="strict_energy",
                        help="abort (exit 4) if the modified energy ever increases")
@@ -67,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=(1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0))
     p_sta.add_argument("--steps", type=int, default=200, help="steps per sweep member")
 
-    p_den = sub.add_parser("dendrite", help="fourfold dendritic growth sweep")
-    common(p_den)
+    p_den = sub.add_parser("dendrite", help="fourfold dendritic growth sweep; each run "
+                           "ends at its last snapshot instant, so --t-end is refused")
+    common(p_den, t_end=False)
     p_den.add_argument("--k-values", type=_float_list, default=(0.6, 0.8, 1.0, 1.2),
                        dest="k_values", help="latent heat sweep")
 

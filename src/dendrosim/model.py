@@ -1,10 +1,10 @@
 """Continuous-model ingredients for the anisotropic crystal growth system.
 
-Holds the physical parameters, the double-well potential and latent-heat
-nonlinearity, the fourfold anisotropy function and its gradient-space
-derivative, the stabilized nonlinear residual driving the phase equation,
-and the auxiliary and original energy functionals (the modified energy of
-the schemes is ``bdf1.scheme_energy``).
+Holds the physical parameters, the derivatives of the double-well potential
+and of the latent-heat function, the fourfold anisotropy function and its
+gradient-space derivative, the stabilized nonlinear residual driving the
+phase equation, and the auxiliary and original energy functionals (the
+modified energy of the schemes is ``bdf1.scheme_energy``).
 
 Conventions shared with the time steppers:
 
@@ -44,8 +44,6 @@ __all__ = [
     "SourceTerms",
     "EnergyPositivityError",
     "f_well",
-    "big_f_well",
-    "h_latent",
     "h_prime",
     "Anisotropy",
     "anisotropy",
@@ -178,18 +176,6 @@ NO_SOURCES = SourceTerms()
 def f_well(phi: np.ndarray) -> np.ndarray:
     """Derivative of the double-well potential: phi^3 - phi."""
     return phi * (phi * phi - 1.0)
-
-
-def big_f_well(phi: np.ndarray) -> np.ndarray:
-    """Double-well potential F(phi) = (phi^2 - 1)^2 / 4."""
-    q = phi * phi - 1.0
-    return 0.25 * q * q
-
-
-def h_latent(phi: np.ndarray) -> np.ndarray:
-    """Latent-heat generation h(phi) = phi^5/5 - 2 phi^3/3 + phi."""
-    p2 = phi * phi
-    return phi * (0.2 * p2 * p2 - (2.0 / 3.0) * p2 + 1.0)
 
 
 def h_prime(phi: np.ndarray) -> np.ndarray:

@@ -117,7 +117,8 @@ def write_snapshot(snap: FieldSnapshot, path: str | Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(_field_bytes(snap.values))
+        # a contiguous little-endian field is written from its own buffer, uncopied
+        fh.write(np.ascontiguousarray(snap.values, dtype="<f8"))
 
 
 def read_snapshot(path: str | Path) -> FieldSnapshot:

@@ -1,6 +1,7 @@
 import inspect
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dendrosim.bdf1 import (
     identity_proof_lines,
     init_state,
     partial_solves,
+    phase_potential,
     scheme_energy,
     step,
 )
@@ -29,14 +31,32 @@ from conftest import shipped_config, smooth_field
 CASE2 = shipped_config("case2")
 
 
+class Levels(NamedTuple):
+    """Stands in for a state in ``partial_solves``: its leading coefficient,
+    lead phase field and phase and temperature histories."""
+
+    a0: float
+    phi_bar: np.ndarray
+    phi_hist: np.ndarray
+    temp_hist: np.ndarray
+
+    def lead(self, name, take=False):
+        assert name == "phi"
+        return self.phi_bar
+
+    def history(self, name):
+        return {"phi": self.phi_hist, "temp": self.temp_hist}[name]
+
+
 def solves(grid, p, tau, rho=1e3, a0=1.0, phi_bar=None, phi_hist=None, temp_hist=None,
            core=None, temp_forcing=None):
     """The kernel's partial solves with zero data for every field not given;
     the phase history defaults to the explicit field (the bdf1 setting)."""
     z = grid.zeros()
     phi_bar = z if phi_bar is None else phi_bar
-    hist = (phi_bar if phi_hist is None else phi_hist, z if temp_hist is None else temp_hist)
-    return partial_solves(grid, p, tau, a0, rho, hist, phi_bar, z if core is None else core,
+    phi_hist = phi_bar if phi_hist is None else phi_hist
+    levels = Levels(a0, phi_bar, phi_hist, z if temp_hist is None else temp_hist)
+    return partial_solves(grid, p, tau, levels, rho, phi_hist, z if core is None else core,
                           z if temp_forcing is None else temp_forcing)
 
 
@@ -70,7 +90,7 @@ def cg_slack(case, p, rhs):
     return CG_TOL * float(np.linalg.norm(rhs)) / (p.s1 + p.s4) if case == "pcg" else 0.0
 
 
-def raw_closure(grid, p, tau, state, parts, e1_n, rho_n):
+def raw_closure(grid, p, tau, state, parts, mu1, mu2, e1_n, rho_n):
     """A1/A2 straight from the unsimplified definitions (independent oracle
     for the production formulas)."""
     hp = h_prime(state.phi)
@@ -82,7 +102,7 @@ def raw_closure(grid, p, tau, state, parts, e1_n, rho_n):
         2.0 * e1_n
         - inner(grid, g_residual(grid, state.phi, p), parts.phi2)
         + tau * lam_e * (inner(grid, hm * state.mu, parts.temp2)
-                         - inner(grid, hm * state.temp, parts.mu2))
+                         - inner(grid, hm * state.temp, mu2))
         + tau * lam_e * inner(grid, hm * state.temp,
                               (p.s3 / p.eps**2) * parts.phi2
                               - p.s4 * laplacian(grid, parts.phi2))
@@ -91,7 +111,7 @@ def raw_closure(grid, p, tau, state, parts, e1_n, rho_n):
         2.0 * math.sqrt(e1_n) * state.r
         + inner(grid, g_residual(grid, state.phi, p), dphi1)
         - tau * lam_e * (inner(grid, hm * state.mu, parts.temp1)
-                         - inner(grid, hm * state.temp, parts.mu1))
+                         - inner(grid, hm * state.temp, mu1))
         - tau * lam_e * inner(grid, hm * state.temp,
                               (p.s3 / p.eps**2) * dphi1
                               - p.s4 * laplacian(grid, dphi1))
@@ -147,7 +167,7 @@ class TestPhaseSolves:
         p = CASE2.params
         parts = solves(grid16, p, 0.1)
         assert np.all(parts.phi1 == 0.0)
-        assert np.all(parts.mu1 == 0.0)
+        assert np.all(phase_potential(p, parts.coeff, parts.phi1, parts.rhs1) == 0.0)
 
     def test_phi1_constant_closed_form(self, grid16):
         p = replace(CASE2.params, s3=2.0, s4=1.0)
@@ -165,7 +185,7 @@ class TestPhaseSolves:
         phi_hist = phi_n if hist_seed is None else smooth_field(grid16, hist_seed)
         with np.errstate(all="raise"):
             parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist)
-        phi1, mu1 = parts.phi1, parts.mu1
+            phi1, mu1 = parts.phi1, phase_potential(p, parts.coeff, parts.phi1, parts.rhs1)
         if case == "b_zero":
             assert np.array_equal(mu1, -(p.s2 / p.eps**2) * phi1)
         m = 1.0 / rho
@@ -184,7 +204,8 @@ class TestPhaseSolves:
         p = CASE2.params
         parts = solves(grid16, p, 0.1, core=grid16.zeros())
         assert np.all(parts.phi2 == 0.0)
-        assert np.all(parts.mu2 == 0.0)
+        mu2 = phase_potential(p, parts.coeff, parts.phi2, grid16.zeros(), forced=True)
+        assert np.all(mu2 == 0.0)
 
     def test_phi2_unit_forcing_sign(self, grid16):
         # g = 1, T = 0: constant output with the closed-form negative value
@@ -208,7 +229,7 @@ class TestPhaseSolves:
         core = -(g_n + coupling)
         with np.errstate(all="raise"):
             parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist, core=core)
-        phi2, mu2 = parts.phi2, parts.mu2
+            phi2, mu2 = parts.phi2, phase_potential(p, parts.coeff, parts.phi2, core, forced=True)
         if case == "b_zero":
             assert np.array_equal(mu2, core - (p.s2 / p.eps**2) * phi2)
         m = 1.0 / rho
@@ -259,8 +280,10 @@ class TestZeroStabilizers:
         rhs1 = phi_hist * (rho / tau) + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid16, phi_bar)
         phi1, _ = solve_shifted(grid16, coeff, b, rhs1)
         mu1 = p.s1 / b * (coeff * phi1 - rhs1) - p.s2 / p.eps**2 * phi1
+        assert parts.coeff == coeff and parts.rhs1.tobytes() == rhs1.tobytes()
         assert parts.phi1.tobytes() == phi1.tobytes()
-        assert parts.mu1.tobytes() == mu1.tobytes()
+        got = phase_potential(p, parts.coeff, parts.phi1, parts.rhs1)
+        assert got.tobytes() == mu1.tobytes()
 
 
 class TestTemperatureSolves:
@@ -317,15 +340,39 @@ class TestClosure:
         e1_n = e1_energy(grid, state.phi, p)
         g_n = g_residual(grid, state.phi, p)
         coupling = (p.lam / p.eps) * h_prime(state.phi) * state.temp
-        parts = solves(grid, p, tau, rho, phi_bar=state.phi, temp_hist=state.temp,
-                       core=-(g_n + coupling),
+        core = -(g_n + coupling)
+        parts = solves(grid, p, tau, rho, phi_bar=state.phi, temp_hist=state.temp, core=core,
                        temp_forcing=p.latent * h_prime(state.phi) / rho * state.mu)
+        # the pair the step forms after xi from (phi_1, rhs_1) and (phi_2, core)
+        mu1 = phase_potential(p, parts.coeff, parts.phi1, parts.rhs1)
+        mu2 = phase_potential(p, parts.coeff, parts.phi2, core, forced=True)
         _, rep = step(grid, state, tau, p)
         a1, a2 = rep.a1, rep.a2
-        a1_raw, a2_raw = raw_closure(grid, p, tau, state, parts, e1_n, rho)
+        a1_raw, a2_raw = raw_closure(grid, p, tau, state, parts, mu1, mu2, e1_n, rho)
         assert a1 == pytest.approx(a1_raw, rel=1e-9)
         assert a2 == pytest.approx(a2_raw, rel=1e-9)
         assert a1 > 0.0
+
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
+    def test_new_mu_is_the_pair_formed_after_xi(self, grid16, monkeypatch, scheme):
+        # the step forms mu_1 and mu_2 once xi is known, from (phi_1, rhs_1)
+        # and (phi_2, core), and its new mu is, bitwise, mu_1 + xi*mu_2
+        formed, real = [], bdf1.phase_potential
+
+        def recorded(*args, **kwargs):
+            mu = real(*args, **kwargs)
+            formed.append(mu.copy())
+            return mu
+
+        p = replace(CASE2.params, s3=3.0, s4=2.0)
+        state, step_fn = case2_state(grid16, p, seed=5), step
+        if scheme == "bdf2":
+            state, _ = bdf2.bootstrap(grid16, state, 0.01, p)
+            step_fn = bdf2.step2
+        monkeypatch.setattr(bdf1, "phase_potential", recorded)
+        new, rep = step_fn(grid16, state, 0.01, p)
+        mu1, mu2 = formed
+        assert new.mu.tobytes() == (mu1 + rep.xi * mu2).tobytes()
 
 
 class TestStep:

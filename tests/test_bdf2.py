@@ -14,6 +14,7 @@ from dendrosim.diagnostics import make_record
 from dendrosim.experiments import run_accuracy
 from dendrosim.grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from dendrosim.model import (
+    NO_SOURCES,
     Anisotropy,
     ConstantMobility,
     EnergyPositivityError,
@@ -544,23 +545,43 @@ class TestStateNormMemo:
 
 
 def _explicit_memos(state):
-    return [v for v in state._norms.values() if isinstance(v, bdf1.ExplicitData)]
+    return [v for k, v in state._norms.items() if isinstance(k, tuple) and k[0] == "explicit"]
+
+
+def _memo_fields(state):
+    """The fields (arrays, geometries, explicit data) that a state's memo holds."""
+    return [v for v in state._norms.values()
+            if isinstance(v, (np.ndarray, Anisotropy, dict, bdf1.ExplicitData))]
+
+
+def _row_then_step(grid, p, state, checked):
+    """A copy of ``state`` whose ledger row was made, as in a run, and the
+    SAV step from it, without the identity check that ``step`` would add."""
+    before = replace(state)
+    make_record(grid, p, before)
+    bdf1.sav_step(grid, p, 0.1, before, NO_SOURCES, before.t + 0.1, checked)
+    return before
 
 
 @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
 class TestExplicitDataMemo:
     """A state's explicit data is evaluated once, by the step from it, and
-    read again by that step's identity check."""
+    owned by its last reader: the unchecked step, or the checked step's
+    identity check."""
 
     def test_memo_equals_fresh_evaluation(self, case2, scheme):
-        # the memoized leads, rho, h', E1 and geometry equal, bitwise, those
-        # of a copy of the state that has no memo
+        # the identity check takes the explicit data that a checked step kept
+        # out of the memo; its leads, rho, h', E1 and geometry equal, bitwise,
+        # those of a copy of the state that has no memo
         grid, p, _, _ = case2
-        for before, _ in _stepped_pairs(scheme, case2, p, levels=2):
-            got = bdf1.explicit_data(grid, p, before)
+        for state, _ in _stepped_pairs(scheme, case2, p, levels=2):
+            before = _row_then_step(grid, p, state, checked=True)
             (memo,) = _explicit_memos(before)
-            assert memo is got
-            fresh = replace(before)
+            got = bdf1.explicit_data(grid, p, before)
+            assert _explicit_memos(before) == [] and _memo_fields(before) == []
+            for name in ("phi", "temp", "mu", "hp", "geom"):
+                assert getattr(got, name) is memo[name]
+            fresh = replace(state)
             want = bdf1.explicit_data(grid, p, fresh)
             for name in ("phi", "temp", "mu", "hp"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -573,22 +594,36 @@ class TestExplicitDataMemo:
             assert got.e1 == e1_energy(grid, fresh.lead("phi"), p)
 
     def test_memo_keeps_geometry_only_for_checked_step(self, case2, scheme):
-        # the identity check is the only second reader of the explicit data:
-        # an unchecked step keeps no memo, so h' and the geometry die with the
-        # step, and a checked one keeps it, geometry included
+        # the ledger row leaves the geometry (bdf1) or the leads of phi and T
+        # (bdf2) in the memo for the step; an unchecked step takes every field
+        # out, a checked one keeps the explicit data, geometry included, for
+        # its identity check
+        grid, p, phi0, temp0 = case2
+        state = init_state(grid, phi0, temp0, p)
+        if scheme == "bdf2":
+            state, _ = bootstrap(grid, state, 0.1, p)
+        row_only = replace(state)
+        make_record(grid, p, row_only)
+        assert _memo_fields(row_only)
+        assert _memo_fields(_row_then_step(grid, p, state, checked=False)) == []
+        (memo,) = _explicit_memos(_row_then_step(grid, p, state, checked=True))
+        assert isinstance(memo["geom"], Anisotropy)
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_memo_holds_no_field_after_the_step(self, case2, scheme, check):
+        # the step is the last reader of the explicit data, or its identity
+        # check is: after either, the memo of the state it left holds no field
         grid, p, phi0, temp0 = case2
         state = init_state(grid, phi0, temp0, p)
         step_fn = bdf1.step
         if scheme == "bdf2":
             state, _ = bootstrap(grid, state, 0.1, p)
             step_fn = step2
-        before = replace(state)
-        step_fn(grid, before, 0.1, p, check_identity=False)
-        assert _explicit_memos(before) == []
-        before = replace(state)
-        step_fn(grid, before, 0.1, p, check_identity=True)
-        (memo,) = _explicit_memos(before)
-        assert isinstance(memo.geom, Anisotropy)
+        for _ in range(2):
+            make_record(grid, p, state)
+            new, _ = step_fn(grid, state, 0.1, p, check_identity=check)
+            assert _memo_fields(state) == []
+            state = new
 
     def test_checked_run_evaluates_once_per_level(self, case2, scheme, monkeypatch):
         # a checked run_single calls e1_energy and h_prime once per level

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -154,6 +155,26 @@ class TestSnapshots:
         assert back.name == "phi"
         assert np.array_equal(back.values, values)
         assert back.values.dtype == np.float64
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "big-endian", "float32"])
+    def test_file_is_header_and_payload_bytes(self, tmp_path, layout):
+        # the payload is written from the array's own buffer, or from a
+        # contiguous little-endian copy of it: byte for byte the header and
+        # the C-ordered doubles
+        grid = GridSpec(6, 9, -2.0, 1.0, 0.0, 4.0)
+        base = random_field(grid, 3)
+        values = {
+            "c": base,
+            "fortran": np.asfortranarray(base),
+            "strided": np.repeat(base, 2, axis=1)[:, ::2],
+            "big-endian": base.astype(">f8"),
+            "float32": base.astype(np.float32),
+        }[layout]
+        path = tmp_path / "f.snp"
+        write_snapshot(FieldSnapshot(grid, 0.625, "temp", values), path)
+        header = struct.pack("<4sIIIddddd16s", b"PFC1", 1, 6, 9, -2.0, 1.0, 0.0, 4.0, 0.625,
+                             b"temp".ljust(16, b"\0"))
+        assert path.read_bytes() == header + values.astype("<f8").tobytes()
 
     def test_truncated_payload_error_names_counts(self, tmp_path, grid8):
         path = tmp_path / "f.snp"

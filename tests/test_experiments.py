@@ -335,16 +335,15 @@ class TestRetainHeap:
 
 
 class TestWorkingSet:
-    """A level holds the state, its leads and the fields of its solves, and
-    every transient of the step dies at its last use."""
+    """A level holds the state and the fields of its solves, and every field
+    of a step dies after its last reader."""
 
     # peak traced fields over the run's baseline, half a field above what the
-    # steps reach (20.1 / 25.1 / 13.1 / 18.1); where a call's arguments live as
-    # long as the call (Python 3.10), a bdf2 step peaks a field higher, as
-    # its history and source tuples outlive the phase solves
-    PY310 = 1.0 if sys.version_info < (3, 11) else 0.0
-    BOUNDS = {("bdf2", False): 20.5 + PY310, ("bdf2", True): 25.5 + PY310,
-              ("bdf1", False): 13.5, ("bdf1", True): 18.5}
+    # steps reach (17.1 / 23.1 / 12.1 / 16.1); no step call passes a field
+    # that should die inside it, so the peak is the same where a call's
+    # arguments live as long as the call (Python 3.10)
+    BOUNDS = {("bdf2", False): 17.5, ("bdf2", True): 23.5,
+              ("bdf1", False): 12.5, ("bdf1", True): 16.5}
 
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
     @pytest.mark.parametrize("scheme, check", list(BOUNDS))
@@ -734,3 +733,14 @@ class TestCli:
         assert code == EXIT_OK
         assert "arms" in capsys.readouterr().out
         assert (tmp_path / "den" / "K0.33" / "dendrite_K0.33.csv").exists()
+
+    def test_dendrite_refuses_t_end(self, tmp_path, capsys):
+        # each dendrite run ends at its last snapshot instant, so --t-end
+        # would be ignored: it is refused with exit 2 before --out is created
+        out = tmp_path / "den"
+        with pytest.raises(SystemExit) as exc:
+            main(["dendrite", "--config", str(CONFIG_DIR / "dendrite.cfg"),
+                  "--out", str(out), "--t-end", "0.02"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--t-end" in capsys.readouterr().err
+        assert not out.exists()

@@ -25,11 +25,9 @@ from dendrosim.model import (
     ModelParams,
     aniso_flux,
     anisotropy,
-    big_f_well,
     e1_energy,
     f_well,
     g_residual,
-    h_latent,
     h_prime,
     original_energy,
 )
@@ -37,6 +35,20 @@ from dendrosim.model import (
 from conftest import random_field, shipped_config, smooth_field
 
 CASE2, DENDRITE = shipped_config("case2"), shipped_config("dendrite")
+
+
+def _big_f_well(phi):
+    """Double-well potential F(phi) = (phi^2 - 1)^2 / 4, whose derivative is
+    ``f_well`` (reference for the energies)."""
+    q = phi * phi - 1.0
+    return 0.25 * q * q
+
+
+def _h_latent(phi):
+    """Latent-heat generation h(phi) = phi^5/5 - 2 phi^3/3 + phi, whose
+    derivative is ``h_prime``."""
+    p2 = phi * phi
+    return phi * (0.2 * p2 * p2 - (2.0 / 3.0) * p2 + 1.0)
 
 
 def make_params(**overrides):
@@ -87,11 +99,11 @@ class TestPotentials:
     def test_double_well_roots(self):
         phi = np.array([0.0, 1.0, -1.0, 2.0])
         assert f_well(phi) == pytest.approx([0.0, 0.0, 0.0, 6.0])
-        assert big_f_well(phi) == pytest.approx([0.25, 0.0, 0.0, 2.25])
+        assert _big_f_well(phi) == pytest.approx([0.25, 0.0, 0.0, 2.25])
 
     def test_latent_heat_values(self):
-        assert h_latent(np.array([1.0]))[0] == pytest.approx(8.0 / 15.0)
-        assert h_latent(np.array([-1.0]))[0] == pytest.approx(-8.0 / 15.0)
+        assert _h_latent(np.array([1.0]))[0] == pytest.approx(8.0 / 15.0)
+        assert _h_latent(np.array([-1.0]))[0] == pytest.approx(-8.0 / 15.0)
         assert h_prime(np.array([0.0, 1.0, -1.0])) == pytest.approx([1.0, 0.0, 0.0])
 
     @settings(max_examples=50, deadline=None)
@@ -99,14 +111,14 @@ class TestPotentials:
     def test_f_is_derivative_of_big_f(self, phi):
         d = 1e-6
         lo, hi = np.array([phi - d]), np.array([phi + d])
-        fd = (big_f_well(hi) - big_f_well(lo)) / (2 * d)
+        fd = (_big_f_well(hi) - _big_f_well(lo)) / (2 * d)
         assert f_well(np.array([phi]))[0] == pytest.approx(fd[0], abs=1e-7 * max(1, abs(phi)**3))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-2.5, 2.5, allow_nan=False))
     def test_h_prime_is_derivative_of_h(self, phi):
         d = 1e-6
-        fd = (h_latent(np.array([phi + d])) - h_latent(np.array([phi - d]))) / (2 * d)
+        fd = (_h_latent(np.array([phi + d])) - _h_latent(np.array([phi - d]))) / (2 * d)
         assert h_prime(np.array([phi]))[0] == pytest.approx(fd[0], abs=1e-6 * max(1, abs(phi)**4))
 
     @settings(max_examples=50, deadline=None)
@@ -274,7 +286,7 @@ class TestEnergies:
             phi = np.tanh((0.25 - x**2 - y**2) / eps)
             from dendrosim.grid import integrate
 
-            return integrate(g, big_f_well(phi)) / eps**2
+            return integrate(g, _big_f_well(phi)) / eps**2
 
         assert f_term(0.1) == pytest.approx(np.pi * 0.1 / (3 * 0.1**2), rel=0.02)
         assert f_term(0.05) / f_term(0.1) == pytest.approx(2.0, rel=0.05)
@@ -318,13 +330,13 @@ def _ref_bulk(grid, phi, p):
 
 
 def _ref_e1_energy(grid, phi, p):
-    bulk = _ref_bulk(grid, phi, p) + (big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
+    bulk = _ref_bulk(grid, phi, p) + (_big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
     return (integrate(grid, bulk) + p.bconst * grid.area
             - 0.5 * p.s1 * grad_norm_sq(grid, phi))
 
 
 def _ref_original_energy(grid, phi, temp, p):
-    bulk = _ref_bulk(grid, phi, p) + big_f_well(phi) / p.eps**2
+    bulk = _ref_bulk(grid, phi, p) + _big_f_well(phi) / p.eps**2
     return integrate(grid, bulk) + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp)
 
 
@@ -400,13 +412,13 @@ class TestSharedGeometryOracle:
 
 def _bulk_e1_energy(grid, phi, p, geom):
     bulk = 0.5 * geom.kap * geom.kap * geom.mag2
-    bulk += (big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
+    bulk += (_big_f_well(phi) - 0.5 * p.s2 * phi * phi) / p.eps**2
     return integrate(grid, bulk) + p.bconst * grid.area - 0.5 * p.s1 * grad_norm_sq(grid, phi)
 
 
 def _bulk_original_energy(grid, phi, temp, p, geom):
     bulk = 0.5 * geom.kap * geom.kap * geom.mag2
-    bulk += big_f_well(phi) / p.eps**2
+    bulk += _big_f_well(phi) / p.eps**2
     return integrate(grid, bulk) + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp)
 
 
