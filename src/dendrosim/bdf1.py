@@ -2,9 +2,10 @@
 SAV step kernel shared with the second-order scheme.
 
 Both schemes write the time derivative as (a0*x^{n+1} - x_hist)/tau and take
-the nonlinear terms at explicit data x_bar; each state type supplies its
-``a0``, its history ``state.history`` and its lead ``state.lead``, here
-a0 = 1, x_hist = x_bar = x^n.
+the nonlinear terms at explicit data x_bar.  One frozen :class:`State` serves
+both: it holds level n-1 exactly when its BDF order k is 2, and its ``a0``,
+its history ``state.history`` and its lead ``state.lead`` are the BDF table
+of that order, a0 = 1 and x_hist = x_bar = x^n at k = 1.
 :func:`sav_step` then advances (phi, T, mu, R) through four linear elliptic
 solves (:func:`partial_solves`) and a scalar closure:
 
@@ -27,16 +28,15 @@ The explicit data of the step from a state (the leads, 1/M, h', E1 and the
 anisotropy geometry at phi_bar) is evaluated once per state, in one order,
 and each field is owned by its last reader.  An unchecked step is that
 reader: its fields die inside the step, the leads that the ledger row's
-norms memoized in a ``bdf2.StateBDF2`` included.  A checked step keeps them
+norms memoized in an order-2 state included.  A checked step keeps them
 in the state's memo, and its identity check takes them out
 (:func:`explicit_data`).  The ledger row of phi^n = phi_bar hands its
 geometry to the step through the memo (:func:`state_geometry`).
 
 The discrete energy law is written once for both schemes, in terms of the
-BDF order k of a state (``state.order``: 1 here, 2 for ``bdf2.StateBDF2``)
-and its lead rule (``state.lead``: the explicit data of the next level,
-x^n here).  :func:`scheme_energy` is the modified energy, summed over the
-level and its lead for k = 2; :func:`identity_proof_lines` re-assembles the
+BDF order k of a state (``state.order``) and its lead rule (``state.lead``:
+the explicit data of the next level).  :func:`scheme_energy` is the modified
+energy, summed over the level and its lead for k = 2; :func:`identity_proof_lines` re-assembles the
 three inner-product identities behind the law from the two states, the
 explicit data of the step and its own evaluation of the nonlinear residual g,
 and ``energy_identity_residual`` (``bdf2.energy_identity_residual2`` for
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,11 +67,8 @@ from .model import (
 )
 from .solvers import helmholtz_solve, solve_shifted
 
-if TYPE_CHECKING:
-    from .bdf2 import StateBDF2
-
 __all__ = [
-    "StateBDF1",
+    "State",
     "EnergyNorms",
     "ExplicitData",
     "StepReport",
@@ -91,12 +88,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StateBDF1:
-    """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau.
+class State:
+    """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau and, for BDF
+    order 2, level n-1 in the ``*_prev`` fields (all ``None`` at order 1).
 
-    ``_norms`` is the state's memo: its energy norms (:func:`state_norms`) and,
-    until the identity check takes it out, the explicit data that a checked
-    step from it kept (:func:`explicit_data`)."""
+    ``_norms`` is the state's memo: its energy norms (:func:`state_norms`),
+    its order-2 leads and, until the identity check takes it out, the
+    explicit data that a checked step from it kept (:func:`explicit_data`)."""
 
     phi: np.ndarray
     temp: np.ndarray
@@ -104,17 +102,58 @@ class StateBDF1:
     r: float
     t: float = 0.0
     n: int = 0
+    phi_prev: np.ndarray | None = None
+    temp_prev: np.ndarray | None = None
+    mu_prev: np.ndarray | None = None
+    r_prev: float | None = None
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    order = 1  # BDF order k of the scheme that advances this state
-    a0 = 1.0  # leading coefficient of its BDF derivative (a0*x^{n+1} - history)/tau
+    def __post_init__(self):
+        if len({getattr(self, name + "_prev") is None for name in ("phi", "temp", "mu", "r")}) > 1:
+            raise ValueError("a state holds all of phi_prev, temp_prev, mu_prev and r_prev "
+                             "(BDF order 2) or none of them (order 1)")
+
+    # the BDF table: each entry reads the order from whether level n-1 is held
+    @property
+    def order(self) -> int:
+        """BDF order k of the scheme that advances this state."""
+        return 1 if self.phi_prev is None else 2
+
+    @property
+    def a0(self) -> float:
+        """Leading coefficient of its BDF derivative (a0*x^{n+1} - history)/tau."""
+        return 1.0 if self.phi_prev is None else 1.5
 
     def lead(self, name: str, take: bool = False):
-        """The explicit data of the next level for field ``name``: x^n itself,
-        which stays with the state whether or not a reader ``take``s it."""
-        return getattr(self, name)
+        """The explicit data of the next level for field ``name``.
 
-    history = lead  # the history of the BDF derivative is x^n too
+        At order 1 it is x^n itself, which stays with the state whether or
+        not a reader ``take``s it.  At order 2 it is the linear extrapolation
+        2x^n - x^{n-1}, formed once per state in its memo, so the ledger
+        row's norms and the step share it; its last reader ``take``s it, and
+        the lead leaves the memo and dies with that reader."""
+        if self.phi_prev is None:
+            return getattr(self, name)
+        key = ("lead", name)
+        if key not in self._norms:
+            self._norms[key] = 2.0 * getattr(self, name) - getattr(self, name + "_prev")
+        return self._norms.pop(key) if take else self._norms[key]
+
+    def history(self, name: str):
+        """The history of the BDF derivative for field ``name``: x^n at order 1;
+        2x^n - x^{n-1}/2 at order 2, formed afresh at each call, so it dies
+        with the step's last use."""
+        if self.phi_prev is None:
+            return getattr(self, name)
+        return 2.0 * getattr(self, name) - 0.5 * getattr(self, name + "_prev")
+
+    def next_level(self, phi: np.ndarray, temp: np.ndarray, mu: np.ndarray, r: float,
+                   t: float) -> State:
+        """Level n+1 with the given fields, of this state's order: at order 2
+        this level becomes its level n-1."""
+        if self.phi_prev is None:
+            return State(phi, temp, mu, r, t, self.n + 1)
+        return State(phi, temp, mu, r, t, self.n + 1, self.phi, self.temp, self.mu, self.r)
 
 
 class EnergyNorms(NamedTuple):
@@ -172,7 +211,7 @@ class PartialSolves(NamedTuple):
     cg_iterations: int
 
 
-def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelParams) -> StateBDF1:
+def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelParams) -> State:
     """Initial state with R = sqrt(E1(phi0)) and mu from the continuous
     chemical potential evaluated at the initial data (auxiliary ratio = 1)."""
     grid.check(phi0, temp0)
@@ -184,12 +223,12 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
         - (p.s2 / p.eps**2) * phi0
         - (p.lam / p.eps) * h_prime(phi0) * temp0
     )
-    state = StateBDF1(phi=phi0.copy(), temp=temp0.copy(), mu=mu0, r=math.sqrt(e1))
+    state = State(phi=phi0.copy(), temp=temp0.copy(), mu=mu0, r=math.sqrt(e1))
     state._norms["geometry", grid, p] = geom  # for the level-0 row and the first step
     return state
 
 
-def state_geometry(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2) -> Anisotropy:
+def state_geometry(grid: GridSpec, p: ModelParams, state: State) -> Anisotropy:
     """The anisotropy geometry of ``state.phi``.  Where phi is the state's own
     lead, the step from the state needs it again: it stays in the state's memo
     until the step takes it out, and dies after the step's g."""
@@ -199,7 +238,7 @@ def state_geometry(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2)
     return geom
 
 
-def _phi_bar_terms(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2, take: bool):
+def _phi_bar_terms(grid: GridSpec, p: ModelParams, state: State, take: bool):
     """phi_bar, its geometry, 1/M(phi_bar) and E1(phi_bar): the first explicit
     data of the step from ``state``.  The geometry leaves the memo; phi_bar
     leaves it too when ``take`` says the caller is its last reader."""
@@ -213,7 +252,7 @@ def _keep_nothing(**data) -> None:
     """The memo of an unchecked step: its explicit data has no second reader."""
 
 
-def explicit_data(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2) -> ExplicitData:
+def explicit_data(grid: GridSpec, p: ModelParams, state: State) -> ExplicitData:
     """The explicit data of the step from ``state``, for that step's identity
     check, its last reader: taken out of the state's memo, where a checked
     step kept it, or else evaluated afresh in the step's order (phi_bar,
@@ -228,7 +267,7 @@ def explicit_data(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2) 
 
 
 def partial_solves(
-    grid: GridSpec, p: ModelParams, tau: float, state: StateBDF1 | StateBDF2, rho,
+    grid: GridSpec, p: ModelParams, tau: float, state: State, rho,
     phi_hist: np.ndarray, core: np.ndarray, temp_forcing: np.ndarray,
     sources: SourceTerms = NO_SOURCES, t_new: float = 0.0,
 ) -> PartialSolves:
@@ -292,7 +331,7 @@ def phase_potential(
 
 
 def sav_step(
-    grid: GridSpec, p: ModelParams, tau: float, state: StateBDF1 | StateBDF2,
+    grid: GridSpec, p: ModelParams, tau: float, state: State,
     sources: SourceTerms, t_new: float, checked: bool,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], StepReport]:
     """One step of either scheme to ``t_new``; returns the new (phi, T, mu, R).
@@ -370,12 +409,12 @@ def sav_step(
 
 def step(
     grid: GridSpec,
-    state: StateBDF1,
+    state: State,
     tau: float,
     p: ModelParams,
     sources: SourceTerms = NO_SOURCES,
     check_identity: bool = False,
-) -> tuple[StateBDF1, StepReport]:
+) -> tuple[State, StepReport]:
     """Advance one time level: the SAV kernel with a0 = 1 and x_hist = x_bar = x^n.
 
     ``bdf2.bootstrap`` and ``bdf2.step2`` take the same parameters, so one
@@ -383,13 +422,13 @@ def step(
     """
     t_new = state.t + tau
     (phi, temp, mu, r), report = sav_step(grid, p, tau, state, sources, t_new, check_identity)
-    new = StateBDF1(phi=phi, temp=temp, mu=mu, r=r, t=t_new, n=state.n + 1)
+    new = state.next_level(phi, temp, mu, r, t_new)
     if check_identity:
         report.identity_residual = energy_identity_residual(grid, p, tau, state, new)
     return new, report
 
 
-def _energy_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
+def _energy_norms(grid: GridSpec, state: State) -> EnergyNorms:
     grad_phi, phi = grad_norm_sq(grid, state.phi), norm_sq(grid, state.phi)
     temp, r = norm_sq(grid, state.temp), state.r**2
     if state.order == 1:
@@ -408,7 +447,7 @@ def _energy_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
     )
 
 
-def state_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
+def state_norms(grid: GridSpec, state: State) -> EnergyNorms:
     """The state's energy norms, evaluated once per state and grid.
 
     They depend on the state's fields alone, so the identity check, the
@@ -423,7 +462,7 @@ def state_norms(grid: GridSpec, state: StateBDF1 | StateBDF2) -> EnergyNorms:
     return norms
 
 
-def scheme_energy(grid: GridSpec, p: ModelParams, state: StateBDF1 | StateBDF2) -> float:
+def scheme_energy(grid: GridSpec, p: ModelParams, state: State) -> float:
     """Modified energy of the discrete energy law of the state's order k."""
     norms = state_norms(grid, state)
     return 1.0 / (2 * state.order) * math.fsum(
@@ -442,8 +481,8 @@ def identity_proof_lines(
     grid: GridSpec,
     p: ModelParams,
     tau: float,
-    before: StateBDF1 | StateBDF2,
-    after: StateBDF1 | StateBDF2,
+    before: State,
+    after: State,
 ) -> tuple[float, float, float]:
     """Assemble the three inner-product identities behind the energy law.
 
@@ -507,7 +546,7 @@ def identity_proof_lines(
 
 def _identity_residual(
     grid: GridSpec, p: ModelParams, tau: float,
-    before: StateBDF1 | StateBDF2, after: StateBDF1 | StateBDF2,
+    before: State, after: State,
 ) -> float:
     lines = identity_proof_lines(grid, p, tau, before, after)
     return abs(math.fsum(lines)) / (2.0 * before.order * abs(scheme_energy(grid, p, before)))
@@ -517,8 +556,8 @@ def energy_identity_residual(
     grid: GridSpec,
     p: ModelParams,
     tau: float,
-    before: StateBDF1,
-    after: StateBDF1,
+    before: State,
+    after: State,
 ) -> float:
     """Energy-law balance |E^{n+1} - E^n + Q + tau*dissipation| / |E^n|.
 

@@ -34,6 +34,17 @@ def _float_list(raw: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {raw!r}") from exc
 
 
+# the config overrides, by the RunConfig field each sets; flag --<field with dashes>
+_OVERRIDES = {
+    "scheme": dict(choices=("bdf1", "bdf2"), help="override time scheme"),
+    "tau": dict(type=float, help="override time step size"),
+    "t_end": dict(type=float, help="override final time"),
+    "strict_energy": dict(action="store_true", default=None,
+                          help="abort (exit 4) if the modified energy ever increases"),
+    "snapshot_every": dict(type=int, help="dump phi and T snapshots every N steps"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dendrosim",
@@ -41,38 +52,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, t_end: bool = True) -> None:
+    def command(name: str, summary: str, *overrides: str) -> argparse.ArgumentParser:
+        """A subcommand with --config, --out and the ``overrides`` its driver
+        reads; argparse refuses any other flag, and any abbreviation (exit 2)."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", required=True, type=Path, help="configuration file")
         p.add_argument("--out", required=True, type=Path, help="output directory")
-        p.add_argument("--scheme", choices=("bdf1", "bdf2"), help="override time scheme")
-        p.add_argument("--tau", type=float, help="override time step size")
-        if t_end:
-            p.add_argument("--t-end", type=float, dest="t_end", help="override final time")
-        else:  # the driver sets each run's final time, so the flag is refused
-            p.set_defaults(t_end=None)
-        p.add_argument("--strict-energy", action="store_true", default=None,
-                       dest="strict_energy",
-                       help="abort (exit 4) if the modified energy ever increases")
-        p.add_argument("--snapshot-every", type=int, dest="snapshot_every",
-                       help="dump phi and T snapshots every N steps")
+        for name in overrides:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_OVERRIDES[name])
+        return p
 
-    p_run = sub.add_parser("run", help="one simulation with ledger and snapshots")
-    common(p_run)
+    command("run", "one simulation with ledger and snapshots", *_OVERRIDES)
 
-    p_acc = sub.add_parser("accuracy", help="self-convergence ladder for both schemes")
-    common(p_acc)
+    p_acc = command("accuracy", "self-convergence ladders of both schemes, unsnapshotted",
+                    "t_end", "strict_energy")
     p_acc.add_argument("--ladder", type=_float_list, default=(4e-3, 2e-3, 1e-3, 5e-4))
     p_acc.add_argument("--ref-tau", type=float, default=5e-5, dest="ref_tau")
 
-    p_sta = sub.add_parser("stability", help="step-size and stabilizer sweep")
-    common(p_sta)
+    p_sta = command("stability", "step-size and stabilizer sweep; every run is strict, "
+                    "with tau from --taus and t_end from --steps", "scheme", "snapshot_every")
     p_sta.add_argument("--taus", type=_float_list,
                        default=(1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0))
     p_sta.add_argument("--steps", type=int, default=200, help="steps per sweep member")
 
-    p_den = sub.add_parser("dendrite", help="fourfold dendritic growth sweep; each run "
-                           "ends at its last snapshot instant, so --t-end is refused")
-    common(p_den, t_end=False)
+    p_den = command("dendrite", "fourfold dendritic growth sweep; each run ends at its "
+                    "last snapshot instant", "scheme", "tau", "strict_energy", "snapshot_every")
     p_den.add_argument("--k-values", type=_float_list, default=(0.6, 0.8, 1.0, 1.2),
                        dest="k_values", help="latent heat sweep")
 
@@ -80,17 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    updates = {}
-    if args.scheme is not None:
-        updates["scheme"] = args.scheme
-    if args.tau is not None:
-        updates["tau"] = args.tau
-    if args.t_end is not None:
-        updates["t_end"] = args.t_end
-    if args.strict_energy is not None:
-        updates["strict_energy"] = True
-    if args.snapshot_every is not None:
-        updates["snapshot_every"] = args.snapshot_every
+    updates = {name: value for name, value in vars(args).items()
+               if name in _OVERRIDES and value is not None}
     return replace(cfg, **updates) if updates else cfg
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bdf1, bdf2
+from . import bdf1
 from .grid import GridSpec, integrate
 from .model import ModelParams, e1_energy, original_energy
 
@@ -70,7 +70,7 @@ def crystal_area(grid: GridSpec, phi: np.ndarray) -> float:
 def make_record(
     grid: GridSpec,
     p: ModelParams,
-    state: "bdf1.StateBDF1 | bdf2.StateBDF2",
+    state: "bdf1.State",
     report: "bdf1.StepReport | None" = None,
 ) -> EnergyRecord:
     """Assemble a ledger row from the current state.

@@ -64,7 +64,7 @@ DENDRITE_SNAPSHOT_TIMES = {
 class RunResult:
     config: RunConfig
     records: list[EnergyRecord]
-    final_state: "bdf1.StateBDF1 | bdf2.StateBDF2"
+    final_state: bdf1.State
     ledger_path: Path | None
     min_a1: float
     max_xi_dev: float
@@ -255,16 +255,25 @@ def run_single(
     )
 
 
+def _check_sweep(values, what: str) -> tuple[float, ...]:
+    """The swept ``values`` as a tuple of floats.  Raises InvalidValueError,
+    naming ``what`` they are, unless there is at least one and each is finite
+    and positive."""
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise InvalidValueError(f"{what} must not be empty")
+    for v in values:
+        if not (math.isfinite(v) and v > 0.0):
+            raise InvalidValueError(f"{what} must be finite and positive, got {v!r}")
+    return values
+
+
 def _check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
     """The accuracy ladder as a tuple of floats.  Raises InvalidValueError
     unless the reference step and every rung are finite and positive, and the
     ladder has at least two strictly decreasing rungs, each at least 10x the
     reference step."""
-    ladder = tuple(float(t) for t in ladder)
-    for tau in (ref_tau, *ladder):
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise InvalidValueError(
-                f"accuracy step sizes must be finite and positive, got {tau!r}")
+    ladder = _check_sweep((ref_tau, *ladder), "accuracy step sizes")[1:]
     if len(ladder) < 2:
         raise InvalidValueError("accuracy ladder needs at least two step sizes")
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
@@ -336,7 +345,8 @@ def run_stability(
 ) -> list[RunResult]:
     """Sweep the stabilizer sets of STABILIZER_SETS and the step sizes; every
     run is strict, so one that does not dissipate the modified energy raises
-    EnergyLawViolation."""
+    EnergyLawViolation.  The step sizes are checked before any run."""
+    taus = _check_sweep(taus, "stability step sizes")
     results = []
     for s1, s2, s3, s4 in STABILIZER_SETS:
         params = replace(base.params, s1=s1, s2=s2, s3=s3, s4=s4)
@@ -362,7 +372,9 @@ def run_dendrite(
     ``snapshot_times`` when it sets any, else at its latent heat's instants
     in DENDRITE_SNAPSHOT_TIMES (the configuration's t_end for a latent heat
     outside that table), runs to the last instant and keeps a full ledger.
+    The latent heats are checked before any run.
     """
+    latent_values = _check_sweep(latent_values, "latent heat values")
     results = []
     for latent in latent_values:
         times = base.snapshot_times or DENDRITE_SNAPSHOT_TIMES.get(latent, (base.t_end,))

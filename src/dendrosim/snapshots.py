@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bdf1 import StateBDF1
-from .bdf2 import StateBDF2
+from .bdf1 import State
 from .config import ConfigError
 from .grid import GridSpec
 
@@ -132,21 +131,17 @@ def read_snapshot(path: str | Path) -> FieldSnapshot:
                          values=values)
 
 
-def checkpoint(grid: GridSpec, state: StateBDF1 | StateBDF2) -> bytes:
-    """Serialize a scheme state (every field and scalar, both levels for the
-    second-order scheme)."""
-    if isinstance(state, StateBDF2):
-        tag, fields = b"BDF2", _BDF2_FIELDS
-        r, r_prev = state.r, state.r_prev
-    elif isinstance(state, StateBDF1):
-        tag, fields = b"BDF1", _BDF1_FIELDS
-        r, r_prev = state.r, 0.0
+def checkpoint(grid: GridSpec, state: State) -> bytes:
+    """Serialize a scheme state (every field and scalar, both levels at BDF
+    order 2); the tag names the order."""
+    if state.order == 2:
+        tag, fields, r_prev = b"BDF2", _BDF2_FIELDS, state.r_prev
     else:
-        raise TypeError(f"cannot checkpoint {type(state).__name__}")
+        tag, fields, r_prev = b"BDF1", _BDF1_FIELDS, 0.0
     header = _CKPT_HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tag, grid.nx, grid.ny,
         grid.x0, grid.x1, grid.y0, grid.y1,
-        state.n, state.t, r, r_prev,
+        state.n, state.t, state.r, r_prev,
     )
     chunks = [header]
     for name in fields:
@@ -156,7 +151,7 @@ def checkpoint(grid: GridSpec, state: StateBDF1 | StateBDF2) -> bytes:
     return b"".join(chunks)
 
 
-def restore(buf: bytes, where: str = "checkpoint") -> tuple[GridSpec, StateBDF1 | StateBDF2]:
+def restore(buf: bytes, where: str = "checkpoint") -> tuple[GridSpec, State]:
     fh = io.BytesIO(buf)
     tag, nx, ny, x0, x1, y0, y1, n, t, r, r_prev = _read_header(
         fh, _CKPT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, where)
@@ -165,16 +160,15 @@ def restore(buf: bytes, where: str = "checkpoint") -> tuple[GridSpec, StateBDF1 
         raise SnapshotFormatError(f"unknown scheme tag {tag!r}")
     names = _BDF1_FIELDS if tag == b"BDF1" else _BDF2_FIELDS
     arrays = _read_fields(fh, len(buf), names, nx, ny, where)
-    if tag == b"BDF1":
-        return grid, StateBDF1(r=r, t=t, n=n, **arrays)
-    return grid, StateBDF2(r=r, r_prev=r_prev, t=t, n=n, **arrays)
+    prev = {"r_prev": r_prev} if tag == b"BDF2" else {}
+    return grid, State(r=r, t=t, n=n, **prev, **arrays)
 
 
-def write_checkpoint(path: str | Path, grid: GridSpec, state: StateBDF1 | StateBDF2) -> None:
+def write_checkpoint(path: str | Path, grid: GridSpec, state: State) -> None:
     Path(path).write_bytes(checkpoint(grid, state))
 
 
-def read_checkpoint(path: str | Path) -> tuple[GridSpec, StateBDF1 | StateBDF2]:
+def read_checkpoint(path: str | Path) -> tuple[GridSpec, State]:
     return restore(Path(path).read_bytes(), str(path))
 
 

@@ -162,6 +162,63 @@ class TestInitState:
         assert delta == pytest.approx(expected, abs=1e-10)
 
 
+class TestState:
+    """One state type for both BDF orders: its table reads the order from
+    whether the state holds level n-1."""
+
+    @staticmethod
+    def levels(grid, order):
+        rng = np.random.default_rng(7)
+        fields = {name: rng.standard_normal(grid.shape) for name in ("phi", "temp", "mu")}
+        fields.update(r=1.25, t=0.3, n=4)
+        if order == 2:
+            fields.update({name + "_prev": rng.standard_normal(grid.shape)
+                           for name in ("phi", "temp", "mu")}, r_prev=1.5)
+        return fields
+
+    def test_order_one_table(self, grid16):
+        state = bdf1.State(**self.levels(grid16, 1))
+        assert state.order == 1 and state.a0 == 1.0
+        for name in ("phi", "temp", "mu", "r"):
+            x = getattr(state, name)
+            assert state.lead(name) is x and state.lead(name, take=True) is x
+            assert state.history(name) is x
+
+    def test_order_two_table(self, grid16):
+        state = bdf1.State(**self.levels(grid16, 2))
+        assert state.order == 2 and state.a0 == 1.5
+        for name in ("phi", "temp", "mu"):
+            x, x_prev = getattr(state, name), getattr(state, name + "_prev")
+            lead = state.lead(name)
+            assert np.array_equal(lead, 2.0 * x - x_prev)
+            assert state.lead(name, take=True) is lead  # formed once; taken out
+            assert ("lead", name) not in state._norms
+            assert np.array_equal(state.history(name), 2.0 * x - 0.5 * x_prev)
+        assert state.lead("r") == 2.0 * 1.25 - 1.5
+        assert state.history("r") == 2.0 * 1.25 - 0.5 * 1.5
+
+    @pytest.mark.parametrize("held", [("phi_prev",), ("r_prev",),
+                                      ("phi_prev", "temp_prev", "mu_prev")])
+    def test_half_filled_state_refused(self, grid16, held):
+        fields = self.levels(grid16, 2)
+        for name in ("phi_prev", "temp_prev", "mu_prev", "r_prev"):
+            if name not in held:
+                del fields[name]
+        with pytest.raises(ValueError, match="or none of them"):
+            bdf1.State(**fields)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_next_level_keeps_the_order(self, grid16, order):
+        state = bdf1.State(**self.levels(grid16, order))
+        phi, temp, mu = grid16.zeros(), grid16.zeros(), grid16.zeros()
+        new = state.next_level(phi, temp, mu, 0.5, 0.4)
+        assert new.order == order and new.n == 5 and new.t == 0.4 and new.r == 0.5
+        assert new.phi is phi and new.temp is temp and new.mu is mu
+        if order == 2:
+            assert new.phi_prev is state.phi and new.temp_prev is state.temp
+            assert new.mu_prev is state.mu and new.r_prev == state.r
+
+
 class TestPhaseSolves:
     def test_phi1_zero_input(self, grid16):
         p = CASE2.params

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrosim import bdf1
-from dendrosim.bdf1 import identity_proof_lines, init_state, scheme_energy
-from dendrosim.bdf2 import StateBDF2, bootstrap, energy_identity_residual2, step2
+from dendrosim.bdf1 import State, identity_proof_lines, init_state, scheme_energy
+from dendrosim.bdf2 import bootstrap, energy_identity_residual2, step2
 from dendrosim.config import RunConfig
 from dendrosim.diagnostics import make_record
 from dendrosim.experiments import run_accuracy
@@ -74,7 +74,7 @@ class TestStep2:
     def test_steady_constant_fixed_point(self, grid16):
         p = replace(CASE2.params, s3=2.0, s4=1.0)
         s0 = init_state(grid16, grid16.full(1.0), grid16.zeros(), p)
-        state = StateBDF2(
+        state = State(
             phi=s0.phi.copy(), phi_prev=s0.phi.copy(),
             temp=s0.temp.copy(), temp_prev=s0.temp.copy(),
             mu=s0.mu.copy(), mu_prev=s0.mu.copy(),
@@ -186,7 +186,7 @@ class TestStep2:
                         mobility=ConstantMobility(1e3), s1=0.0, s2=10.0,
                         s3=0.0, s4=0.0, bconst=500.0)
         s0 = init_state(grid16, grid16.full(0.5), grid16.zeros(), p)
-        state = StateBDF2(
+        state = State(
             phi=grid16.full(0.5), phi_prev=grid16.full(-1.0),
             temp=grid16.zeros(), temp_prev=grid16.zeros(),
             mu=s0.mu, mu_prev=s0.mu, r=s0.r, r_prev=s0.r, t=0.1, n=1,

@@ -227,6 +227,7 @@ class TestCheckpoint:
         grid2, back = restore(checkpoint(grid, state))
         assert grid2 == grid
         assert back.n == state.n and back.t == state.t and back.r == state.r
+        assert back.order == state.order == 1 and back.a0 == state.a0 == 1.0
         for name in ("phi", "temp", "mu"):
             assert np.array_equal(getattr(back, name), getattr(state, name))
 
@@ -240,6 +241,7 @@ class TestCheckpoint:
         for name in ("phi", "phi_prev", "temp", "temp_prev", "mu", "mu_prev"):
             assert np.array_equal(getattr(back, name), getattr(state, name))
         assert back.r == state.r and back.r_prev == state.r_prev
+        assert back.order == state.order == 2 and back.a0 == state.a0 == 1.5
 
     @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
     def test_restart_equals_uninterrupted_bitwise(self, case2, scheme):

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from dendrosim import bdf1, bdf2, experiments, model
-from dendrosim.cli import EXIT_CONFIG, EXIT_ENERGY, EXIT_NUMERICAL, EXIT_OK, main
+from dendrosim.cli import (
+    EXIT_CONFIG,
+    EXIT_ENERGY,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    _apply_overrides,
+    build_parser,
+    main,
+)
 from dendrosim.config import (
     ConfigError,
     RunConfig,
@@ -744,3 +752,67 @@ class TestCli:
         assert exc.value.code == EXIT_CONFIG
         assert "--t-end" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--steps", "5"]),
+        ("accuracy", ["--tau", "7", "--t-end", "0.02"]),
+        ("accuracy", ["--scheme", "bdf1"]),
+        ("accuracy", ["--snapshot-every", "1"]),
+        ("stability", ["--taus", "0.1", "--steps", "2", "--tau", "3"]),
+        ("stability", ["--taus", "0.1", "--steps", "2", "--t-end", "7"]),
+        ("stability", ["--taus", "0.1", "--steps", "2", "--strict-energy"]),
+        ("stability", ["--taus", "0.1", "--tau", "3"]),
+        ("dendrite", ["--k-values", "0.33", "--taus", "0.1"]),
+    ])
+    def test_unread_flag_refused(self, tmp_path, capsys, command, flags):
+        # a subcommand accepts only the flags its driver reads; any other one,
+        # or a prefix of a flag it has (stability --tau of --taus), exits 2
+        # before --out is created
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(CONFIG_DIR / "case2.cfg"), "--out", str(out), *flags])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, expected", [
+        ("run", ["--scheme", "bdf1", "--tau", "0.02", "--t-end", "0.5", "--strict-energy",
+                 "--snapshot-every", "3"],
+         dict(scheme="bdf1", tau=0.02, t_end=0.5, strict_energy=True, snapshot_every=3)),
+        ("accuracy", ["--t-end", "0.5", "--strict-energy"], dict(t_end=0.5, strict_energy=True)),
+        ("stability", ["--scheme", "bdf1", "--snapshot-every", "3"],
+         dict(scheme="bdf1", snapshot_every=3)),
+        ("dendrite", ["--scheme", "bdf1", "--tau", "0.02", "--strict-energy",
+                      "--snapshot-every", "3"],
+         dict(scheme="bdf1", tau=0.02, strict_energy=True, snapshot_every=3)),
+    ])
+    def test_kept_flags_override_the_config(self, command, flags, expected):
+        args = build_parser().parse_args([command, "--config", "c.cfg", "--out", "o", *flags])
+        cfg = _apply_overrides(CASE2, args)
+        assert {name: getattr(cfg, name) for name in expected} == expected
+        unchanged = {"scheme", "tau", "t_end", "strict_energy", "snapshot_every"} - set(expected)
+        assert all(getattr(cfg, name) == getattr(CASE2, name) for name in unchanged)
+
+    @pytest.mark.parametrize("command, flag, values, needle", [
+        ("dendrite", "--k-values", "0", "latent heat values must be finite and positive, got 0.0"),
+        ("dendrite", "--k-values", "-1", "values must be finite and positive, got -1.0"),
+        ("dendrite", "--k-values", "nan", "values must be finite and positive, got nan"),
+        ("dendrite", "--k-values", "0.6,0", "values must be finite and positive, got 0.0"),
+        ("dendrite", "--k-values", ",", "latent heat values must not be empty"),
+        ("stability", "--taus", ",", "stability step sizes must not be empty"),
+        ("stability", "--taus", "0.1,0", "step sizes must be finite and positive, got 0.0"),
+        ("stability", "--taus", "inf", "step sizes must be finite and positive, got inf"),
+    ])
+    def test_bad_sweep_runs_nothing(self, tmp_path, capsys, monkeypatch, command, flag, values,
+                                    needle):
+        # every sweep value is checked before the first run and before --out is made
+        runs = []
+        monkeypatch.setattr(experiments, "run_single", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "sweep"
+        code = main([command, "--config", str(CONFIG_DIR / "case2.cfg"), "--out", str(out),
+                     flag, values])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and needle in err
+        assert err.count("\n") == 1
+        assert runs == [] and not out.exists()
