@@ -17,21 +17,23 @@ solves (:func:`partial_solves`) and a scalar closure:
    Phys. 353, 2018), after which the new fields are the affine
    recombinations phi_1 + xi*phi_2 etc.
 
-The chemical potentials mu_1 and mu_2 (:func:`phase_potential`) and the T_2
-Laplacian in A2 are read off the equations the solves just satisfied, so the
-only real-space Laplacian of a step is the explicit s4 term of the phase
-history, and none when s4 = 0; mu_1 and mu_2 are formed only after xi, from
-(phi_1, rhs_1) and (phi_2, core), once the temperature forcing and the phase
-history have died.
+The chemical potential (:func:`phase_potential`) and the T_2 Laplacian in A2
+are read off the equations the solves just satisfied, so the only
+real-space Laplacian of a step is the explicit s4 term of the phase
+history, and none when s4 = 0.  The new mu is formed once, after xi, from
+the recombined phi, whose equation has the right-hand side rhs_1 + xi*core;
+mu_1 and mu_2 are never formed.
 
 The explicit data of the step from a state (the leads, 1/M, h', E1 and the
 anisotropy geometry at phi_bar) is evaluated once per state, in one order,
 and each field is owned by its last reader.  An unchecked step is that
-reader: its fields die inside the step, the leads that the ledger row's
-norms memoized in an order-2 state included.  A checked step keeps them
-in the state's memo, and its identity check takes them out
-(:func:`explicit_data`).  The ledger row of phi^n = phi_bar hands its
-geometry to the step through the memo (:func:`state_geometry`).
+reader: its fields die inside the step, the lead phi_bar that the ledger
+row's norms memoized in an order-2 state included (they take ||T_bar||^2
+without keeping T_bar, which the step forms again).  A checked step keeps
+them up to h' in the state's memo, and its identity check takes them out
+and forms mu_bar again (:func:`explicit_data`).  The ledger row of
+phi^n = phi_bar hands its geometry to the step through the memo
+(:func:`state_geometry`).
 
 The discrete energy law is written once for both schemes, in terms of the
 BDF order k of a state (``state.order``) and its lead rule (``state.lead``:
@@ -93,7 +95,7 @@ class State:
     order 2, level n-1 in the ``*_prev`` fields (all ``None`` at order 1).
 
     ``_norms`` is the state's memo: its energy norms (:func:`state_norms`),
-    its order-2 leads and, until the identity check takes it out, the
+    its order-2 lead of phi and, until the identity check takes it out, the
     explicit data that a checked step from it kept (:func:`explicit_data`)."""
 
     phi: np.ndarray
@@ -129,9 +131,10 @@ class State:
 
         At order 1 it is x^n itself, which stays with the state whether or
         not a reader ``take``s it.  At order 2 it is the linear extrapolation
-        2x^n - x^{n-1}, formed once per state in its memo, so the ledger
-        row's norms and the step share it; its last reader ``take``s it, and
-        the lead leaves the memo and dies with that reader."""
+        2x^n - x^{n-1}, kept in the state's memo until a reader ``take``s
+        it, so the ledger row's norms and the step share the lead of phi;
+        the lead leaves the memo and dies with the reader that takes it, and
+        a reader that takes a lead not in the memo gets it formed afresh."""
         if self.phi_prev is None:
             return getattr(self, name)
         key = ("lead", name)
@@ -200,7 +203,8 @@ class StepReport:
 class PartialSolves(NamedTuple):
     """The four decoupled sub-solutions entering the xi closure, with the
     right-hand side of the phi_1 solve and the coefficient of both phase
-    solves, which mu_1 and mu_2 are read off after xi."""
+    solves, from which mu is read off after xi, and the three inner products
+    of the closure that read a field dying in the solves."""
 
     phi1: np.ndarray
     rhs1: np.ndarray
@@ -209,6 +213,9 @@ class PartialSolves(NamedTuple):
     temp2: np.ndarray
     coeff: float | np.ndarray  # a0/(M*tau) + (s2 + s3)/eps^2
     cg_iterations: int
+    forcing_temp1: float  # <temp_forcing, T_1>
+    forcing_temp2: float  # <temp_forcing, T_2>
+    core_dphi1: float  # <core, a0*phi_1 - phi_hist>
 
 
 def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelParams) -> State:
@@ -256,33 +263,56 @@ def explicit_data(grid: GridSpec, p: ModelParams, state: State) -> ExplicitData:
     """The explicit data of the step from ``state``, for that step's identity
     check, its last reader: taken out of the state's memo, where a checked
     step kept it, or else evaluated afresh in the step's order (phi_bar,
-    geometry, E1, T_bar, h', mu_bar).  Either way the state's memo holds no
-    field of it afterwards."""
+    geometry, E1, T_bar, h'); mu_bar, which the step's solves took, is
+    formed again.  Either way the state's memo holds no field of it
+    afterwards."""
     data = state._norms.pop(("explicit", grid, p), None)
     if data is None:
         phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=True)
         data = dict(phi=phi_bar, geom=geom, rho=rho, e1=e1, temp=state.lead("temp", True),
-                    hp=h_prime(phi_bar), mu=state.lead("mu", True))
-    return ExplicitData(**data)
+                    hp=h_prime(phi_bar))
+    return ExplicitData(**data, mu=state.lead("mu", True))
 
 
 def partial_solves(
     grid: GridSpec, p: ModelParams, tau: float, state: State, rho,
-    phi_hist: np.ndarray, core: np.ndarray, temp_forcing: np.ndarray,
+    core: np.ndarray, hp: np.ndarray,
     sources: SourceTerms = NO_SOURCES, t_new: float = 0.0,
 ) -> PartialSolves:
     """The four linear solves of the step from ``state``, with its ``a0``.
 
-    ``rho`` is 1/M(phi_bar) and ``phi_hist`` the phase history.  The phi_2
-    solve is forced by ``core`` = -g - (lam/eps) h' T_bar, T_2 by
-    ``temp_forcing`` = K h' M mu_bar; ``sources`` are evaluated at ``t_new``.
-    What dies here is formed here, so no caller's reference outlives it: the
-    temperature history and source die in the right-hand side of T_1, which
-    dies in its solve; phi_bar, taken from the state, and the phase source
-    die in rhs_1, which is returned for mu_1.  Zero s3 and s4 terms are skipped.
+    ``rho`` is 1/M(phi_bar) and ``hp`` is h'(phi_bar).  The phi_2 solve is
+    forced by ``core`` = -g - (lam/eps) h' T_bar, T_2 by the temperature
+    forcing K h' M mu_bar; ``sources`` are evaluated at ``t_new``.  Each
+    field that dies here is formed here (a call's arguments live until it
+    returns), in an order that lets it die before the next one is
+    allocated: rhs_1 first, from the phase history, phi_bar (taken from the
+    state) and the phase source, with its s4 Laplacian scaled in place; then
+    the forcing, from mu_bar (taken from the state), and T_1 and T_2, whose
+    products with the forcing are taken before the phase solves; then phi_1,
+    right after which <core, a0*phi_1 - phi_hist> is taken and the history
+    dies; then phi_2.  Zero s3 and s4 terms are skipped.
     """
     a0 = state.a0
     coeff = a0 * rho / tau + (p.s2 + p.s3) / p.eps**2
+    phi_hist = state.history("phi")
+    rhs1 = phi_hist * (rho / tau)
+    phi_bar = state.lead("phi", True)
+    if p.s3 > 0.0:
+        rhs1 += (p.s3 / p.eps**2) * phi_bar
+    if p.s4 > 0.0:
+        lap = laplacian(grid, phi_bar)
+        lap *= p.s4
+        rhs1 -= lap
+        del lap
+    del phi_bar
+    src = sources.phi_at(grid, t_new)
+    if src is not None:
+        rhs1 += rho * src
+    del src
+    temp_forcing = p.latent * hp
+    temp_forcing /= rho
+    temp_forcing *= state.lead("mu", True)
     rhs_t1 = state.history("temp") / tau
     src = sources.temp_at(grid, t_new)
     if src is not None:
@@ -291,42 +321,44 @@ def partial_solves(
     temp1 = helmholtz_solve(grid, a0 / tau, p.diff, rhs_t1)
     del rhs_t1
     temp2 = helmholtz_solve(grid, a0 / tau, p.diff, temp_forcing)
-    rhs1 = phi_hist * (rho / tau)
-    phi_bar = state.lead("phi", True)
-    if p.s3 > 0.0:
-        rhs1 += (p.s3 / p.eps**2) * phi_bar
-    if p.s4 > 0.0:
-        rhs1 -= p.s4 * laplacian(grid, phi_bar)
-    del phi_bar
-    src = sources.phi_at(grid, t_new)
-    if src is not None:
-        rhs1 += rho * src
-    del src
+    forcing_temp1 = inner(grid, temp_forcing, temp1)
+    forcing_temp2 = inner(grid, temp_forcing, temp2)
+    del temp_forcing
     phi1, it1 = solve_shifted(grid, coeff, p.s1 + p.s4, rhs1)
+    dphi1 = a0 * phi1
+    dphi1 -= phi_hist
+    del phi_hist
+    core_dphi1 = inner(grid, core, dphi1)
+    del dphi1
     phi2, it2 = solve_shifted(grid, coeff, p.s1 + p.s4, core)
-    return PartialSolves(phi1, rhs1, phi2, temp1, temp2, coeff, it1 + it2)
+    return PartialSolves(phi1, rhs1, phi2, temp1, temp2, coeff, it1 + it2,
+                         forcing_temp1, forcing_temp2, core_dphi1)
 
 
 def phase_potential(
-    p: ModelParams, coeff, phi: np.ndarray, rhs: np.ndarray, forced: bool = False,
+    p: ModelParams, coeff, phi: np.ndarray, rhs: np.ndarray, forcing: np.ndarray,
 ) -> np.ndarray:
-    """The chemical potential of one phase pair, read off its solve equation
-    coeff*phi - b*Lap(phi) = rhs rather than from another Laplacian.
+    """The chemical potential of a phase field that solves
+    coeff*phi - b*Lap(phi) = rhs + forcing, read off that equation rather
+    than from another Laplacian.
 
-    With b = s1 + s4, s1*Lap(phi) = (s1/b)*(coeff*phi - rhs), so mu_1 =
-    (s1/b)*(coeff*phi_1 - rhs_1) - (s2/eps^2) phi_1 and, for the ``forced``
-    pair (phi_2, rhs = core), mu_2 = core + (s1/b)*(coeff*phi_2 - core) -
-    (s2/eps^2) phi_2, each formed in place in that order.  With the PCG path
-    the pair satisfies mu = s1*Lap(phi) - ... up to (s1/b) times the solve
-    residual, which is at most ``solvers.CG_TOL``*||rhs||.
+    With b = s1 + s4, s1*Lap(phi) = (s1/b)*(coeff*phi - rhs - forcing), so
+    mu = (s1/b)*(coeff*phi - rhs - forcing) - (s2/eps^2) phi + forcing,
+    formed in place in that order; ``forcing`` is the explicit part -g -
+    (lam/eps) h' T_bar of the right-hand side, which mu holds itself.  The
+    step forms mu once, from the new phi = phi_1 + xi*phi_2 with rhs = rhs_1
+    and forcing = xi*core; the pairs (phi_1, rhs_1) and (phi_2, core) have a
+    zero forcing and a zero rhs.  With the PCG path mu = s1*Lap(phi) - ...
+    holds up to (s1/b) times the solve residual, which is at most
+    ``solvers.CG_TOL``*||rhs + forcing||.
     """
     b = p.s1 + p.s4
     mu = coeff * phi
     mu -= rhs
+    mu -= forcing
     mu *= p.s1 / b if b > 0.0 else 0.0  # b = 0 forces s1 = 0
-    if forced:
-        mu += rhs
     mu -= (p.s2 / p.eps**2) * phi
+    mu += forcing
     return mu
 
 
@@ -338,12 +370,14 @@ def sav_step(
 
     ``state`` supplies ``a0`` and ``history`` of the BDF derivative
     (a0*x^{n+1} - x_hist)/tau.  The explicit data is evaluated in one order,
-    phi_bar, geometry, E1, g, T_bar and h', core, mu_bar, temperature
-    forcing, and each field dies after its last reader: the geometry after
-    g, T_bar after core, mu_bar and h' after the forcing, phi_bar after
-    rhs_1.  ``checked`` only decides whether the state's memo keeps a
-    reference to the explicit data for the step's identity check.  mu_1 and
-    mu_2 are formed after xi, and the new fields are recombined in place.
+    phi_bar, geometry, E1, g, T_bar and h', core, then in the solves mu_bar
+    and the temperature forcing, and each field dies after its last reader:
+    the geometry after g, T_bar after core, phi_bar in rhs_1, mu_bar in the
+    forcing, the forcing after the temperature solves, h' after the solves.
+    ``checked`` only decides whether the state's memo keeps a reference to
+    the explicit data up to h' for the step's identity check.  The new phi
+    and T are recombined in place, and the new mu is formed once, from the
+    new phi (:func:`phase_potential`).
     A1 collects 2*a0 times the auxiliary energy plus weighted squares
     of the xi-proportional parts, hence is always positive; the solve
     equations of phi_2 and T_2 turn those squares into the products
@@ -364,46 +398,38 @@ def sav_step(
     np.negative(core, out=core)  # core = -(g + (lam/eps) h' T_bar)
     keep(temp=temp_bar, hp=hp)
     del temp_bar
-    mu_bar = state.lead("mu", True)
-    temp_forcing = p.latent * hp / rho * mu_bar
-    keep(mu=mu_bar)
-    del hp, mu_bar
-    phi_hist = state.history("phi")
-    phi1, rhs1, phi2, temp1, temp2, coeff, cg_iterations = partial_solves(
-        grid, p, tau, state, rho, phi_hist, core, temp_forcing, sources, t_new)
+    phi, rhs1, phi2, temp, temp2, coeff, cg_iterations, forcing_temp1, forcing_temp2, \
+        core_dphi1 = partial_solves(grid, p, tau, state, rho, core, hp, sources, t_new)
+    del hp
     lam_ek = p.lam / (p.eps * p.latent)
     # <core, phi_2> = <coeff*phi_2, phi_2> + (s1 + s4)||grad phi_2||^2 and
     # tau*<temp_forcing, T_2> = a0||T_2||^2 + tau*D||grad T_2||^2
     a1 = math.fsum([
         a0 * 2.0 * e1,
         a0 * inner(grid, core, phi2),
-        lam_ek * tau * inner(grid, temp_forcing, temp2),
+        lam_ek * tau * forcing_temp2,
     ])
     # the T_2 equation a0*T_2/tau - D*Lap(T_2) = temp_forcing turns the A2
     # term <-a0*T_2 + tau*D*Lap(T_2), T_1> into -tau*<temp_forcing, T_1>
-    dphi1 = a0 * phi1
-    dphi1 -= phi_hist
-    del phi_hist
     a2 = math.fsum([
         2.0 * math.sqrt(e1) * state.history("r"),
-        -inner(grid, core, dphi1),
-        -lam_ek * tau * inner(grid, temp_forcing, temp1),
+        -core_dphi1,
+        -lam_ek * tau * forcing_temp1,
     ])
-    del temp_forcing, dphi1
     if not a1 > 0.0:
         raise FloatingPointError(
             f"closure denominator A1={a1} is not positive; this violates a "
             "structural invariant of the scheme"
         )
     xi = a2 / a1
-    mu1 = phase_potential(p, coeff, phi1, rhs1)
-    del rhs1
-    mu2 = phase_potential(p, coeff, phi2, core, forced=True)
-    del core
-    for whole, part in ((phi1, phi2), (temp1, temp2), (mu1, mu2)):
-        part *= xi
-        whole += part  # bitwise whole + xi*part
-    new = (phi1, temp1, mu1, xi * math.sqrt(e1))
+    phi2 *= xi
+    phi += phi2  # bitwise phi_1 + xi*phi_2
+    temp2 *= xi
+    temp += temp2
+    del phi2, temp2
+    core *= xi
+    mu = phase_potential(p, coeff, phi, rhs1, core)
+    new = (phi, temp, mu, xi * math.sqrt(e1))
     return new, StepReport(xi=xi, a1=a1, a2=a2, cg_iterations=cg_iterations)
 
 
@@ -436,13 +462,15 @@ def _energy_norms(grid: GridSpec, state: State) -> EnergyNorms:
     lead_phi = state.lead("phi")
     grad_lead = grad_norm_sq(grid, lead_phi)
     diff = state.phi - state.phi_prev
+    grad_diff, diff_sq = grad_norm_sq(grid, diff), norm_sq(grid, diff)
+    del diff
     return EnergyNorms(
         grad_phi=grad_phi + grad_lead,
         grad_lead=grad_lead,
         phi=phi + norm_sq(grid, lead_phi),
-        grad_diff=grad_norm_sq(grid, diff),
-        diff=norm_sq(grid, diff),
-        temp=temp + norm_sq(grid, state.lead("temp")),
+        grad_diff=grad_diff,
+        diff=diff_sq,
+        temp=temp + norm_sq(grid, state.lead("temp", True)),  # T_bar is formed again by the step
         r=r + state.lead("r") ** 2,
     )
 

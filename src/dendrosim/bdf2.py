@@ -4,9 +4,11 @@ Each step runs the shared SAV kernel ``bdf1.sav_step`` on an order-2
 ``bdf1.State``, whose BDF table gives the backward-difference-2 coefficient
 a0 = 3/2, the history 2*(.)^n - (.)^{n-1}/2 (the kernel forms it after
 g(phi_bar)) and the explicit data at the lead of the state, the linear
-extrapolation 2*(.)^n - (.)^{n-1} (formed once per state: the ledger row's
-norms build the leads of phi and T, and the step from the state, or its
-identity check, takes them out of the memo).
+extrapolation 2*(.)^n - (.)^{n-1}.  The ledger row's norms build the lead
+of phi, which stays in the state's memo until the step from the state, or
+its identity check, takes it out; they take ||T_bar||^2 without keeping
+T_bar, which the step forms again, as it forms mu_bar.  The new mu is
+formed once, from the recombined phi (``bdf1.phase_potential``).
 The first level is produced from the level-0 state of ``bdf1.init_state``
 by one first-order bootstrap step, which costs O(tau^2) globally and leaves
 the second-order convergence intact.  :func:`bootstrap` and :func:`step2`

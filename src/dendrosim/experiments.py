@@ -345,8 +345,11 @@ def run_stability(
 ) -> list[RunResult]:
     """Sweep the stabilizer sets of STABILIZER_SETS and the step sizes; every
     run is strict, so one that does not dissipate the modified energy raises
-    EnergyLawViolation.  The step sizes are checked before any run."""
+    EnergyLawViolation.  The step sizes and the step count are checked before
+    any run."""
     taus = _check_sweep(taus, "stability step sizes")
+    if n_steps < 1:
+        raise InvalidValueError(f"stability step count must be at least 1, got {n_steps}")
     results = []
     for s1, s2, s3, s4 in STABILIZER_SETS:
         params = replace(base.params, s1=s1, s2=s2, s3=s3, s4=s4)

@@ -145,32 +145,47 @@ def divergence(grid: GridSpec, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _face_fluxes(f: np.ndarray, w: np.ndarray | None, h: float) -> np.ndarray:
-    """Fluxes w*(f[1:] - f[:-1])/h along the first axis, w averaged onto faces."""
-    flux = np.subtract(f[1:], f[:-1])
-    if w is not None:
-        w_face = np.add(w[1:], w[:-1])
-        w_face *= 0.5
-        flux *= w_face
+def _face_fluxes(
+    f: np.ndarray, w: np.ndarray | None, h: float, flux: np.ndarray, diff: np.ndarray | None,
+) -> np.ndarray:
+    """Fluxes w*(f[1:] - f[:-1])/h along the first axis into ``flux``, w
+    averaged onto faces; ``diff`` holds the differences of f when w is given."""
+    if w is None:
+        np.subtract(f[1:], f[:-1], out=flux)
+    else:
+        np.add(w[1:], w[:-1], out=flux)
+        flux *= 0.5
+        flux *= np.subtract(f[1:], f[:-1], out=diff)
     flux /= h
     return flux
 
 
-def _flux_divergence(grid: GridSpec, w: np.ndarray | None, f: np.ndarray) -> np.ndarray:
+def _flux_divergence(
+    grid: GridSpec, w: np.ndarray | None, f: np.ndarray, overwrite_w: bool = False,
+) -> np.ndarray:
     """Divergence of the face fluxes of w*grad(f), zero through the walls.
-    The x-fluxes are reduced into the result before the y-fluxes exist; the
-    wall columns, which the straddling y-entries reach, are written last."""
-    fx = _face_fluxes(f, w, grid.hx)
+
+    One buffer holds the face fluxes of one direction at a time.  The
+    x-fluxes are reduced into the result before the y-fluxes exist, the rows
+    of the result holding the x-differences of f meanwhile; the wall
+    columns, which the straddling y-entries reach, are written last.  The
+    y-fluxes of a weighted f take one more buffer, or w itself with
+    ``overwrite_w``, for the differences of f and then of the fluxes; those
+    of the Laplacian are differenced in place."""
+    nx, ny = grid.shape
     out = np.empty(grid.shape)
+    buf = np.empty(nx * ny - 1)
+    fx = _face_fluxes(f, w, grid.hx, buf[:(nx - 1) * ny].reshape(nx - 1, ny), out[:-1])
     out[0, :] = fx[0, :]
     np.subtract(fx[1:, :], fx[:-1, :], out=out[1:-1, :])
     out[-1, :] = -fx[-1, :]
     out /= grid.hx
-    del fx
-    fy = _face_fluxes(f.ravel(), None if w is None else w.ravel(), grid.hy)
-    first = out[:, 0] + fy[::grid.ny] / grid.hy
-    last = out[:, -1] - fy[grid.ny - 2::grid.ny] / grid.hy
-    dy = np.subtract(fy[1:], fy[:-1])
+    w_flat = None if w is None else w.ravel()
+    diff = None if w is None else (w_flat if overwrite_w else np.empty(nx * ny))[:-1]
+    fy = _face_fluxes(f.ravel(), w_flat, grid.hy, buf, diff)
+    first = out[:, 0] + fy[::ny] / grid.hy
+    last = out[:, -1] - fy[ny - 2::ny] / grid.hy
+    dy = np.subtract(fy[1:], fy[:-1], out=fy[:-1] if diff is None else diff[:-1])
     dy /= grid.hy
     out.ravel()[1:-1] += dy
     out[:, 0], out[:, -1] = first, last
@@ -184,15 +199,16 @@ def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:
 
 
 def face_flux_divergence(
-    grid: GridSpec, w: np.ndarray, f: np.ndarray
+    grid: GridSpec, w: np.ndarray, f: np.ndarray, overwrite_w: bool = False,
 ) -> np.ndarray:
     """Divergence of w*grad(f) with face-centered fluxes and no-flux walls.
 
     ``w`` is a cell-centered coefficient, averaged onto faces.  With w == 1
-    this reduces bit-for-bit to :func:`laplacian`.
+    this reduces bit-for-bit to :func:`laplacian`.  ``overwrite_w`` lets the
+    call overwrite w, one field fewer, when the caller is done with it.
     """
     grid.check(w, f)
-    return _flux_divergence(grid, w, f)
+    return _flux_divergence(grid, w, f, overwrite_w)
 
 
 def inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:

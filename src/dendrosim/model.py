@@ -30,7 +30,6 @@ import numpy as np
 
 from .grid import (
     GridSpec,
-    divergence,
     face_flux_divergence,
     grad_norm_sq,
     gradient,
@@ -235,28 +234,28 @@ def aniso_flux(
     """The anisotropy vector kappa |grad phi|^2 H of the phase flux.
 
     H = 16 sigma (gx^2 - gy^2) (gx gy^2, -gy gx^2) / (|g|^2 + reg)^3 is the
-    gradient-space derivative of kappa, so the vector is c (gx gy^2, -gy gx^2)
-    with c = 16 sigma kappa |g|^2 (gx^2 - gy^2) / (|g|^2 + reg)^3.
+    gradient-space derivative of kappa, so the vector is e (gy, -gx) with
+    e = 16 sigma kappa |g|^2 (gx^2 - gy^2) gx gy / (|g|^2 + reg)^3, formed
+    in two buffers that become the two components.
     """
     gx, gy, kap, mag2 = geom
-    x2 = gx * gx
-    y2 = gy * gy
-    c = x2 - y2
-    c *= kap
-    c *= mag2
-    inv = mag2 + reg
-    np.reciprocal(inv, out=inv)
-    c *= inv
-    c *= inv
-    c *= inv
-    del inv
-    c *= 16.0 * sigma
-    y2 *= gx
-    y2 *= c
-    x2 *= gy
-    x2 *= c
-    np.negative(x2, out=x2)
-    return y2, x2
+    e = gx * gx
+    vx = gy * gy
+    e -= vx
+    np.add(mag2, reg, out=vx)
+    np.reciprocal(vx, out=vx)
+    e *= kap
+    e *= mag2
+    e *= vx
+    e *= vx
+    e *= vx
+    e *= 16.0 * sigma
+    e *= gx
+    e *= gy
+    np.multiply(e, gy, out=vx)
+    e *= gx
+    np.negative(e, out=e)
+    return vx, e
 
 
 def g_residual(
@@ -270,22 +269,46 @@ def g_residual(
     The scalar-coefficient flux goes through face differences (so the
     isotropic limit reduces exactly to the compact Laplacian); the
     anisotropy vector goes through the collocated adjoint-consistent
-    divergence.  ``geom`` is ``anisotropy(grid, phi, p.sigma)`` when the
-    caller already has it.
+    divergence, subtracted in place.  At most three fields are live, the
+    result included.  ``geom`` is ``anisotropy(grid, phi, p.sigma)`` when
+    the caller already has it.
     """
     grid.check(phi)
     if geom is None:
         geom = anisotropy(grid, phi, p.sigma)
-    out = f_well(phi)
-    w = np.multiply(phi, p.s2)  # one buffer: s2*phi, then kappa^2 - s1
-    out -= w
-    out /= p.eps**2
-    np.multiply(geom.kap, geom.kap, out=w)
+    w = geom.kap * geom.kap
     w -= p.s1
-    out -= face_flux_divergence(grid, w, phi)
+    out = face_flux_divergence(grid, w, phi, overwrite_w=True)
     del w
-    out -= divergence(grid, *aniso_flux(geom, p.sigma))
+    np.negative(out, out=out)
+    bulk = f_well(phi)
+    bulk -= p.s2 * phi
+    bulk /= p.eps**2
+    out += bulk
+    del bulk
+    if p.sigma > 0.0:
+        _subtract_divergence(grid, *aniso_flux(geom, p.sigma), out)
     return out
+
+
+def _subtract_divergence(
+    grid: GridSpec, vx: np.ndarray, vy: np.ndarray, out: np.ndarray
+) -> None:
+    """out -= divergence(grid, vx, vy) in place, with its odd wall ghosts:
+    vx and vy are scaled in place by 1/(2h), and their centered differences
+    are subtracted row by row and then on the flattened field."""
+    vx /= 2.0 * grid.hx
+    out[1:-1, :] -= vx[2:, :]
+    out[1:-1, :] += vx[:-2, :]
+    out[0, :] -= vx[1, :] + vx[0, :]
+    out[-1, :] += vx[-1, :] + vx[-2, :]
+    vy /= 2.0 * grid.hy
+    first = out[:, 0] - (vy[:, 1] + vy[:, 0])
+    last = out[:, -1] + (vy[:, -1] + vy[:, -2])
+    flat, vy = out.ravel()[1:-1], vy.ravel()
+    flat -= vy[2:]
+    flat += vy[:-2]
+    out[:, 0], out[:, -1] = first, last
 
 
 def _dot(f: np.ndarray, g: np.ndarray) -> float:

@@ -33,31 +33,33 @@ CASE2 = shipped_config("case2")
 
 class Levels(NamedTuple):
     """Stands in for a state in ``partial_solves``: its leading coefficient,
-    lead phase field and phase and temperature histories."""
+    the leads of phi and mu, and the phase and temperature histories."""
 
     a0: float
     phi_bar: np.ndarray
+    mu_bar: np.ndarray
     phi_hist: np.ndarray
     temp_hist: np.ndarray
 
     def lead(self, name, take=False):
-        assert name == "phi"
-        return self.phi_bar
+        return {"phi": self.phi_bar, "mu": self.mu_bar}[name]
 
     def history(self, name):
         return {"phi": self.phi_hist, "temp": self.temp_hist}[name]
 
 
 def solves(grid, p, tau, rho=1e3, a0=1.0, phi_bar=None, phi_hist=None, temp_hist=None,
-           core=None, temp_forcing=None):
+           core=None, hp=None, mu_bar=None):
     """The kernel's partial solves with zero data for every field not given;
-    the phase history defaults to the explicit field (the bdf1 setting)."""
+    the phase history defaults to the explicit field (the bdf1 setting).
+    T_2 is forced by K*hp/rho*mu_bar."""
     z = grid.zeros()
     phi_bar = z if phi_bar is None else phi_bar
     phi_hist = phi_bar if phi_hist is None else phi_hist
-    levels = Levels(a0, phi_bar, phi_hist, z if temp_hist is None else temp_hist)
-    return partial_solves(grid, p, tau, levels, rho, phi_hist, z if core is None else core,
-                          z if temp_forcing is None else temp_forcing)
+    levels = Levels(a0, phi_bar, z if mu_bar is None else mu_bar, phi_hist,
+                    z if temp_hist is None else temp_hist)
+    return partial_solves(grid, p, tau, levels, rho, z if core is None else core,
+                          z if hp is None else hp)
 
 
 # leading BDF coefficient and phase/temperature history seed of each scheme;
@@ -224,7 +226,8 @@ class TestPhaseSolves:
         p = CASE2.params
         parts = solves(grid16, p, 0.1)
         assert np.all(parts.phi1 == 0.0)
-        assert np.all(phase_potential(p, parts.coeff, parts.phi1, parts.rhs1) == 0.0)
+        mu1 = phase_potential(p, parts.coeff, parts.phi1, parts.rhs1, grid16.zeros())
+        assert np.all(mu1 == 0.0)
 
     def test_phi1_constant_closed_form(self, grid16):
         p = replace(CASE2.params, s3=2.0, s4=1.0)
@@ -242,7 +245,8 @@ class TestPhaseSolves:
         phi_hist = phi_n if hist_seed is None else smooth_field(grid16, hist_seed)
         with np.errstate(all="raise"):
             parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist)
-            phi1, mu1 = parts.phi1, phase_potential(p, parts.coeff, parts.phi1, parts.rhs1)
+            phi1 = parts.phi1
+            mu1 = phase_potential(p, parts.coeff, phi1, parts.rhs1, grid16.zeros())
         if case == "b_zero":
             assert np.array_equal(mu1, -(p.s2 / p.eps**2) * phi1)
         m = 1.0 / rho
@@ -261,7 +265,7 @@ class TestPhaseSolves:
         p = CASE2.params
         parts = solves(grid16, p, 0.1, core=grid16.zeros())
         assert np.all(parts.phi2 == 0.0)
-        mu2 = phase_potential(p, parts.coeff, parts.phi2, grid16.zeros(), forced=True)
+        mu2 = phase_potential(p, parts.coeff, parts.phi2, grid16.zeros(), grid16.zeros())
         assert np.all(mu2 == 0.0)
 
     def test_phi2_unit_forcing_sign(self, grid16):
@@ -286,7 +290,8 @@ class TestPhaseSolves:
         core = -(g_n + coupling)
         with np.errstate(all="raise"):
             parts = solves(grid16, p, tau, rho, a0, phi_bar=phi_n, phi_hist=phi_hist, core=core)
-            phi2, mu2 = parts.phi2, phase_potential(p, parts.coeff, parts.phi2, core, forced=True)
+            phi2 = parts.phi2
+            mu2 = phase_potential(p, parts.coeff, phi2, grid16.zeros(), core)
         if case == "b_zero":
             assert np.array_equal(mu2, core - (p.s2 / p.eps**2) * phi2)
         m = 1.0 / rho
@@ -339,7 +344,7 @@ class TestZeroStabilizers:
         mu1 = p.s1 / b * (coeff * phi1 - rhs1) - p.s2 / p.eps**2 * phi1
         assert parts.coeff == coeff and parts.rhs1.tobytes() == rhs1.tobytes()
         assert parts.phi1.tobytes() == phi1.tobytes()
-        got = phase_potential(p, parts.coeff, parts.phi1, parts.rhs1)
+        got = phase_potential(p, parts.coeff, parts.phi1, parts.rhs1, grid16.zeros())
         assert got.tobytes() == mu1.tobytes()
 
 
@@ -351,7 +356,8 @@ class TestTemperatureSolves:
 
     def test_zero_mu_gives_zero_t2(self, grid16):
         p = CASE2.params
-        assert np.all(solves(grid16, p, 0.25, temp_forcing=grid16.zeros()).temp2 == 0.0)
+        hp = grid16.full(1.0)
+        assert np.all(solves(grid16, p, 0.25, hp=hp, mu_bar=grid16.zeros()).temp2 == 0.0)
 
     @SCHEMES
     def test_mean_conservation(self, grid16, a0, hist_seed):
@@ -399,10 +405,10 @@ class TestClosure:
         coupling = (p.lam / p.eps) * h_prime(state.phi) * state.temp
         core = -(g_n + coupling)
         parts = solves(grid, p, tau, rho, phi_bar=state.phi, temp_hist=state.temp, core=core,
-                       temp_forcing=p.latent * h_prime(state.phi) / rho * state.mu)
+                       hp=h_prime(state.phi), mu_bar=state.mu)
         # the pair the step forms after xi from (phi_1, rhs_1) and (phi_2, core)
-        mu1 = phase_potential(p, parts.coeff, parts.phi1, parts.rhs1)
-        mu2 = phase_potential(p, parts.coeff, parts.phi2, core, forced=True)
+        mu1 = phase_potential(p, parts.coeff, parts.phi1, parts.rhs1, grid.zeros())
+        mu2 = phase_potential(p, parts.coeff, parts.phi2, grid.zeros(), core)
         _, rep = step(grid, state, tau, p)
         a1, a2 = rep.a1, rep.a2
         a1_raw, a2_raw = raw_closure(grid, p, tau, state, parts, mu1, mu2, e1_n, rho)
@@ -411,25 +417,39 @@ class TestClosure:
         assert a1 > 0.0
 
     @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
-    def test_new_mu_is_the_pair_formed_after_xi(self, grid16, monkeypatch, scheme):
-        # the step forms mu_1 and mu_2 once xi is known, from (phi_1, rhs_1)
-        # and (phi_2, core), and its new mu is, bitwise, mu_1 + xi*mu_2
-        formed, real = [], bdf1.phase_potential
+    def test_new_mu_is_formed_once_from_the_new_phi(self, grid16, monkeypatch, scheme):
+        # once xi is known the step forms one mu, read off the recombined
+        # phase equation coeff*phi - b*Lap(phi) = rhs_1 + xi*core, bitwise
+        # mu = (s1/b)(coeff*phi - rhs_1 - xi*core) - (s2/eps^2) phi + xi*core
+        solved, formed = [], []
+        real_solves, real_potential = bdf1.partial_solves, bdf1.phase_potential
 
-        def recorded(*args, **kwargs):
-            mu = real(*args, **kwargs)
-            formed.append(mu.copy())
-            return mu
+        def recorded_solves(*args):
+            parts = real_solves(*args)
+            core = args[5]
+            solved.append([parts.coeff] + [x.copy() for x in (parts.phi1, parts.rhs1,
+                                                                parts.phi2, core)])
+            return parts
+
+        def recorded_potential(*args):
+            formed.append(args)
+            return real_potential(*args)
 
         p = replace(CASE2.params, s3=3.0, s4=2.0)
         state, step_fn = case2_state(grid16, p, seed=5), step
         if scheme == "bdf2":
             state, _ = bdf2.bootstrap(grid16, state, 0.01, p)
             step_fn = bdf2.step2
-        monkeypatch.setattr(bdf1, "phase_potential", recorded)
+        monkeypatch.setattr(bdf1, "partial_solves", recorded_solves)
+        monkeypatch.setattr(bdf1, "phase_potential", recorded_potential)
         new, rep = step_fn(grid16, state, 0.01, p)
-        mu1, mu2 = formed
-        assert new.mu.tobytes() == (mu1 + rep.xi * mu2).tobytes()
+        assert len(formed) == 1
+        (coeff, phi1, rhs1, phi2, core), = solved
+        xi, b = rep.xi, p.s1 + p.s4
+        phi = phi1 + xi * phi2
+        mu = p.s1 / b * (coeff * phi - rhs1 - xi * core) - p.s2 / p.eps**2 * phi + xi * core
+        assert new.phi.tobytes() == phi.tobytes()
+        assert new.mu.tobytes() == mu.tobytes()
 
 
 class TestStep:

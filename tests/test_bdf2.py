@@ -571,15 +571,16 @@ class TestExplicitDataMemo:
 
     def test_memo_equals_fresh_evaluation(self, case2, scheme):
         # the identity check takes the explicit data that a checked step kept
-        # out of the memo; its leads, rho, h', E1 and geometry equal, bitwise,
-        # those of a copy of the state that has no memo
+        # out of the memo, and forms mu_bar again; its leads, rho, h', E1 and
+        # geometry equal, bitwise, those of a copy of the state that has no memo
         grid, p, _, _ = case2
         for state, _ in _stepped_pairs(scheme, case2, p, levels=2):
             before = _row_then_step(grid, p, state, checked=True)
             (memo,) = _explicit_memos(before)
+            assert "mu" not in memo
             got = bdf1.explicit_data(grid, p, before)
             assert _explicit_memos(before) == [] and _memo_fields(before) == []
-            for name in ("phi", "temp", "mu", "hp", "geom"):
+            for name in ("phi", "temp", "hp", "geom"):
                 assert getattr(got, name) is memo[name]
             fresh = replace(state)
             want = bdf1.explicit_data(grid, p, fresh)
@@ -594,8 +595,8 @@ class TestExplicitDataMemo:
             assert got.e1 == e1_energy(grid, fresh.lead("phi"), p)
 
     def test_memo_keeps_geometry_only_for_checked_step(self, case2, scheme):
-        # the ledger row leaves the geometry (bdf1) or the leads of phi and T
-        # (bdf2) in the memo for the step; an unchecked step takes every field
+        # the ledger row leaves the geometry (bdf1) or the lead of phi (bdf2)
+        # in the memo for the step; an unchecked step takes every field
         # out, a checked one keeps the explicit data, geometry included, for
         # its identity check
         grid, p, phi0, temp0 = case2

@@ -21,6 +21,7 @@ from dendrosim.cli import (
 )
 from dendrosim.config import (
     ConfigError,
+    InvalidValueError,
     RunConfig,
     load_config,
 )
@@ -347,11 +348,11 @@ class TestWorkingSet:
     of a step dies after its last reader."""
 
     # peak traced fields over the run's baseline, half a field above what the
-    # steps reach (17.1 / 23.1 / 12.1 / 16.1); no step call passes a field
+    # steps reach (14.1 / 20.1 / 11.1 / 15.1); no step call passes a field
     # that should die inside it, so the peak is the same where a call's
     # arguments live as long as the call (Python 3.10)
-    BOUNDS = {("bdf2", False): 17.5, ("bdf2", True): 23.5,
-              ("bdf1", False): 12.5, ("bdf1", True): 16.5}
+    BOUNDS = {("bdf2", False): 14.5, ("bdf2", True): 20.5,
+              ("bdf1", False): 11.5, ("bdf1", True): 15.5}
 
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
     @pytest.mark.parametrize("scheme, check", list(BOUNDS))
@@ -420,6 +421,15 @@ class TestRunStability:
             assert r.min_a1 > 0.0
             assert r.ledger_path.exists()
             assert len(read_ledger(r.ledger_path)) == 11
+
+    @pytest.mark.parametrize("n_steps", [0, -2])
+    def test_step_count_checked_before_any_run(self, tmp_path, monkeypatch, n_steps):
+        runs = []
+        monkeypatch.setattr(experiments, "run_single", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(InvalidValueError, match=f"stability step count must be at least 1, "
+                                                    f"got {n_steps}"):
+            run_stability(tiny_config(), taus=(0.5,), out_dir=tmp_path / "sweep", n_steps=n_steps)
+        assert runs == [] and not (tmp_path / "sweep").exists()
 
     def test_stabilized_sets_keep_xi_near_one(self, tmp_path):
         cfg = tiny_config()
@@ -802,6 +812,8 @@ class TestCli:
         ("stability", "--taus", ",", "stability step sizes must not be empty"),
         ("stability", "--taus", "0.1,0", "step sizes must be finite and positive, got 0.0"),
         ("stability", "--taus", "inf", "step sizes must be finite and positive, got inf"),
+        ("stability", "--steps", "0", "stability step count must be at least 1, got 0"),
+        ("stability", "--steps", "-2", "stability step count must be at least 1, got -2"),
     ])
     def test_bad_sweep_runs_nothing(self, tmp_path, capsys, monkeypatch, command, flag, values,
                                     needle):

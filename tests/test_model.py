@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,25 @@ class TestResidual:
         lhs = g_residual(grid16, grid16.full(c), p)
         expected = (f_well(np.array([c]))[0] - p.s2 * c) / p.eps**2
         assert lhs == pytest.approx(expected)
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
+    @pytest.mark.parametrize("sigma", [0.05, 0.0])
+    def test_working_set(self, sigma):
+        # with the geometry given, g holds three fields, its result included
+        # (3.03 traced here; 5.02 while it formed the anisotropy vector whole)
+        grid = GridSpec(128, 128)
+        p = make_params(sigma=sigma)
+        phi = _oracle_field(grid, "tanh")
+        geom = anisotropy(grid, phi, p.sigma)
+        g_residual(grid, phi, p, geom)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g_residual(grid, phi, p, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / phi.nbytes <= 4.5
 
 
 class TestEnergies:
