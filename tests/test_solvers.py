@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft
 
+import dendrosim
+from dendrosim import solvers
 from dendrosim.grid import GridSpec, laplacian
 from dendrosim.solvers import (
     SolverError,
@@ -23,6 +31,109 @@ def dense_operator(grid: GridSpec, c, b: float) -> np.ndarray:
         e = e.reshape(grid.shape)
         cols.append((cdiag * e - b * laplacian(grid, e)).ravel())
     return np.array(cols).T
+
+
+def scipy_helmholtz(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
+    """helmholtz_solve's arithmetic with the public scipy.fft transforms."""
+    div = np.add(*solvers._neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy))
+    div *= -b
+    div += a
+    coef = scipy.fft.dctn(rhs, type=2, norm="ortho")
+    coef /= div
+    return scipy.fft.idctn(coef, type=2, norm="ortho", overwrite_x=True)
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's dendrosim."""
+    src = str(Path(dendrosim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out
+
+
+def layouts(shape: tuple[int, int], seed: int):
+    """A float64 field of the given shape as C-ordered, F-ordered and strided arrays."""
+    rng = np.random.default_rng(seed)
+    yield "C", rng.standard_normal(shape)
+    yield "F", np.asfortranarray(rng.standard_normal(shape))
+    yield "strided", rng.standard_normal((2 * shape[0], 3 * shape[1]))[::2, 1::3]
+
+
+class TestTransforms:
+    """solvers.dctn/idctn are scipy.fft.dctn/idctn(type=2, norm="ortho"), bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (64, 48)])
+    def test_float64_layouts(self, shape):
+        for layout, x in layouts(shape, seed=sum(shape)):
+            x0 = x.copy()
+            coef = solvers.dctn(x)
+            assert np.array_equal(x, x0), layout  # the forward transform keeps its input
+            expected = scipy.fft.dctn(x, type=2, norm="ortho")
+            assert coef.dtype == expected.dtype and np.array_equal(coef, expected), layout
+            back = scipy.fft.idctn(x, type=2, norm="ortho")
+            got = solvers.idctn(x)
+            assert np.shares_memory(got, x), layout  # the inverse is written into x
+            assert got.dtype == back.dtype and np.array_equal(got, back), layout
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (64, 48)])
+    @pytest.mark.parametrize("dtype, result", [
+        (np.float32, np.float32), (np.int64, np.float64), (np.int32, np.float64),
+        (np.complex128, np.complex128),
+    ])
+    def test_other_dtypes(self, shape, dtype, result):
+        rng = np.random.default_rng(3)
+        x = 50 * rng.standard_normal(shape)
+        if dtype == np.complex128:
+            x = x + 50j * rng.standard_normal(shape)
+        x = x.astype(dtype)
+        for ours, theirs in ((solvers.dctn, scipy.fft.dctn), (solvers.idctn, scipy.fft.idctn)):
+            expected = theirs(x, type=2, norm="ortho")
+            got = ours(x.copy())
+            assert got.dtype == expected.dtype == result
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("extension", [None, b"not a shared object"])
+    def test_falls_back_to_scipy_fft(self, tmp_path, extension):
+        # scipy is found in a directory whose pocketfft extension is missing or broken
+        grid = GridSpec(12, 10, 0.0, 2.0, 0.0, 1.5)
+        rhs = random_field(grid, 4)
+        np.save(tmp_path / "rhs.npy", rhs)
+        pocketfft = tmp_path / "scipy" / "fft" / "_pocketfft"
+        pocketfft.mkdir(parents=True)
+        if extension is not None:
+            (pocketfft / "pypocketfft.so").write_bytes(extension)
+        run_python(f"""
+import importlib.machinery, importlib.util
+find_spec = importlib.util.find_spec
+def moved(name, package=None):
+    if name != "scipy":
+        return find_spec(name, package)
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations[:] = [{str(tmp_path / "scipy")!r}]
+    return spec
+importlib.util.find_spec = moved
+import numpy as np
+from dendrosim import solvers
+from dendrosim.grid import GridSpec
+import scipy.fft
+assert solvers._dct is None
+assert solvers.dctn.func is scipy.fft.dctn and solvers.idctn.func is scipy.fft.idctn
+rhs = np.load({str(tmp_path / "rhs.npy")!r})
+np.save({str(tmp_path / "u.npy")!r},
+        solvers.helmholtz_solve(GridSpec(12, 10, 0.0, 2.0, 0.0, 1.5), 3.0, 0.7, rhs))
+""")
+        assert np.array_equal(np.load(tmp_path / "u.npy"), helmholtz_solve(grid, 3.0, 0.7, rhs))
+
+
+@pytest.mark.parametrize("module", ["dendrosim.experiments", "dendrosim.cli"])
+def test_import_leaves_out_scipy_fft(module):
+    # scipy.fft imports scipy.special, which no solve uses
+    out = run_python(f"import sys, {module}\n"
+                     "print(sorted({'scipy.fft', 'scipy.special'} & set(sys.modules)))")
+    assert out.stdout.strip() == "[]"
 
 
 class TestHelmholtz:
@@ -60,6 +171,17 @@ class TestHelmholtz:
             u = helmholtz_solve(g, a, b, rhs)
             res = np.linalg.norm(a * u - b * laplacian(g, u) - rhs)
             assert res <= 1e-11 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
+    def test_matches_scipy_fft_bitwise(self, dtype):
+        # integers solve in float64 and float32 stays float32, as through scipy.fft
+        g = GridSpec(64, 48, 0.0, 2.0, 0.0, 1.5)
+        for seed, (a, b) in enumerate(((1e-2, 5e-2), (1.0, 0.9), (150.0, 8.0))):
+            rhs = (100 * random_field(g, seed)).astype(dtype)
+            u = helmholtz_solve(g, a, b, rhs)
+            expected = scipy_helmholtz(g, a, b, rhs)
+            assert u.dtype == expected.dtype == (np.float32 if dtype == np.float32 else np.float64)
+            assert np.array_equal(u, expected)
 
     def test_rejects_nonpositive_a(self, grid8):
         with pytest.raises(ValueError, match="a > 0"):
