@@ -31,6 +31,7 @@ products and so differs from it only in summation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError(f"grid needs nx, ny >= 4, got {self.nx}x{self.ny}")
+        for name in ("x0", "x1", "y0", "y1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("domain bounds must satisfy x1 > x0 and y1 > y0")
 

@@ -21,6 +21,7 @@ Conventions shared with the time steppers:
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,6 +67,8 @@ class ConstantMobility:
     rho: float
 
     def __post_init__(self):
+        if not math.isfinite(self.rho):
+            raise ValueError(f"mobility rho must be a finite number, got {self.rho!r}")
         if not self.rho > 0.0:
             raise ValueError(f"mobility rho must be positive, got {self.rho}")
 
@@ -113,6 +116,9 @@ class ModelParams:
     bconst: float
 
     def __post_init__(self):
+        for name in ("eps", "lam", "diff", "latent", "sigma", "s1", "s2", "s3", "s4", "bconst"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if self.eps * self.eps < sys.float_info.min:  # the steps divide by eps^2

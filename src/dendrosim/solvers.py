@@ -2,12 +2,18 @@
 
 The constant-coefficient solve diagonalizes the compact Neumann Laplacian
 in the DCT-II cosine basis, which is exact up to roundoff.  It allocates
-two full fields: the cosine coefficients, which the in-place inverse
-transform turns into the result, and the divisor a - b*lambda.  Only the
-two 1-D eigenvalue vectors are cached per grid: the divisor is built from
-them as (lx_i + ly_j)*(-b) + a, the same rounded sums a cached 2-D lambda
-would hold, and neither it nor a 2-D lambda stays resident.  The variable
-coefficient solve (c(x)*I - b*Laplacian) runs conjugate gradients
+the result and one workspace whose rows are padded by one 64-byte cache
+line, and runs both transforms in place in the workspace.  A row of 512
+doubles is 4 KiB, so without the padding every element of a column maps
+to one cache set, and the transform along axis 0 of a 512^2 field takes
+about twice as long.  The divisor a - b*lambda never exists as a full
+field: only the two 1-D eigenvalue vectors are cached per grid, and the
+divisor is built from them as (lx_i + ly_j)*(-b) + a, the same rounded
+sums a cached 2-D lambda would hold, a few padded row blocks at a time,
+in the result's memory before the result is written.  Every ufunc there
+runs on contiguous operands, because numpy buffers a ufunc over a
+strided view or a broadcast operand (about 64 KiB per operand).  The
+variable coefficient solve (c(x)*I - b*Laplacian) runs conjugate gradients
 preconditioned with the constant solve at mean(c): the coefficients that
 arise in the time steppers vary mildly about their mean, so the
 preconditioned spectrum is tightly clustered.
@@ -48,6 +54,7 @@ __all__ = [
 ]
 
 CG_TOL = 1e-12  # relative residual at which PCG stops
+_LINE = 64  # bytes of a cache line: the solve pads each workspace row by one
 
 
 def _pocketfft_dct():
@@ -71,41 +78,45 @@ def _pocketfft_dct():
     return None
 
 
+def _float_dtype(dtype: np.dtype) -> np.dtype:
+    """The dtype scipy.fft's transforms compute in: float16 -> float32, any
+    other non-float dtype -> float64, native byte order."""
+    if dtype == np.float16:
+        return np.dtype(np.float32)
+    if dtype.kind not in "fc":
+        return np.dtype(np.float64)
+    return dtype.newbyteorder("=")
+
+
 def _as_float(x) -> np.ndarray:
-    """x as scipy.fft's transforms take it: float16 -> float32, any other
-    non-float dtype -> float64, native byte order, aligned; else x itself."""
+    """x as scipy.fft's transforms take it, aligned; x itself when it already is."""
     x = np.asarray(x)
-    if x.dtype == np.float16:
-        return x.astype(np.float32)
-    if x.dtype.kind not in "fc":
-        return x.astype(np.float64)
-    return np.require(x, x.dtype.newbyteorder("="), "A")
+    return np.require(x, _float_dtype(x.dtype), "A")
 
 
 _dct = _pocketfft_dct()
 
 if _dct is not None:
-    def dctn(x: np.ndarray) -> np.ndarray:
-        """Orthonormal DCT-II over every axis: ``scipy.fft.dctn(x, type=2, norm="ortho")``."""
+    def _transform(x: np.ndarray, kind: int) -> np.ndarray:
         x = _as_float(x)
         if x.dtype.kind == "c":  # real and imaginary parts apart, as scipy.fft does
-            out = np.empty_like(x)
-            out.real, out.imag = dctn(x.real), dctn(x.imag)
-            return out
-        return _dct(x, 2, range(x.ndim), 1, None, 1, None)
+            _transform(x.real, kind)
+            _transform(x.imag, kind)
+            return x
+        return _dct(x, kind, range(x.ndim), 1, x, 1, None)
+
+    def dctn(x: np.ndarray) -> np.ndarray:
+        """Orthonormal DCT-II over every axis, ``scipy.fft.dctn(x, type=2,
+        norm="ortho")``, written into x itself when x is a float array."""
+        return _transform(x, 2)
 
     def idctn(x: np.ndarray) -> np.ndarray:
         """Inverse of ``dctn``, written into x itself when x is a float array."""
-        x = _as_float(x)
-        if x.dtype.kind == "c":  # each part in place
-            idctn(x.real)
-            idctn(x.imag)
-            return x
-        return _dct(x, 3, range(x.ndim), 1, x, 1, None)
+        return _transform(x, 3)
 else:
     from scipy import fft as _fft
 
-    dctn = partial(_fft.dctn, type=2, norm="ortho")
+    dctn = partial(_fft.dctn, type=2, norm="ortho", overwrite_x=True)
     idctn = partial(_fft.idctn, type=2, norm="ortho", overwrite_x=True)
 
 
@@ -130,9 +141,12 @@ def _neumann_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> tuple[np.nda
 def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (a*I - b*Laplacian) u = rhs exactly via 2D cosine transforms.
 
-    Requires a > 0 (keeps the constant mode invertible) and b >= 0.
+    Requires a finite a > 0 (keeps the constant mode invertible) and a
+    finite b >= 0.
     """
     grid.check(rhs)
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"helmholtz_solve needs finite a and b, got a={a}, b={b}")
     if not a > 0.0:
         raise ValueError(f"helmholtz_solve needs a > 0, got a={a}")
     if b < 0.0:
@@ -141,13 +155,40 @@ def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.n
         raise ValueError("helmholtz_solve: rhs contains non-finite values")
     if b == 0.0:
         return rhs / a
-    div = np.add(*_neumann_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy))  # lx_i + ly_j
-    div *= -b
-    div += a
-    coef = dctn(rhs)
-    coef /= div
-    # coef is a fresh array, never the caller's rhs, so it may be overwritten
-    return idctn(coef)
+    nx, ny = grid.shape
+    dtype = _float_dtype(rhs.dtype)
+    # u's memory holds the divisor blocks until the result is copied into it
+    u = np.empty((nx, ny), dtype)
+    width = ny + _LINE // dtype.itemsize
+    work = np.empty((nx, width), dtype)
+    coef = work[:, :ny]
+    coef[...] = rhs
+    work[:, ny:] = 0.0  # the padding is divided along with the coefficients
+    dctn(coef)
+    lx, ly = _neumann_eigenvalues(nx, ny, grid.hx, grid.hy)
+    # divisor rows (lx_i + ly_j)*(-b) + a over the padded width (ly_j = 0 in
+    # the padding), a few row blocks at a time, in two buffers that fill at
+    # most the bytes of u: every ufunc below runs on contiguous operands
+    blocks = -(-nx // max(1, u.nbytes // (2 * width * lx.itemsize)))
+    rows = -(-nx // blocks)
+    block = rows * width * lx.itemsize
+    scratch = u.reshape(-1).view(np.uint8)
+    if scratch.size < 2 * block:  # grids of a few cells per row
+        scratch = np.empty(2 * block, np.uint8)
+    div, ly_rows = scratch[:2 * block].view(lx.dtype).reshape(2, rows, width)
+    ly_rows[:, :ny] = ly
+    ly_rows[:, ny:] = 0.0
+    flat = work.reshape(-1)
+    for i in range(0, nx, rows):
+        d = div[:min(rows, nx - i)]
+        d[...] = lx[i:i + rows]
+        d += ly_rows[:len(d)]
+        d *= -b
+        d += a
+        flat[i * width:(i + len(d)) * width] /= d.reshape(-1)
+    idctn(coef)
+    u[...] = coef
+    return u
 
 
 def variable_helmholtz_solve(
@@ -161,9 +202,11 @@ def variable_helmholtz_solve(
     """Solve (c(x)*I - b*Laplacian) u = rhs by preconditioned CG.
 
     Returns (u, iterations).  Converged when ||residual|| <= tol * ||rhs||;
-    raises SolverError past maxit.  Requires min(c) > 0 and b >= 0.
+    raises SolverError past maxit.  Requires min(c) > 0 and a finite b >= 0.
     """
     grid.check(c, rhs)
+    if not np.isfinite(b):
+        raise ValueError(f"variable_helmholtz_solve needs a finite b, got b={b}")
     if not np.all(c > 0.0):
         raise ValueError("variable_helmholtz_solve needs c > 0 everywhere")
     if b < 0.0:

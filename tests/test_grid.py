@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,14 @@ class TestGridSpec:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             GridSpec(8, 8, x0=1.0, x1=-1.0)
+
+    @pytest.mark.parametrize("name", ["x0", "x1", "y0", "y1"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_bounds(self, name, value):
+        bounds = dict(x0=0.0, x1=1.0, y0=0.0, y1=1.0)
+        bounds[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be a finite number, got {value}"):
+            GridSpec(8, 8, **bounds)
 
     def test_conformability(self, grid8):
         with pytest.raises(ValueError):

@@ -90,6 +90,19 @@ class TestParams:
         with pytest.raises(ValueError, match="rho"):
             ConstantMobility(0.0)
 
+    @pytest.mark.parametrize("name", ["eps", "lam", "diff", "latent", "sigma",
+                                      "s1", "s2", "s3", "s4", "bconst"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_field(self, name, value):
+        # config files refuse these already; the Python API refuses them too
+        with pytest.raises(ValueError, match=f"{name} must be a finite number, got {value}"):
+            make_params(**{name: value})
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_rejects_nonfinite_mobility(self, rho):
+        with pytest.raises(ValueError, match=f"rho must be a finite number, got {rho}"):
+            ConstantMobility(rho)
+
     def test_field_mobility_positivity_guard(self):
         mob = FieldMobility(lambda phi: phi)
         with pytest.raises(ValueError, match="non-positive"):

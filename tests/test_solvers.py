@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,14 +66,13 @@ def layouts(shape: tuple[int, int], seed: int):
 class TestTransforms:
     """solvers.dctn/idctn are scipy.fft.dctn/idctn(type=2, norm="ortho"), bit for bit."""
 
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (64, 48)])
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (64, 48), (8, 512)])
     def test_float64_layouts(self, shape):
         for layout, x in layouts(shape, seed=sum(shape)):
-            x0 = x.copy()
-            coef = solvers.dctn(x)
-            assert np.array_equal(x, x0), layout  # the forward transform keeps its input
             expected = scipy.fft.dctn(x, type=2, norm="ortho")
-            assert coef.dtype == expected.dtype and np.array_equal(coef, expected), layout
+            coef = solvers.dctn(x)
+            assert np.shares_memory(coef, x), layout  # the forward transform is written into x
+            assert coef.dtype == expected.dtype and np.array_equal(x, expected), layout
             back = scipy.fft.idctn(x, type=2, norm="ortho")
             got = solvers.idctn(x)
             assert np.shares_memory(got, x), layout  # the inverse is written into x
@@ -97,10 +97,11 @@ class TestTransforms:
 
     @pytest.mark.parametrize("extension", [None, b"not a shared object"])
     def test_falls_back_to_scipy_fft(self, tmp_path, extension):
-        # scipy is found in a directory whose pocketfft extension is missing or broken
-        grid = GridSpec(12, 10, 0.0, 2.0, 0.0, 1.5)
-        rhs = random_field(grid, 4)
-        np.save(tmp_path / "rhs.npy", rhs)
+        # scipy is found in a directory whose pocketfft extension is missing or
+        # broken; one grid has rows of 4 KiB, the width the solve pads
+        grids = [GridSpec(12, 10, 0.0, 2.0, 0.0, 1.5), GridSpec(8, 512, 0.0, 2.0, 0.0, 1.5)]
+        for i, grid in enumerate(grids):
+            np.save(tmp_path / f"rhs{i}.npy", random_field(grid, 4))
         pocketfft = tmp_path / "scipy" / "fft" / "_pocketfft"
         pocketfft.mkdir(parents=True)
         if extension is not None:
@@ -121,11 +122,18 @@ from dendrosim.grid import GridSpec
 import scipy.fft
 assert solvers._dct is None
 assert solvers.dctn.func is scipy.fft.dctn and solvers.idctn.func is scipy.fft.idctn
-rhs = np.load({str(tmp_path / "rhs.npy")!r})
-np.save({str(tmp_path / "u.npy")!r},
-        solvers.helmholtz_solve(GridSpec(12, 10, 0.0, 2.0, 0.0, 1.5), 3.0, 0.7, rhs))
+x = np.ones((6, 5))
+assert np.shares_memory(solvers.dctn(x), x)  # written into its argument, as on pocketfft
+for i, shape in enumerate([(12, 10), (8, 512)]):
+    rhs = np.load({str(tmp_path)!r} + f"/rhs{{i}}.npy")
+    np.save({str(tmp_path)!r} + f"/u{{i}}.npy",
+            solvers.helmholtz_solve(GridSpec(*shape, 0.0, 2.0, 0.0, 1.5), 3.0, 0.7, rhs))
 """)
-        assert np.array_equal(np.load(tmp_path / "u.npy"), helmholtz_solve(grid, 3.0, 0.7, rhs))
+        for i, grid in enumerate(grids):
+            rhs = np.load(tmp_path / f"rhs{i}.npy")
+            u = np.load(tmp_path / f"u{i}.npy")
+            assert np.array_equal(u, helmholtz_solve(grid, 3.0, 0.7, rhs))
+            assert np.array_equal(u, scipy_helmholtz(grid, 3.0, 0.7, rhs))
 
 
 @pytest.mark.parametrize("module", ["dendrosim.experiments", "dendrosim.cli"])
@@ -174,18 +182,55 @@ class TestHelmholtz:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
     def test_matches_scipy_fft_bitwise(self, dtype):
-        # integers solve in float64 and float32 stays float32, as through scipy.fft
-        g = GridSpec(64, 48, 0.0, 2.0, 0.0, 1.5)
-        for seed, (a, b) in enumerate(((1e-2, 5e-2), (1.0, 0.9), (150.0, 8.0))):
-            rhs = (100 * random_field(g, seed)).astype(dtype)
-            u = helmholtz_solve(g, a, b, rhs)
-            expected = scipy_helmholtz(g, a, b, rhs)
-            assert u.dtype == expected.dtype == (np.float32 if dtype == np.float32 else np.float64)
-            assert np.array_equal(u, expected)
+        # integers solve in float64 and float32 stays float32, as through scipy.fft;
+        # a 4x4 result is too small to hold the divisor blocks, which get a buffer
+        for g in (GridSpec(64, 48, 0.0, 2.0, 0.0, 1.5), GridSpec(4, 4, 0.0, 2.0, 0.0, 1.5)):
+            for seed, (a, b) in enumerate(((1e-2, 5e-2), (1.0, 0.9), (150.0, 8.0))):
+                rhs = (100 * random_field(g, seed)).astype(dtype)
+                u = helmholtz_solve(g, a, b, rhs)
+                expected = scipy_helmholtz(g, a, b, rhs)
+                assert u.dtype == expected.dtype
+                assert u.dtype == (np.float32 if dtype == np.float32 else np.float64)
+                assert np.array_equal(u, expected)
+
+    @pytest.mark.parametrize("shape", [(8, 512), (512, 512)])
+    def test_bitwise_at_4kib_rows(self, shape):
+        # a row of 512 doubles is 4 KiB, the stride the padded workspace avoids
+        g = GridSpec(*shape, 0.0, 2.0, 0.0, 1.5)
+        for layout, x in layouts(shape, seed=shape[0]):
+            for rhs in (x, (100 * x).astype(np.float32), (100 * x).astype(np.int64)):
+                rhs0 = rhs.copy()
+                u = helmholtz_solve(g, 1.0, 0.9, rhs)
+                expected = scipy_helmholtz(g, 1.0, 0.9, rhs)
+                assert u.dtype == expected.dtype and np.array_equal(u, expected), layout
+                assert u.flags.c_contiguous and u.flags.owndata, layout
+                assert not np.shares_memory(u, rhs), layout
+                assert np.array_equal(rhs, rhs0), layout
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
+    def test_working_set(self):
+        # the result plus the padded workspace: the divisor is built in row
+        # blocks inside the result's memory, never as a full field
+        g = GridSpec(256, 256)
+        rhs = random_field(g, 6)
+        helmholtz_solve(g, 2.0, 0.5, rhs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            helmholtz_solve(g, 2.0, 0.5, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / rhs.nbytes <= 2.1
 
     def test_rejects_nonpositive_a(self, grid8):
         with pytest.raises(ValueError, match="a > 0"):
             helmholtz_solve(grid8, 0.0, 1.0, grid8.zeros())
+
+    @pytest.mark.parametrize("a, b", [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)])
+    def test_rejects_nonfinite_coefficients(self, grid8, a, b):
+        with pytest.raises(ValueError, match=f"finite a and b, got a={a}, b={b}"):
+            helmholtz_solve(grid8, a, b, grid8.zeros())
 
     def test_rejects_nonfinite_rhs(self, grid8):
         rhs = grid8.zeros()
@@ -239,6 +284,11 @@ class TestVariableHelmholtz:
         c[2, 2] = 0.0
         with pytest.raises(ValueError, match="c > 0"):
             variable_helmholtz_solve(grid8, c, 1.0, grid8.zeros())
+
+    @pytest.mark.parametrize("b", [np.inf, np.nan])
+    def test_rejects_nonfinite_b(self, grid8, b):
+        with pytest.raises(ValueError, match=f"finite b, got b={b}"):
+            variable_helmholtz_solve(grid8, grid8.full(1.0), b, grid8.zeros())
 
     def test_zero_rhs_short_circuits(self, grid8):
         u, iters = variable_helmholtz_solve(grid8, grid8.full(2.0), 1.0, grid8.zeros())
