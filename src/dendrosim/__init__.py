@@ -5,7 +5,6 @@ experiments."""
 
 from .grid import (
     GridSpec,
-    divergence,
     grad_inner,
     grad_norm_sq,
     gradient,
@@ -34,7 +33,6 @@ from .solvers import SolverError, helmholtz_solve, variable_helmholtz_solve
 __all__ = [
     "GridSpec",
     "gradient",
-    "divergence",
     "laplacian",
     "inner",
     "norm_sq",

@@ -29,23 +29,26 @@ anisotropy geometry at phi_bar) is evaluated once per state, in one order,
 and each field is owned by its last reader.  An unchecked step is that
 reader: its fields die inside the step, the lead phi_bar that the ledger
 row's norms memoized in an order-2 state included (they take ||T_bar||^2
-without keeping T_bar, which the step forms again).  A checked step keeps
-them up to h' in the state's memo, and its identity check takes them out
-and forms mu_bar again (:func:`explicit_data`).  The ledger row of
-phi^n = phi_bar hands its geometry to the step through the memo
-(:func:`state_geometry`).
+without keeping T_bar, which the step forms again).  A checked step
+evaluates g(phi_bar) a second time, from the same geometry, for its
+identity check, and keeps that field in the state's memo with the
+explicit data up to h', while the geometry's four fields die after g as
+in an unchecked step; the check takes them out and forms mu_bar again
+(:func:`explicit_data`).  The ledger row of phi^n = phi_bar hands its
+geometry to the step through the memo (:func:`state_geometry`).
 
 The discrete energy law is written once for both schemes, in terms of the
 BDF order k of a state (``state.order``) and its lead rule (``state.lead``:
 the explicit data of the next level).  :func:`scheme_energy` is the modified
-energy, summed over the level and its lead for k = 2; :func:`identity_proof_lines` re-assembles the
-three inner-product identities behind the law from the two states, the
-explicit data of the step and its own evaluation of the nonlinear residual g,
-and ``energy_identity_residual`` (``bdf2.energy_identity_residual2`` for
-k = 2) reports how far their sum is from zero relative to the modified
-energy.  The squared norms of a state's modified energy are evaluated once
-per state (:func:`state_norms`) and shared by the check, the ledger row and
-E1 at the lead.
+energy, summed over the level and its lead for k = 2;
+:func:`identity_proof_lines` re-assembles the three inner-product
+identities behind the law from the two states, the explicit data of the
+step and an evaluation of the nonlinear residual g apart from the one the
+step's solves use, and ``energy_identity_residual``
+(``bdf2.energy_identity_residual2`` for k = 2) reports how far their sum
+is from zero relative to the modified energy.  The squared norms of a
+state's modified energy are evaluated once per state (:func:`state_norms`)
+and shared by the check, the ledger row and E1 at the lead.
 """
 
 from __future__ import annotations
@@ -186,7 +189,7 @@ class ExplicitData(NamedTuple):
     rho: float | np.ndarray  # 1/M(phi_bar)
     hp: np.ndarray  # h'(phi_bar)
     e1: float  # E1(phi_bar)
-    geom: Anisotropy  # the anisotropy geometry of phi_bar
+    g: np.ndarray  # g(phi_bar), evaluated apart from the step's own
 
 
 @dataclass
@@ -255,22 +258,19 @@ def _phi_bar_terms(grid: GridSpec, p: ModelParams, state: State, take: bool):
     return phi_bar, geom, p.mobility.rho_at(phi_bar), e1_energy(grid, phi_bar, p, geom, grad_lead)
 
 
-def _keep_nothing(**data) -> None:
-    """The memo of an unchecked step: its explicit data has no second reader."""
-
-
 def explicit_data(grid: GridSpec, p: ModelParams, state: State) -> ExplicitData:
     """The explicit data of the step from ``state``, for that step's identity
     check, its last reader: taken out of the state's memo, where a checked
     step kept it, or else evaluated afresh in the step's order (phi_bar,
-    geometry, E1, T_bar, h'); mu_bar, which the step's solves took, is
-    formed again.  Either way the state's memo holds no field of it
-    afterwards."""
+    geometry, E1, g, T_bar, h'), the geometry dying after g; mu_bar, which
+    the step's solves took, is formed again.  Either way the state's memo
+    holds no field of it afterwards."""
     data = state._norms.pop(("explicit", grid, p), None)
     if data is None:
         phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=True)
-        data = dict(phi=phi_bar, geom=geom, rho=rho, e1=e1, temp=state.lead("temp", True),
-                    hp=h_prime(phi_bar))
+        data = dict(phi=phi_bar, g=g_residual(grid, phi_bar, p, geom), rho=rho, e1=e1)
+        del geom
+        data.update(temp=state.lead("temp", True), hp=h_prime(phi_bar))
     return ExplicitData(**data, mu=state.lead("mu", True))
 
 
@@ -374,8 +374,9 @@ def sav_step(
     and the temperature forcing, and each field dies after its last reader:
     the geometry after g, T_bar after core, phi_bar in rhs_1, mu_bar in the
     forcing, the forcing after the temperature solves, h' after the solves.
-    ``checked`` only decides whether the state's memo keeps a reference to
-    the explicit data up to h' for the step's identity check.  The new phi
+    With ``checked`` the step evaluates g a second time, from the same
+    geometry, for its identity check, and the state's memo keeps that field
+    and the explicit data up to h' for the check.  The new phi
     and T are recombined in place, and the new mu is formed once, from the
     new phi (:func:`phase_potential`).
     A1 collects 2*a0 times the auxiliary energy plus weighted squares
@@ -386,17 +387,18 @@ def sav_step(
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     a0 = state.a0
-    # the memo of a checked step keeps the explicit data for its identity check
-    keep = state._norms.setdefault(("explicit", grid, p), {}).update if checked else _keep_nothing
     phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=False)  # rhs_1 takes phi_bar
     core = g_residual(grid, phi_bar, p, geom)
-    keep(phi=phi_bar, geom=geom, rho=rho, e1=e1)
+    if checked:  # the check's own g(phi_bar) takes the place of the geometry in the memo
+        kept = state._norms["explicit", grid, p] = dict(
+            phi=phi_bar, g=g_residual(grid, phi_bar, p, geom), rho=rho, e1=e1)
     del geom
     temp_bar, hp = state.lead("temp", True), h_prime(phi_bar)
     del phi_bar
     core += (p.lam / p.eps) * hp * temp_bar
     np.negative(core, out=core)  # core = -(g + (lam/eps) h' T_bar)
-    keep(temp=temp_bar, hp=hp)
+    if checked:
+        kept.update(temp=temp_bar, hp=hp)
     del temp_bar
     phi, rhs1, phi2, temp, temp2, coeff, cg_iterations, forcing_temp1, forcing_temp2, \
         core_dphi1 = partial_solves(grid, p, tau, state, rho, core, hp, sources, t_new)
@@ -522,30 +524,43 @@ def identity_proof_lines(
     Everything is read from the two states alone: their energy norms through
     :func:`state_norms` and the explicit data through :func:`explicit_data`,
     which takes it out of the memo where a checked step from ``before`` kept
-    it.  The nonlinear term g(phi_bar) is evaluated here again, independently
-    of the step, and the geometry dies after it; a term shared by two lines
-    is evaluated once.
+    it.  The nonlinear term g(phi_bar) is evaluated apart from the step's
+    own: by the checked step, a second time, or else by
+    :func:`explicit_data`.  The norms of both states are taken before the
+    explicit data exists, the heat transfer first of the products, so that
+    mu_bar dies early, and each field dies after its last reader; a term
+    shared by two lines is evaluated once.
     """
     k = before.order
-    phi_bar, temp_bar, mu_bar, rho_bar, hp_bar, e1_bar, geom = explicit_data(grid, p, before)
-    g_bar = g_residual(grid, phi_bar, p, geom)
-    del geom
+    nb, na = state_norms(grid, before), state_norms(grid, after)
+    phi_bar, temp_bar, mu_bar, rho_bar, hp_bar, e1_bar, g_bar = explicit_data(grid, p, before)
     xi = after.r / math.sqrt(e1_bar)
     lam_e = p.lam / p.eps
     lam_ek = p.lam / (p.eps * p.latent)
-    nb, na = state_norms(grid, before), state_norms(grid, after)
+    heat = hp_bar / rho_bar
+    heat *= mu_bar
+    del mu_bar
+    heat_transfer = 2.0 * k * xi * tau * lam_e * inner(grid, heat, after.temp)
+    del heat
 
     curv = after.phi - phi_bar
+    del phi_bar
     bdf_phi = curv if k == 1 else 2.0 * (after.phi - before.phi) + curv
     curv_sq = norm_sq(grid, curv)
     curv_grad_sq = grad_norm_sq(grid, curv)
+    del curv
     residual_work = 2.0 * xi * inner(grid, g_bar, bdf_phi)
+    del g_bar
     coupling_work = 2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi)
-    heat_transfer = 2.0 * k * xi * tau * lam_e * inner(grid, hp_bar / rho_bar * mu_bar, after.temp)
+    del hp_bar
+    dissipation = (2.0 / (k * tau)) * inner(grid, rho_bar * bdf_phi, bdf_phi)
+    del bdf_phi
+    temp_jump = norm_sq(grid, after.temp - temp_bar)
+    del temp_bar
 
     line1 = math.fsum(
         [
-            (2.0 / (k * tau)) * inner(grid, rho_bar * bdf_phi, bdf_phi),
+            dissipation,
             (2.0 * p.s3 / p.eps**2) * (na.diff - nb.diff + k * curv_sq),
             2.0 * p.s4 * (na.grad_diff - nb.grad_diff + k * curv_grad_sq),
             p.s1 * (na.grad_phi - nb.grad_phi + curv_grad_sq),
@@ -564,7 +579,7 @@ def identity_proof_lines(
     )
     line3 = math.fsum(
         [
-            lam_ek * (na.temp - nb.temp + norm_sq(grid, after.temp - temp_bar)),
+            lam_ek * (na.temp - nb.temp + temp_jump),
             2.0 * k * tau * lam_ek * p.diff * grad_norm_sq(grid, after.temp),
             -heat_transfer,
         ]

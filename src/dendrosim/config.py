@@ -70,6 +70,10 @@ class InitialCondition:
             raise InvalidValueError(
                 f"initial.preset must be one of {self.PRESETS}, got {self.preset!r}"
             )
+        for name in ("r0", "eps0", "x0", "y0", "undercool"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidValueError(
+                    f"initial.{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.r0 > 0.0:
             raise InvalidValueError(f"initial.r0 must be positive, got {self.r0}")
         if not self.eps0 > 0.0:

@@ -6,9 +6,8 @@ enforce homogeneous Neumann walls through ghost cells:
 
 * ``gradient``   -- centered differences, even ghost extension (ghost copies
   the wall cell), so gradients of constants vanish.
-* ``divergence`` -- centered differences, odd ghost extension (ghost negates
-  the wall cell, i.e. zero normal flux).  This makes divergence the exact
-  negative adjoint of ``gradient`` under the midpoint inner product.
+* ``face_flux_divergence`` -- div(w grad f) from face fluxes, w averaged
+  onto the faces, zero flux through the walls.
 * ``laplacian``  -- compact 5-point stencil assembled from face differences
   with zero flux through the walls.  Its eigenvectors are the 2D DCT-II
   cosine modes, eigenvalue -(2/hx^2)(1-cos(k*pi/nx)) per direction.
@@ -39,7 +38,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "gradient",
-    "divergence",
     "laplacian",
     "inner",
     "norm_sq",
@@ -126,27 +124,6 @@ def gradient(grid: GridSpec, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gy[:, -1] = f[:, -1] - f[:, -2]
     gy /= 2.0 * grid.hy
     return gx, gy
-
-
-def divergence(grid: GridSpec, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Centered-difference divergence with odd (zero normal flux) ghosts.
-
-    Exactly the negative adjoint of :func:`gradient`:
-    inner(divergence(v), f) == -(inner(vx, gx) + inner(vy, gy)).
-    """
-    grid.check(vx, vy)
-    dx = np.empty(grid.shape)
-    np.subtract(vx[2:, :], vx[:-2, :], out=dx[1:-1, :])
-    dx[0, :] = vx[1, :] + vx[0, :]
-    dx[-1, :] = -vx[-1, :] - vx[-2, :]
-    dx /= 2.0 * grid.hx
-    dy = np.empty(grid.shape)
-    np.subtract(vy.ravel()[2:], vy.ravel()[:-2], out=dy.ravel()[1:-1])
-    dy[:, 0] = vy[:, 1] + vy[:, 0]
-    dy[:, -1] = -vy[:, -1] - vy[:, -2]
-    dy /= 2.0 * grid.hy
-    dx += dy
-    return dx
 
 
 def _face_fluxes(
@@ -238,16 +215,16 @@ def grad_inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:
     grad_inner(f, f) >= 0.
     """
     grid.check(f, g)
-    fx = np.diff(f, axis=0).ravel()
-    fy = np.diff(f, axis=1).ravel()
-    if g is f:
-        gx, gy = fx, fy
-    else:
-        gx = np.diff(g, axis=0).ravel()
-        gy = np.diff(g, axis=1).ravel()
-    sx = np.dot(fx, gx)
-    sy = np.dot(fy, gy)
-    return float(sx) * grid.hy / grid.hx + float(sy) * grid.hx / grid.hy
+    sx = _diff_dot(f, g, 0)
+    sy = _diff_dot(f, g, 1)
+    return sx * grid.hy / grid.hx + sy * grid.hx / grid.hy
+
+
+def _diff_dot(f: np.ndarray, g: np.ndarray, axis: int) -> float:
+    """Sum of the products of the face differences of f and g along ``axis``;
+    the differences of one direction die before the next are taken."""
+    fd = np.diff(f, axis=axis).ravel()
+    return float(np.dot(fd, fd if g is f else np.diff(g, axis=axis).ravel()))
 
 
 def grad_norm_sq(grid: GridSpec, f: np.ndarray) -> float:

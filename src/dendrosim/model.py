@@ -300,7 +300,8 @@ def g_residual(
 def _subtract_divergence(
     grid: GridSpec, vx: np.ndarray, vy: np.ndarray, out: np.ndarray
 ) -> None:
-    """out -= divergence(grid, vx, vy) in place, with its odd wall ghosts:
+    """out -= div(vx, vy) in place: the centered divergence with odd (zero
+    normal flux) wall ghosts, the negative adjoint of ``grid.gradient``.
     vx and vy are scaled in place by 1/(2h), and their centered differences
     are subtracted row by row and then on the flattened field."""
     vx /= 2.0 * grid.hx

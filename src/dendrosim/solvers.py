@@ -31,17 +31,19 @@ so every coefficient is bit for bit what ``scipy.fft`` returns.  Importing
 ``scipy.fft`` would also import ``scipy.special`` (for its FFTLog
 transforms), which no solve uses: with scipy 1.17 on x86-64 Linux that is
 about 25 MiB of resident memory and 0.35 s per process.  Where that file
-is missing, fails to load or has no ``dct``, the public ``scipy.fft``
-functions are bound instead, with the same arguments; the choice is made
-once, at import.  The extension is called past ``scipy.fft``'s backend
-dispatch, so ``scipy.fft.set_backend`` and ``set_workers`` no longer
-reach the solves: they run on one thread.
+is missing, fails to load, has no ``dct``, or has one that does not take
+[1, 0] to [1/sqrt(2), 1/sqrt(2)] when called with those arguments, the
+public ``scipy.fft`` functions are bound instead, with the same
+arguments; the choice is made once, at import.  The extension is called
+past ``scipy.fft``'s backend dispatch, so ``scipy.fft.set_backend`` and
+``set_workers`` no longer reach the solves: they run on one thread.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 from functools import lru_cache, partial
 
@@ -59,7 +61,8 @@ _LINE = 64  # bytes of a cache line: the solve pads each workspace row by one
 
 def _pocketfft_dct():
     """The ``dct`` of scipy's pocketfft extension, loaded without running
-    ``scipy.fft``; None when the file is missing, fails to load or has none."""
+    ``scipy.fft``; None when the file is missing, fails to load, has none or
+    has one that fails :func:`_transforms_like_dctn`."""
     scipy = importlib.util.find_spec("scipy")
     name = "scipy.fft._pocketfft.pypocketfft"
     for directory in (scipy and scipy.submodule_search_locations) or ():
@@ -74,8 +77,23 @@ def _pocketfft_dct():
                 loader.exec_module(module)
             except ImportError:
                 return None
-            return getattr(module, "dct", None)
+            dct = getattr(module, "dct", None)
+            return dct if dct is not None and _transforms_like_dctn(dct) else None
     return None
+
+
+def _transforms_like_dctn(dct) -> bool:
+    """Whether ``dct``, called with the arguments ``dctn`` passes it, takes
+    [1, 0] to its orthonormal DCT-II [1/sqrt(2), 1/sqrt(2)].  The extension
+    is private to scipy: a release that changes its arguments or their
+    meaning selects the ``scipy.fft`` fallback here, at import, instead of
+    failing every solve."""
+    x = np.array([1.0, 0.0])
+    try:
+        y = np.asarray(dct(x, 2, range(x.ndim), 1, x, 1, None), dtype=float)
+        return y.shape == (2,) and bool(np.all(np.abs(y - math.sqrt(0.5)) <= 1e-15))
+    except Exception:
+        return False
 
 
 def _float_dtype(dtype: np.dtype) -> np.dtype:
@@ -202,11 +220,14 @@ def variable_helmholtz_solve(
     """Solve (c(x)*I - b*Laplacian) u = rhs by preconditioned CG.
 
     Returns (u, iterations).  Converged when ||residual|| <= tol * ||rhs||;
-    raises SolverError past maxit.  Requires min(c) > 0 and a finite b >= 0.
+    raises SolverError past maxit.  Requires a finite c > 0 everywhere and a
+    finite b >= 0.
     """
     grid.check(c, rhs)
     if not np.isfinite(b):
         raise ValueError(f"variable_helmholtz_solve needs a finite b, got b={b}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("variable_helmholtz_solve needs a finite c everywhere")
     if not np.all(c > 0.0):
         raise ValueError("variable_helmholtz_solve needs c > 0 everywhere")
     if b < 0.0:

@@ -572,7 +572,8 @@ class TestExplicitDataMemo:
     def test_memo_equals_fresh_evaluation(self, case2, scheme):
         # the identity check takes the explicit data that a checked step kept
         # out of the memo, and forms mu_bar again; its leads, rho, h', E1 and
-        # geometry equal, bitwise, those of a copy of the state that has no memo
+        # g(phi_bar) equal, bitwise, those of a copy of the state that has no
+        # memo, whose g is evaluated from a geometry that dies with the call
         grid, p, _, _ = case2
         for state, _ in _stepped_pairs(scheme, case2, p, levels=2):
             before = _row_then_step(grid, p, state, checked=True)
@@ -580,25 +581,25 @@ class TestExplicitDataMemo:
             assert "mu" not in memo
             got = bdf1.explicit_data(grid, p, before)
             assert _explicit_memos(before) == [] and _memo_fields(before) == []
-            for name in ("phi", "temp", "hp", "geom"):
+            for name in ("phi", "temp", "hp", "g"):
                 assert getattr(got, name) is memo[name]
             fresh = replace(state)
             want = bdf1.explicit_data(grid, p, fresh)
-            for name in ("phi", "temp", "mu", "hp"):
+            assert _memo_fields(fresh) == []
+            for name in ("phi", "temp", "mu", "hp", "g"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert got.rho == want.rho and got.e1 == want.e1
-            for a, b in zip(got.geom, want.geom):
-                assert np.array_equal(a, b)
+            assert np.array_equal(got.g, g_residual(grid, fresh.lead("phi"), p))
             for name in ("phi", "temp", "mu", "r"):
                 assert np.array_equal(before.lead(name), fresh.lead(name))
             # E1 at the lead reads ||grad phi_bar||^2 from the state's norms
             assert got.e1 == e1_energy(grid, fresh.lead("phi"), p)
 
-    def test_memo_keeps_geometry_only_for_checked_step(self, case2, scheme):
+    def test_memo_keeps_explicit_data_only_for_checked_step(self, case2, scheme):
         # the ledger row leaves the geometry (bdf1) or the lead of phi (bdf2)
         # in the memo for the step; an unchecked step takes every field
-        # out, a checked one keeps the explicit data, geometry included, for
-        # its identity check
+        # out, a checked one keeps the explicit data for its identity check,
+        # with g(phi_bar) in place of the four fields of the geometry
         grid, p, phi0, temp0 = case2
         state = init_state(grid, phi0, temp0, p)
         if scheme == "bdf2":
@@ -607,8 +608,10 @@ class TestExplicitDataMemo:
         make_record(grid, p, row_only)
         assert _memo_fields(row_only)
         assert _memo_fields(_row_then_step(grid, p, state, checked=False)) == []
-        (memo,) = _explicit_memos(_row_then_step(grid, p, state, checked=True))
-        assert isinstance(memo["geom"], Anisotropy)
+        checked = _row_then_step(grid, p, state, checked=True)
+        (memo,) = _explicit_memos(checked)
+        assert sorted(memo) == ["e1", "g", "hp", "phi", "rho", "temp"]
+        assert not any(isinstance(v, Anisotropy) for v in checked._norms.values())
 
     @pytest.mark.parametrize("check", [False, True])
     def test_memo_holds_no_field_after_the_step(self, case2, scheme, check):

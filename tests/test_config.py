@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 from dataclasses import fields
@@ -219,6 +220,16 @@ class TestInitialConditions:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(InvalidValueError, match="r0"):
             InitialCondition(preset="case2_tanh", r0=0.0, eps0=0.1)
+
+    @pytest.mark.parametrize("name", ["r0", "eps0", "x0", "y0", "undercool"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, name, value):
+        # the Python API refuses what _parse_float refuses in a file
+        kwargs = dict(preset="dendrite_seed", r0=0.25, eps0=0.1)
+        kwargs[name] = value
+        with pytest.raises(InvalidValueError,
+                           match=rf"^initial\.{name} must be a finite number"):
+            InitialCondition(**kwargs)
 
 
 class TestKeyTable:

@@ -348,11 +348,11 @@ class TestWorkingSet:
     of a step dies after its last reader."""
 
     # peak traced fields over the run's baseline, half a field above what the
-    # steps reach (14.1 / 20.1 / 11.1 / 15.1); no step call passes a field
+    # steps reach (14.1 / 17.1 / 11.1 / 12.1); no step call passes a field
     # that should die inside it, so the peak is the same where a call's
     # arguments live as long as the call (Python 3.10)
-    BOUNDS = {("bdf2", False): 14.5, ("bdf2", True): 20.5,
-              ("bdf1", False): 11.5, ("bdf1", True): 15.5}
+    BOUNDS = {("bdf2", False): 14.5, ("bdf2", True): 17.5,
+              ("bdf1", False): 11.5, ("bdf1", True): 12.5}
 
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
     @pytest.mark.parametrize("scheme, check", list(BOUNDS))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dendrosim.grid import (
     GridSpec,
-    divergence,
     face_flux_divergence,
     grad_inner,
     grad_norm_sq,
@@ -17,6 +16,7 @@ from dendrosim.grid import (
     laplacian,
     norm_sq,
 )
+from dendrosim.model import _subtract_divergence
 
 from conftest import random_field
 
@@ -234,6 +234,29 @@ def _ref_gradient(grid, f):
     return gx, gy
 
 
+def divergence(grid, vx, vy):
+    """Centered-difference divergence with odd (zero normal flux) ghosts, the
+    oracle of ``model._subtract_divergence`` (and of ``g_residual`` in
+    test_model.py); no module of the package needs the field itself.
+
+    Exactly the negative adjoint of ``gradient``:
+    inner(divergence(v), f) == -(inner(vx, gx) + inner(vy, gy)).
+    """
+    grid.check(vx, vy)
+    dx = np.empty(grid.shape)
+    np.subtract(vx[2:, :], vx[:-2, :], out=dx[1:-1, :])
+    dx[0, :] = vx[1, :] + vx[0, :]
+    dx[-1, :] = -vx[-1, :] - vx[-2, :]
+    dx /= 2.0 * grid.hx
+    dy = np.empty(grid.shape)
+    np.subtract(vy.ravel()[2:], vy.ravel()[:-2], out=dy.ravel()[1:-1])
+    dy[:, 0] = vy[:, 1] + vy[:, 0]
+    dy[:, -1] = -vy[:, -1] - vy[:, -2]
+    dy /= 2.0 * grid.hy
+    dx += dy
+    return dx
+
+
 def _ref_divergence(grid, vx, vy):
     px = np.concatenate([-vx[:1, :], vx, -vx[-1:, :]], axis=0)
     py = np.concatenate([-vy[:, :1], vy, -vy[:, -1:]], axis=1)
@@ -283,6 +306,13 @@ class TestPaddedOracles:
     def test_divergence(self, g):
         vx, vy = random_field(g, 22), random_field(g, 23)
         assert np.array_equal(divergence(g, vx, vy), _ref_divergence(g, vx, vy))
+
+    def test_subtract_divergence(self, g):
+        # the in-place subtraction that g_residual uses, to g_residual's 1e-14
+        vx, vy, out = random_field(g, 22), random_field(g, 23), random_field(g, 20)
+        want = out - divergence(g, vx, vy)
+        _subtract_divergence(g, vx, vy, out)
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_laplacian(self, g):
         f = random_field(g, 24)
@@ -362,6 +392,12 @@ class TestFlatStencils:
         vx, vy = random_field(g, 42), random_field(g, 43)
         got = divergence(g, _laid_out(vx, layout), _laid_out(vy, layout))
         assert _same_bits(got, _ref_divergence(g, vx, vy))
+
+    def test_subtract_divergence(self, g, layout):
+        vx, vy, out = random_field(g, 42), random_field(g, 43), random_field(g, 40)
+        want = out - divergence(g, vx, vy)
+        _subtract_divergence(g, _laid_out(vx, layout), _laid_out(vy, layout), out)
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_laplacian(self, g, layout):
         f = random_field(g, 44)

@@ -10,7 +10,6 @@ from dendrosim import bdf2
 from dendrosim.bdf1 import init_state, scheme_energy
 from dendrosim.grid import (
     GridSpec,
-    divergence,
     face_flux_divergence,
     grad_norm_sq,
     gradient,
@@ -34,6 +33,7 @@ from dendrosim.model import (
 )
 
 from conftest import random_field, shipped_config, smooth_field
+from test_grid import divergence
 
 CASE2, DENDRITE = shipped_config("case2"), shipped_config("dendrite")
 

@@ -95,17 +95,27 @@ class TestTransforms:
             assert got.dtype == expected.dtype == result
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("extension", [None, b"not a shared object"])
+    @pytest.mark.parametrize("extension", [
+        None,
+        b"not a shared object",
+        # a dct whose arguments or results are not those of scipy 1.17's
+        pytest.param("def dct(x, type, axes, norm, out, nthreads):\n    return x",
+                     id="other signature"),
+        pytest.param("def dct(x, *args):\n    return x", id="wrong values"),
+        pytest.param("def dct(x, *args):\n    return x[:1] * 0.5 ** 0.5", id="wrong shape"),
+    ])
     def test_falls_back_to_scipy_fft(self, tmp_path, extension):
-        # scipy is found in a directory whose pocketfft extension is missing or
-        # broken; one grid has rows of 4 KiB, the width the solve pads
+        # scipy is found in a directory whose pocketfft extension is missing,
+        # broken, or loads with a dct that fails the import-time probe; one
+        # grid has rows of 4 KiB, the width the solve pads
         grids = [GridSpec(12, 10, 0.0, 2.0, 0.0, 1.5), GridSpec(8, 512, 0.0, 2.0, 0.0, 1.5)]
         for i, grid in enumerate(grids):
             np.save(tmp_path / f"rhs{i}.npy", random_field(grid, 4))
         pocketfft = tmp_path / "scipy" / "fft" / "_pocketfft"
         pocketfft.mkdir(parents=True)
         if extension is not None:
-            (pocketfft / "pypocketfft.so").write_bytes(extension)
+            (pocketfft / "pypocketfft.so").write_bytes(
+                extension if isinstance(extension, bytes) else b"")
         run_python(f"""
 import importlib.machinery, importlib.util
 find_spec = importlib.util.find_spec
@@ -116,11 +126,25 @@ def moved(name, package=None):
     spec.submodule_search_locations[:] = [{str(tmp_path / "scipy")!r}]
     return spec
 importlib.util.find_spec = moved
+source = {extension!r}
+if isinstance(source, str):  # the extension loads, with this dct
+    import importlib.abc  # registers the real loader class on import
+    class Loader:
+        def __init__(self, name, path):
+            pass
+        def create_module(self, spec):
+            return None
+        def exec_module(self, module):
+            exec(source, vars(module))
+            loaded.append(module.dct)
+    loaded = []
+    importlib.machinery.ExtensionFileLoader = Loader
 import numpy as np
 from dendrosim import solvers
 from dendrosim.grid import GridSpec
 import scipy.fft
 assert solvers._dct is None
+assert not isinstance(source, str) or len(loaded) == 1  # its dct was probed and refused
 assert solvers.dctn.func is scipy.fft.dctn and solvers.idctn.func is scipy.fft.idctn
 x = np.ones((6, 5))
 assert np.shares_memory(solvers.dctn(x), x)  # written into its argument, as on pocketfft
@@ -284,6 +308,14 @@ class TestVariableHelmholtz:
         c[2, 2] = 0.0
         with pytest.raises(ValueError, match="c > 0"):
             variable_helmholtz_solve(grid8, c, 1.0, grid8.zeros())
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_nonfinite_coefficient(self, grid8, value):
+        # refused by the variable solve itself, not by its preconditioner
+        c = grid8.full(1.0)
+        c[0, 0] = value
+        with pytest.raises(ValueError, match="^variable_helmholtz_solve needs a finite c"):
+            variable_helmholtz_solve(grid8, c, 1.0, grid8.full(1.0))
 
     @pytest.mark.parametrize("b", [np.inf, np.nan])
     def test_rejects_nonfinite_b(self, grid8, b):
