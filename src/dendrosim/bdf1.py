@@ -49,6 +49,13 @@ step's solves use, and ``energy_identity_residual``
 is from zero relative to the modified energy.  The squared norms of a
 state's modified energy are evaluated once per state (:func:`state_norms`)
 and shared by the check, the ledger row and E1 at the lead.
+
+The pointwise chains of a step (the leads and histories of a state, the
+right-hand side rhs_1 and the temperature forcing of the solves, core, the
+recombination and mu) run over the row blocks of ``grid.row_blocks``.
+Their block temporaries replace whole-field temporaries, and no name keeps
+a block of a field past the field's last reader, so a step holds the
+fields it held with whole-field passes, and its bits are theirs.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
+from .grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq, row_blocks
 from .model import (
     NO_SOURCES,
     Anisotropy,
@@ -142,7 +149,7 @@ class State:
             return getattr(self, name)
         key = ("lead", name)
         if key not in self._norms:
-            self._norms[key] = 2.0 * getattr(self, name) - getattr(self, name + "_prev")
+            self._norms[key] = _two_levels(getattr(self, name), getattr(self, name + "_prev"), 1.0)
         return self._norms.pop(key) if take else self._norms[key]
 
     def history(self, name: str):
@@ -151,7 +158,7 @@ class State:
         with the step's last use."""
         if self.phi_prev is None:
             return getattr(self, name)
-        return 2.0 * getattr(self, name) - 0.5 * getattr(self, name + "_prev")
+        return _two_levels(getattr(self, name), getattr(self, name + "_prev"), 0.5)
 
     def next_level(self, phi: np.ndarray, temp: np.ndarray, mu: np.ndarray, r: float,
                    t: float) -> State:
@@ -160,6 +167,22 @@ class State:
         if self.phi_prev is None:
             return State(phi, temp, mu, r, t, self.n + 1)
         return State(phi, temp, mu, r, t, self.n + 1, self.phi, self.temp, self.mu, self.r)
+
+
+def _two_levels(x, x_prev, c: float):
+    """2x - c*x_prev: a field formed a row block at a time, or the scalar R."""
+    if not isinstance(x, np.ndarray):
+        return 2.0 * x - c * x_prev
+    out = np.empty(x.shape)
+    for rows in row_blocks(x.shape, 4):
+        o = np.multiply(x[rows], 2.0, out=out[rows])
+        o -= x_prev[rows] if c == 1.0 else c * x_prev[rows]  # the lead skips 1.0*x_prev
+    return out
+
+
+def _at(x, rows):
+    """The rows of a field; a scalar coefficient as it is."""
+    return x[rows] if isinstance(x, np.ndarray) else x
 
 
 class EnergyNorms(NamedTuple):
@@ -177,6 +200,7 @@ class EnergyNorms(NamedTuple):
     diff: float  # ||phi^n - phi^{n-1}||^2
     temp: float  # ||T||^2
     r: float  # R^2
+    temp_level: float  # ||T^n||^2 of the level alone (temp for k = 1)
 
 
 class ExplicitData(NamedTuple):
@@ -287,32 +311,39 @@ def partial_solves(
     field that dies here is formed here (a call's arguments live until it
     returns), in an order that lets it die before the next one is
     allocated: rhs_1 first, from the phase history, phi_bar (taken from the
-    state) and the phase source, with its s4 Laplacian scaled in place; then
-    the forcing, from mu_bar (taken from the state), and T_1 and T_2, whose
-    products with the forcing are taken before the phase solves; then phi_1,
-    right after which <core, a0*phi_1 - phi_hist> is taken and the history
+    state) and its s4 Laplacian, a row block at a time, and then the phase
+    source; then the forcing, from mu_bar (taken from the state), a row block
+    at a time, and T_1 and T_2, whose products with the forcing are taken
+    before the phase solves; then phi_1, right after which
+    <core, a0*phi_1 - phi_hist> is taken and the history
     dies; then phi_2.  Zero s3 and s4 terms are skipped.
     """
     a0 = state.a0
     coeff = a0 * rho / tau + (p.s2 + p.s3) / p.eps**2
     phi_hist = state.history("phi")
-    rhs1 = phi_hist * (rho / tau)
     phi_bar = state.lead("phi", True)
-    if p.s3 > 0.0:
-        rhs1 += (p.s3 / p.eps**2) * phi_bar
-    if p.s4 > 0.0:
-        lap = laplacian(grid, phi_bar)
-        lap *= p.s4
-        rhs1 -= lap
-        del lap
-    del phi_bar
+    lap = laplacian(grid, phi_bar) if p.s4 > 0.0 else None
+    rhs1 = np.empty(grid.shape)
+    for rows in row_blocks(grid.shape, 5):
+        r = np.multiply(phi_hist[rows], _at(rho, rows) / tau, out=rhs1[rows])
+        if p.s3 > 0.0:
+            r += (p.s3 / p.eps**2) * phi_bar[rows]
+        if lap is not None:
+            lap[rows] *= p.s4
+            r -= lap[rows]
+    del phi_bar, lap
     src = sources.phi_at(grid, t_new)
     if src is not None:
-        rhs1 += rho * src
+        for rows in row_blocks(grid.shape, 3):
+            rhs1[rows] += _at(rho, rows) * src[rows]
     del src
-    temp_forcing = p.latent * hp
-    temp_forcing /= rho
-    temp_forcing *= state.lead("mu", True)
+    mu_bar = state.lead("mu", True)
+    temp_forcing = np.empty(grid.shape)
+    for rows in row_blocks(grid.shape, 4):
+        np.multiply(hp[rows], p.latent, out=temp_forcing[rows])
+        temp_forcing[rows] /= _at(rho, rows)
+        temp_forcing[rows] *= mu_bar[rows]
+    del mu_bar
     rhs_t1 = state.history("temp") / tau
     src = sources.temp_at(grid, t_new)
     if src is not None:
@@ -344,8 +375,9 @@ def phase_potential(
 
     With b = s1 + s4, s1*Lap(phi) = (s1/b)*(coeff*phi - rhs - forcing), so
     mu = (s1/b)*(coeff*phi - rhs - forcing) - (s2/eps^2) phi + forcing,
-    formed in place in that order; ``forcing`` is the explicit part -g -
-    (lam/eps) h' T_bar of the right-hand side, which mu holds itself.  The
+    formed in place in that order, a row block at a time; ``forcing`` is the
+    explicit part -g - (lam/eps) h' T_bar of the right-hand side, which mu
+    holds itself.  The
     step forms mu once, from the new phi = phi_1 + xi*phi_2 with rhs = rhs_1
     and forcing = xi*core; the pairs (phi_1, rhs_1) and (phi_2, core) have a
     zero forcing and a zero rhs.  With the PCG path mu = s1*Lap(phi) - ...
@@ -353,12 +385,16 @@ def phase_potential(
     ``solvers.CG_TOL``*||rhs + forcing||.
     """
     b = p.s1 + p.s4
-    mu = coeff * phi
-    mu -= rhs
-    mu -= forcing
-    mu *= p.s1 / b if b > 0.0 else 0.0  # b = 0 forces s1 = 0
-    mu -= (p.s2 / p.eps**2) * phi
-    mu += forcing
+    scale = p.s1 / b if b > 0.0 else 0.0  # b = 0 forces s1 = 0
+    mu = np.empty(phi.shape)
+    for rows in row_blocks(phi.shape, 5):
+        m = np.multiply(_at(coeff, rows), phi[rows], out=mu[rows])
+        f = forcing[rows]
+        m -= rhs[rows]
+        m -= f
+        m *= scale
+        m -= (p.s2 / p.eps**2) * phi[rows]
+        m += f
     return mu
 
 
@@ -395,8 +431,9 @@ def sav_step(
     del geom
     temp_bar, hp = state.lead("temp", True), h_prime(phi_bar)
     del phi_bar
-    core += (p.lam / p.eps) * hp * temp_bar
-    np.negative(core, out=core)  # core = -(g + (lam/eps) h' T_bar)
+    for rows in row_blocks(grid.shape, 4):  # core = -(g + (lam/eps) h' T_bar)
+        core[rows] += (p.lam / p.eps) * hp[rows] * temp_bar[rows]
+        np.negative(core[rows], out=core[rows])
     if checked:
         kept.update(temp=temp_bar, hp=hp)
     del temp_bar
@@ -424,12 +461,13 @@ def sav_step(
             "structural invariant of the scheme"
         )
     xi = a2 / a1
-    phi2 *= xi
-    phi += phi2  # bitwise phi_1 + xi*phi_2
-    temp2 *= xi
-    temp += temp2
+    for rows in row_blocks(grid.shape, 5):  # bitwise phi_1 + xi*phi_2, T_1 + xi*T_2
+        phi2[rows] *= xi
+        phi[rows] += phi2[rows]
+        temp2[rows] *= xi
+        temp[rows] += temp2[rows]
+        core[rows] *= xi
     del phi2, temp2
-    core *= xi
     mu = phase_potential(p, coeff, phi, rhs1, core)
     new = (phi, temp, mu, xi * math.sqrt(e1))
     return new, StepReport(xi=xi, a1=a1, a2=a2, cg_iterations=cg_iterations)
@@ -460,7 +498,7 @@ def _energy_norms(grid: GridSpec, state: State) -> EnergyNorms:
     grad_phi, phi = grad_norm_sq(grid, state.phi), norm_sq(grid, state.phi)
     temp, r = norm_sq(grid, state.temp), state.r**2
     if state.order == 1:
-        return EnergyNorms(grad_phi, grad_phi, phi, 0.0, 0.0, temp, r)
+        return EnergyNorms(grad_phi, grad_phi, phi, 0.0, 0.0, temp, r, temp)
     lead_phi = state.lead("phi")
     grad_lead = grad_norm_sq(grid, lead_phi)
     diff = state.phi - state.phi_prev
@@ -474,6 +512,7 @@ def _energy_norms(grid: GridSpec, state: State) -> EnergyNorms:
         diff=diff_sq,
         temp=temp + norm_sq(grid, state.lead("temp", True)),  # T_bar is formed again by the step
         r=r + state.lead("r") ** 2,
+        temp_level=temp,
     )
 
 

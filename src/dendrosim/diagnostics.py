@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bdf1
-from .grid import GridSpec, integrate
+from .grid import GridSpec, integrate, row_blocks
 from .model import ModelParams, e1_energy, original_energy
 
 __all__ = [
@@ -63,8 +63,13 @@ LEDGER_FIELDS = tuple(f.name for f in fields(EnergyRecord))
 
 
 def crystal_area(grid: GridSpec, phi: np.ndarray) -> float:
-    """Area of the solid region, int (1 + phi)/2."""
-    return integrate(grid, 0.5 * (1.0 + phi))
+    """Area of the solid region, int (1 + phi)/2; the integrand is formed a
+    row block at a time and summed whole."""
+    solid = np.empty(phi.shape)
+    for rows in row_blocks(phi.shape, 2):
+        np.add(phi[rows], 1.0, out=solid[rows])
+        solid[rows] *= 0.5
+    return integrate(grid, solid)
 
 
 def make_record(
@@ -77,9 +82,11 @@ def make_record(
 
     Without a report (the initial level) xi is 1 by convention, the
     identity residual is 0, and a1 takes its decoupled-limit value
-    2*E1(phi).  Its geometry of phi goes on to a bdf1 step (``bdf1.state_geometry``).
+    2*E1(phi).  Its geometry of phi goes on to a bdf1 step (``bdf1.state_geometry``);
+    ||T^n||^2 of ``e_original`` is read from the state's energy norms.
     """
     e_mod = bdf1.scheme_energy(grid, p, state)
+    temp_sq = bdf1.state_norms(grid, state).temp_level
     geom = bdf1.state_geometry(grid, p, state)
     if report is None:
         xi = 1.0
@@ -91,7 +98,7 @@ def make_record(
         step=state.n,
         time=state.t,
         e_modified=e_mod,
-        e_original=original_energy(grid, state.phi, state.temp, p, geom),
+        e_original=original_energy(grid, state.phi, state.temp, p, geom, temp_sq),
         xi=xi,
         area=crystal_area(grid, state.phi),
         identity_residual=identity,

@@ -13,6 +13,7 @@ run depends on it.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import math
 import os
@@ -138,6 +139,25 @@ def _snapshot_due(cfg: RunConfig, step_index: int, t: float, pending: list[float
     return False
 
 
+def _check_snapshot_times(cfg: RunConfig) -> None:
+    """Raises InvalidValueError, naming the run's last time, for a snapshot
+    time that no level 0..n_steps lies within tau/2 of: ``_snapshot_due``
+    would never write it.  The level times are summed as the steppers sum
+    them, one tau at a time."""
+    if not cfg.snapshot_times:
+        return
+    times = [0.0]
+    for _ in range(cfg.n_steps):
+        times.append(times[-1] + cfg.tau)
+    for target in cfg.snapshot_times:
+        k = bisect.bisect_left(times, target)
+        if not any(abs(t - target) <= 0.5 * cfg.tau for t in times[max(k - 1, 0):k + 1]):
+            raise InvalidValueError(
+                f"output.snapshot_times: no level lies within tau/2 of {target!r}; "
+                f"the run's levels span t=0 to t={times[-1]!r}"
+            )
+
+
 def _write_state_snapshots(cfg: RunConfig, out_dir: Path, state, step_index: int) -> None:
     for name, values in (("phi", state.phi), ("temp", state.temp)):
         snap = FieldSnapshot(grid=cfg.grid, time=state.t, name=name, values=values)
@@ -172,7 +192,11 @@ def run_single(
     exceeds the previous row's by more than 1e-9 of its magnitude raises
     EnergyLawViolation before it is written.  Rows of states of different
     BDF order (bdf2's bootstrap row) are not compared.
+
+    A snapshot time that no level lies within tau/2 of raises
+    InvalidValueError before anything is created.
     """
+    _check_snapshot_times(cfg)
     _retain_heap()
     grid = cfg.grid
     if sources is None:

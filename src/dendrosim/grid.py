@@ -26,11 +26,23 @@ two rows are overwritten by the wall-column assignments.  The arithmetic is
 that of the ghost-cell formulation above, operation for operation, so the
 array operators match it bit for bit; ``grad_inner`` skips the zero wall
 products and so differs from it only in summation order.
+
+Pointwise chains of several ufunc passes over whole fields run over blocks
+of whole rows (:func:`row_blocks`): each block is sized so that the fields
+the chain keeps live fill about ``_BLOCK_BYTES``, half a core's L2, and
+every pass of the chain then reads a block from cache rather than the whole
+field from memory.  A block's temporaries replace full-field temporaries,
+and its results are written straight into slices of the full outputs.
+Each element sees the same ufuncs in the same order as in a whole-field
+pass, so the results are bitwise those of the unblocked chain; reductions
+(``np.dot``, ``np.sum``) stay on whole fields, as blocked partial sums
+would change the summation order.  A 128^2 field is a single block.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +57,27 @@ __all__ = [
     "grad_inner",
     "grad_norm_sq",
 ]
+
+_BLOCK_BYTES = 1 << 20  # bytes the live fields of one row block fill: about half a core's L2
+
+
+def block_rows(row_bytes: int, live: int) -> int:
+    """Whole rows per block when ``live`` rows of ``row_bytes`` each share
+    ``_BLOCK_BYTES``; at least one."""
+    return max(1, _BLOCK_BYTES // (live * row_bytes))
+
+
+def row_blocks(shape: tuple[int, ...], live: int) -> Iterator[slice]:
+    """Slices of whole rows (along axis 0) covering a float64 field of
+    ``shape``, each block small enough that ``live`` fields of it fill about
+    ``_BLOCK_BYTES``.  The last block takes the rows left over; a 0-d shape
+    is one block."""
+    if not shape:
+        yield ...
+        return
+    rows = block_rows(math.prod(shape[1:]) * 8, live)
+    for i in range(0, shape[0], rows):
+        yield slice(i, min(i + rows, shape[0]))
 
 
 @dataclass(frozen=True)
@@ -146,30 +179,48 @@ def _flux_divergence(
 ) -> np.ndarray:
     """Divergence of the face fluxes of w*grad(f), zero through the walls.
 
-    One buffer holds the face fluxes of one direction at a time.  The
-    x-fluxes are reduced into the result before the y-fluxes exist, the rows
-    of the result holding the x-differences of f meanwhile; the wall
-    columns, which the straddling y-entries reach, are written last.  The
-    y-fluxes of a weighted f take one more buffer, or w itself with
-    ``overwrite_w``, for the differences of f and then of the fluxes; those
-    of the Laplacian are differenced in place."""
+    Two sweeps over row blocks, each through one buffer of a block's face
+    fluxes.  The first takes the x-fluxes of the faces a block touches, one
+    face row past either side, and reduces them into the block's rows of the
+    result; the differences of a weighted f are held meanwhile in those rows
+    and the next one, which the next block writes.  The second takes the
+    y-fluxes of a block as one flat run and differences them into its rows;
+    the wall columns, which the straddling y-entries reach, are written last.
+    The y-fluxes of a weighted f take a block buffer, or the block's own run
+    of w with ``overwrite_w`` (no later block reads it), for the differences
+    of f and then of the fluxes; those of the Laplacian are differenced in
+    place."""
     nx, ny = grid.shape
+    rows = min(nx, block_rows(ny * 8, 4))
     out = np.empty(grid.shape)
-    buf = np.empty(nx * ny - 1)
-    fx = _face_fluxes(f, w, grid.hx, buf[:(nx - 1) * ny].reshape(nx - 1, ny), out[:-1])
-    out[0, :] = fx[0, :]
-    np.subtract(fx[1:, :], fx[:-1, :], out=out[1:-1, :])
-    out[-1, :] = -fx[-1, :]
-    out /= grid.hx
+    buf = np.empty(max(min(rows + 1, nx - 1) * ny, rows * ny - 1))
+    for i in range(0, nx, rows):
+        j = min(i + rows, nx)
+        a, b = max(i - 1, 0), min(j, nx - 1)  # face k lies between rows k and k + 1
+        fx = _face_fluxes(f[a:b + 1], None if w is None else w[a:b + 1], grid.hx,
+                          buf[:(b - a) * ny].reshape(b - a, ny), out[i:i + b - a])
+        lo, hi = max(i, 1), min(j, nx - 1)
+        np.subtract(fx[lo - a:hi - a], fx[lo - a - 1:hi - a - 1], out=out[lo:hi])
+        if i == 0:
+            out[0, :] = fx[0, :]
+        if j == nx:
+            out[-1, :] = -fx[-1, :]
+        out[i:j] /= grid.hx
+    f_flat, out_flat = f.ravel(), out.ravel()
     w_flat = None if w is None else w.ravel()
-    diff = None if w is None else (w_flat if overwrite_w else np.empty(nx * ny))[:-1]
-    fy = _face_fluxes(f.ravel(), w_flat, grid.hy, buf, diff)
-    first = out[:, 0] + fy[::ny] / grid.hy
-    last = out[:, -1] - fy[ny - 2::ny] / grid.hy
-    dy = np.subtract(fy[1:], fy[:-1], out=fy[:-1] if diff is None else diff[:-1])
-    dy /= grid.hy
-    out.ravel()[1:-1] += dy
-    out[:, 0], out[:, -1] = first, last
+    for i in range(0, nx, rows):
+        s, e = i * ny, min(i + rows, nx) * ny
+        diff = None
+        if w is not None:
+            diff = w_flat[s:e - 1] if overwrite_w else np.empty(e - s - 1)
+        fy = _face_fluxes(f_flat[s:e], None if w is None else w_flat[s:e], grid.hy,
+                          buf[:e - s - 1], diff)
+        first = out[i:i + rows, 0] + fy[::ny] / grid.hy
+        last = out[i:i + rows, -1] - fy[ny - 2::ny] / grid.hy
+        dy = np.subtract(fy[1:], fy[:-1], out=fy[:-1] if diff is None else diff[:-1])
+        dy /= grid.hy
+        out_flat[s + 1:e - 1] += dy
+        out[i:i + rows, 0], out[i:i + rows, -1] = first, last
     return out
 
 

@@ -16,7 +16,13 @@ Conventions shared with the time steppers:
 * quadratic gradient energies use the face-difference Dirichlet form
   ``grad_inner`` so they pair exactly with the compact Laplacian.  The
   auxiliary energy mixes both on purpose, which keeps
-  original == modified + auxiliary split an exact identity.
+  original == modified + auxiliary split an exact identity;
+* the pointwise chains (kappa and |grad phi|^2, the anisotropy vector, the
+  flux weight and bulk term of g, h', phi^2 - 1 of the energies) run over
+  the row blocks of ``grid.row_blocks``: each writes its outputs a block at
+  a time, its block temporaries replace whole-field ones, and its bits are
+  those of whole-field passes.  The sums of the energies stay whole-field
+  dot products.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .grid import (
     grad_norm_sq,
     gradient,
     norm_sq,
+    row_blocks,
 )
 
 __all__ = [
@@ -184,9 +191,15 @@ def f_well(phi: np.ndarray) -> np.ndarray:
 
 
 def h_prime(phi: np.ndarray) -> np.ndarray:
-    """h'(phi) = (phi^2 - 1)^2, non-negative everywhere."""
-    q = phi * phi - 1.0
-    return q * q
+    """h'(phi) = (phi^2 - 1)^2, non-negative everywhere, formed in the
+    result a row block at a time."""
+    phi = np.asarray(phi)
+    out = np.empty(phi.shape)
+    for rows in row_blocks(phi.shape, 2):
+        q = np.multiply(phi[rows], phi[rows], out=out[rows])
+        q -= 1.0
+        q *= q
+    return out
 
 
 class Anisotropy(NamedTuple):
@@ -208,23 +221,25 @@ class Anisotropy(NamedTuple):
 
         cos(4 theta) = ((gx^2 - gy^2)^2 - 4 gx^2 gy^2) / (|g|^2 + reg)^2; the
         regularization avoids the arctan branch and the |g| = 0 bulk
-        singularity, where kappa decays harmlessly to 1.
+        singularity, where kappa decays harmlessly to 1.  kappa and |g|^2
+        are formed in their outputs a row block at a time.
         """
-        x2 = gx * gx
-        y2 = gy * gy
-        mag2 = x2 + y2
-        kap = x2 - y2
-        kap *= kap
-        x2 *= y2
-        x2 *= 4.0
-        kap -= x2
-        del x2, y2
-        inv = mag2 + reg
-        np.reciprocal(inv, out=inv)
-        kap *= inv
-        kap *= inv
-        kap *= sigma
-        kap += 1.0
+        kap, mag2 = np.empty(gx.shape), np.empty(gx.shape)
+        for rows in row_blocks(gx.shape, 6):
+            x2 = gx[rows] * gx[rows]
+            y2 = gy[rows] * gy[rows]
+            np.add(x2, y2, out=mag2[rows])
+            k = np.subtract(x2, y2, out=kap[rows])
+            k *= k
+            x2 *= y2
+            x2 *= 4.0
+            k -= x2
+            inv = np.add(mag2[rows], reg, out=y2)
+            np.reciprocal(inv, out=inv)
+            k *= inv
+            k *= inv
+            k *= sigma
+            k += 1.0
         return cls(gx, gy, kap, mag2)
 
 
@@ -242,26 +257,29 @@ def aniso_flux(
     H = 16 sigma (gx^2 - gy^2) (gx gy^2, -gy gx^2) / (|g|^2 + reg)^3 is the
     gradient-space derivative of kappa, so the vector is e (gy, -gx) with
     e = 16 sigma kappa |g|^2 (gx^2 - gy^2) gx gy / (|g|^2 + reg)^3, formed
-    in two buffers that become the two components.
+    in the two outputs, a row block at a time.
     """
     gx, gy, kap, mag2 = geom
-    e = gx * gx
-    vx = gy * gy
-    e -= vx
-    np.add(mag2, reg, out=vx)
-    np.reciprocal(vx, out=vx)
-    e *= kap
-    e *= mag2
-    e *= vx
-    e *= vx
-    e *= vx
-    e *= 16.0 * sigma
-    e *= gx
-    e *= gy
-    np.multiply(e, gy, out=vx)
-    e *= gx
-    np.negative(e, out=e)
-    return vx, e
+    vx, vy = np.empty(gx.shape), np.empty(gx.shape)
+    for rows in row_blocks(gx.shape, 6):
+        x, y = gx[rows], gy[rows]
+        e = np.multiply(x, x, out=vy[rows])
+        v = np.multiply(y, y, out=vx[rows])
+        e -= v
+        np.add(mag2[rows], reg, out=v)
+        np.reciprocal(v, out=v)
+        e *= kap[rows]
+        e *= mag2[rows]
+        e *= v
+        e *= v
+        e *= v
+        e *= 16.0 * sigma
+        e *= x
+        e *= y
+        np.multiply(e, y, out=v)
+        e *= x
+        np.negative(e, out=e)
+    return vx, vy
 
 
 def g_residual(
@@ -276,21 +294,24 @@ def g_residual(
     isotropic limit reduces exactly to the compact Laplacian); the
     anisotropy vector goes through the collocated adjoint-consistent
     divergence, subtracted in place.  At most three fields are live, the
-    result included.  ``geom`` is ``anisotropy(grid, phi, p.sigma)`` when
-    the caller already has it.
+    result included; w = kappa^2 - s1, the bulk term and the anisotropy
+    vector are formed a row block at a time.  ``geom`` is
+    ``anisotropy(grid, phi, p.sigma)`` when the caller already has it.
     """
     grid.check(phi)
     if geom is None:
         geom = anisotropy(grid, phi, p.sigma)
-    w = geom.kap * geom.kap
-    w -= p.s1
+    w = np.empty(phi.shape)
+    for rows in row_blocks(phi.shape, 2):
+        np.multiply(geom.kap[rows], geom.kap[rows], out=w[rows])
+        w[rows] -= p.s1
     out = face_flux_divergence(grid, w, phi, overwrite_w=True)
     del w
-    np.negative(out, out=out)
-    bulk = f_well(phi)
-    bulk -= p.s2 * phi
-    bulk /= p.eps**2
-    out += bulk
+    for rows in row_blocks(phi.shape, 4):
+        bulk = f_well(phi[rows])
+        bulk -= p.s2 * phi[rows]
+        bulk /= p.eps**2
+        np.subtract(bulk, out[rows], out=out[rows])  # bitwise -out + bulk
     del bulk
     if p.sigma > 0.0:
         _subtract_divergence(grid, *aniso_flux(geom, p.sigma), out)
@@ -325,8 +346,10 @@ def _dot(f: np.ndarray, g: np.ndarray) -> float:
 def _interface_sums(phi: np.ndarray, geom: Anisotropy) -> tuple[float, float]:
     """Cell sums of kappa^2 |grad phi|^2 / 2 and of F(phi), as dot products:
     <kappa^2, |grad phi|^2>/2 and <q, q>/4 with q = phi^2 - 1."""
-    q = phi * phi
-    q -= 1.0
+    q = np.empty(phi.shape)
+    for rows in row_blocks(phi.shape, 2):
+        np.multiply(phi[rows], phi[rows], out=q[rows])
+        q[rows] -= 1.0
     return 0.5 * _dot(geom.kap * geom.kap, geom.mag2), 0.25 * _dot(q, q)
 
 
@@ -361,19 +384,21 @@ def e1_energy(
 
 def original_energy(
     grid: GridSpec, phi: np.ndarray, temp: np.ndarray, p: ModelParams,
-    geom: Anisotropy | None = None,
+    geom: Anisotropy | None = None, temp_sq: float | None = None,
 ) -> float:
     """Free energy of the unmodified model.
 
     E(phi, T) = int( kappa^2 |grad phi|^2 / 2 + F(phi)/eps^2
                      + lam/(2 eps K) T^2 ).
 
-    ``geom`` is ``anisotropy(grid, phi, p.sigma)`` when the caller already
-    has it.
+    ``geom`` is ``anisotropy(grid, phi, p.sigma)`` and ``temp_sq`` is
+    ``norm_sq(grid, temp)`` when the caller already has them.
     """
     grid.check(phi, temp)
     if geom is None:
         geom = anisotropy(grid, phi, p.sigma)
+    if temp_sq is None:
+        temp_sq = norm_sq(grid, temp)
     aniso, well = _interface_sums(phi, geom)
     return ((aniso + well / p.eps**2) * grid.cell_area
-            + 0.5 * p.lam / (p.eps * p.latent) * norm_sq(grid, temp))
+            + 0.5 * p.lam / (p.eps * p.latent) * temp_sq)

@@ -9,10 +9,11 @@ to one cache set, and the transform along axis 0 of a 512^2 field takes
 about twice as long.  The divisor a - b*lambda never exists as a full
 field: only the two 1-D eigenvalue vectors are cached per grid, and the
 divisor is built from them as (lx_i + ly_j)*(-b) + a, the same rounded
-sums a cached 2-D lambda would hold, a few padded row blocks at a time,
-in the result's memory before the result is written.  Every ufunc there
-runs on contiguous operands, because numpy buffers a ufunc over a
-strided view or a broadcast operand (about 64 KiB per operand).  The
+sums a cached 2-D lambda would hold, a few padded rows at a time (blocks
+sized like the row blocks of ``grid.row_blocks``), in the result's memory
+before the result is written.  Every ufunc there runs on contiguous
+operands, because numpy buffers a ufunc over a strided view or a
+broadcast operand (about 64 KiB per operand).  The
 variable coefficient solve (c(x)*I - b*Laplacian) runs conjugate gradients
 preconditioned with the constant solve at mean(c): the coefficients that
 arise in the time steppers vary mildly about their mean, so the
@@ -49,7 +50,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .grid import GridSpec, laplacian
+from .grid import GridSpec, block_rows, laplacian
 
 __all__ = [
     "CG_TOL", "SolverError", "helmholtz_solve", "variable_helmholtz_solve", "solve_shifted",
@@ -185,9 +186,11 @@ def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.n
     dctn(coef)
     lx, ly = _neumann_eigenvalues(nx, ny, grid.hx, grid.hy)
     # divisor rows (lx_i + ly_j)*(-b) + a over the padded width (ly_j = 0 in
-    # the padding), a few row blocks at a time, in two buffers that fill at
-    # most the bytes of u: every ufunc below runs on contiguous operands
-    blocks = -(-nx // max(1, u.nbytes // (2 * width * lx.itemsize)))
+    # the padding), a row block at a time, in two buffers that fill at most
+    # the bytes of u and, with the workspace rows they divide, about one row
+    # block's budget: every ufunc below runs on contiguous operands
+    row_bytes = width * lx.itemsize
+    blocks = -(-nx // max(1, min(block_rows(row_bytes, 3), u.nbytes // (2 * row_bytes))))
     rows = -(-nx // blocks)
     block = rows * width * lx.itemsize
     scratch = u.reshape(-1).view(np.uint8)

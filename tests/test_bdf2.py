@@ -23,6 +23,7 @@ from dendrosim.model import (
     e1_energy,
     g_residual,
     h_prime,
+    original_energy,
 )
 from dendrosim.solvers import CG_TOL
 
@@ -524,6 +525,18 @@ class TestProofLineOracles:
             assert after._norms and not fresh._norms
             rec = make_record(grid, p, after, None)
             assert rec.e_modified == energy(grid, p, fresh)
+
+
+    def test_ledger_original_energy_matches_fresh_state(self, case2, scheme, s_set):
+        # a row's e_original takes ||T^n||^2 from the state's memoized norms;
+        # it must equal, bitwise, original_energy evaluated without any memo
+        p = replace(CASE2.params, **s_set)
+        grid = case2[0]
+        for _, after in _stepped_pairs(scheme, case2, p):
+            fresh = replace(after)
+            assert bdf1.state_norms(grid, after).temp_level == norm_sq(grid, after.temp)
+            rec = make_record(grid, p, after, None)
+            assert rec.e_original == original_energy(grid, fresh.phi, fresh.temp, p)
 
 
 class TestStateNormMemo:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dendrosim import bdf1, bdf2, experiments, model
+from dendrosim import grid as grid_mod
 from dendrosim.cli import (
     EXIT_CONFIG,
     EXIT_ENERGY,
@@ -24,6 +25,7 @@ from dendrosim.config import (
     InvalidValueError,
     RunConfig,
     load_config,
+    serialize_config,
 )
 from dendrosim.diagnostics import EnergyLawViolation, NonFiniteRecordError, read_ledger
 from dendrosim.experiments import (
@@ -106,6 +108,16 @@ class TestRunSingle:
         snap = read_snapshot(tmp_path / "run_phi_n000003.snp")
         assert snap.time == pytest.approx(0.03)
         assert snap.name == "phi"
+
+    def test_snapshot_times_within_half_a_step(self, tmp_path):
+        # levels at t = 0, 0.01, ..., 0.05: a time within tau/2 of one of
+        # them is written, one past it is refused before anything is created
+        for when in (-0.005, 0.055):
+            run_single(tiny_config(snapshot_times=(when,)), tmp_path / "ok")
+        for when in (-0.0051, 0.0551, 1.0):
+            with pytest.raises(InvalidValueError, match="output.snapshot_times"):
+                run_single(tiny_config(snapshot_times=(0.02, when)), tmp_path / "refused")
+            assert not (tmp_path / "refused").exists()
 
     def test_bdf1_scheme_runs(self, tmp_path):
         res = run_single(tiny_config(scheme="bdf1"), tmp_path)
@@ -371,6 +383,16 @@ class TestWorkingSet:
             tracemalloc.stop()
         fields = (peak - base) / (8 * grid.nx * grid.ny)
         assert fields <= self.BOUNDS[scheme, check]
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
+    @pytest.mark.parametrize("scheme, check", list(BOUNDS))
+    def test_peak_live_fields_in_row_blocks(self, monkeypatch, scheme, check):
+        # a 128^2 field is one row block at the default budget; with a 24 KiB
+        # budget every blocked chain runs over several blocks, a short one
+        # last, and the peak is held to the same bounds
+        monkeypatch.setattr(grid_mod, "_BLOCK_BYTES", 24 << 10)
+        assert len(list(grid_mod.row_blocks((128, 128), 2))) > 1
+        self.test_peak_live_fields(scheme, check)
 
 
 class TestRunAccuracy:
@@ -751,6 +773,20 @@ class TestCli:
         assert code == EXIT_OK
         assert "arms" in capsys.readouterr().out
         assert (tmp_path / "den" / "K0.33" / "dendrite_K0.33.csv").exists()
+
+    @pytest.mark.parametrize("when", [-1.0, 7.0], ids=["negative", "late"])
+    def test_unreachable_snapshot_time_exit_code(self, tmp_path, capsys, when):
+        # no level of a run to t = 0.01 lies within tau/2 of the time: it is
+        # refused with exit 2 before --out is created, not dropped silently
+        cfg = tmp_path / "times.cfg"
+        cfg.write_text(serialize_config(replace(CASE2, snapshot_times=(0.005, when))))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--t-end", "0.01", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output.snapshot_times")
+        assert f"{when!r}" in err and "t=0.010000000000000002" in err
+        assert not out.exists()
 
     def test_dendrite_refuses_t_end(self, tmp_path, capsys):
         # each dendrite run ends at its last snapshot instant, so --t-end
