@@ -124,6 +124,11 @@ class RunConfig:
             raise InvalidValueError(
                 f"time.t_end={self.t_end} must be at least one step tau={self.tau}"
             )
+        if not math.isfinite(self.t_end / self.tau):
+            raise InvalidValueError(
+                f"time.t_end={self.t_end} / time.tau={self.tau}: the step count "
+                "is not a finite number"
+            )
         if self.snapshot_every < 0:
             raise InvalidValueError("output.snapshot_every must be >= 0")
 

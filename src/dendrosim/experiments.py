@@ -129,33 +129,28 @@ def _retain_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def _snapshot_due(cfg: RunConfig, step_index: int, t: float, pending: list[float]) -> bool:
-    if cfg.snapshot_every and step_index % cfg.snapshot_every == 0:
-        return True
-    for target in list(pending):
-        if abs(t - target) <= 0.5 * cfg.tau:
-            pending.remove(target)
-            return True
-    return False
-
-
-def _check_snapshot_times(cfg: RunConfig) -> None:
-    """Raises InvalidValueError, naming the run's last time, for a snapshot
-    time that no level 0..n_steps lies within tau/2 of: ``_snapshot_due``
-    would never write it.  The level times are summed as the steppers sum
-    them, one tau at a time."""
+def _snapshot_levels(cfg: RunConfig) -> set[int]:
+    """The levels that ``cfg.snapshot_times`` selects: each time maps to the
+    first level 0..n_steps within tau/2 of it, the level times summed one tau
+    at a time as the steppers sum them.  Raises InvalidValueError, naming the
+    run's last time, for a time that no level lies within tau/2 of."""
     if not cfg.snapshot_times:
-        return
+        return set()
     times = [0.0]
     for _ in range(cfg.n_steps):
         times.append(times[-1] + cfg.tau)
+    levels = set()
     for target in cfg.snapshot_times:
         k = bisect.bisect_left(times, target)
-        if not any(abs(t - target) <= 0.5 * cfg.tau for t in times[max(k - 1, 0):k + 1]):
+        near = [n for n in range(max(k - 1, 0), min(k + 1, len(times)))
+                if abs(times[n] - target) <= 0.5 * cfg.tau]
+        if not near:
             raise InvalidValueError(
                 f"output.snapshot_times: no level lies within tau/2 of {target!r}; "
                 f"the run's levels span t=0 to t={times[-1]!r}"
             )
+        levels.add(near[0])
+    return levels
 
 
 def _write_state_snapshots(cfg: RunConfig, out_dir: Path, state, step_index: int) -> None:
@@ -193,10 +188,12 @@ def run_single(
     EnergyLawViolation before it is written.  Rows of states of different
     BDF order (bdf2's bootstrap row) are not compared.
 
-    A snapshot time that no level lies within tau/2 of raises
+    Level n is written when ``cfg.snapshot_every`` divides n, or when n is
+    the first level within tau/2 of a time in ``cfg.snapshot_times``.  A
+    snapshot time that no level lies within tau/2 of raises
     InvalidValueError before anything is created.
     """
-    _check_snapshot_times(cfg)
+    snapshot_levels = _snapshot_levels(cfg)
     _retain_heap()
     grid = cfg.grid
     if sources is None:
@@ -214,7 +211,6 @@ def run_single(
         ledger_path = out_dir / cfg.ledger
         writer = LedgerWriter(ledger_path)
 
-    pending_times = sorted(cfg.snapshot_times)
     min_a1 = math.inf
     max_xi_dev = 0.0
     max_identity = 0.0
@@ -241,7 +237,9 @@ def run_single(
             max_identity = max(max_identity, report.identity_residual)
             cg_total += report.cg_iterations
             cg_max = max(cg_max, report.cg_iterations)
-        if out_dir is not None and _snapshot_due(cfg, state.n, state.t, pending_times):
+        if out_dir is not None and (
+                cfg.snapshot_every and state.n % cfg.snapshot_every == 0
+                or state.n in snapshot_levels):
             _write_state_snapshots(cfg, out_dir, state, state.n)
 
     # level and time being computed, named in a numerical breakdown

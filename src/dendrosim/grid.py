@@ -174,9 +174,7 @@ def _face_fluxes(
     return flux
 
 
-def _flux_divergence(
-    grid: GridSpec, w: np.ndarray | None, f: np.ndarray, overwrite_w: bool = False,
-) -> np.ndarray:
+def _flux_divergence(grid: GridSpec, w: np.ndarray | None, f: np.ndarray) -> np.ndarray:
     """Divergence of the face fluxes of w*grad(f), zero through the walls.
 
     Two sweeps over row blocks, each through one buffer of a block's face
@@ -186,10 +184,9 @@ def _flux_divergence(
     and the next one, which the next block writes.  The second takes the
     y-fluxes of a block as one flat run and differences them into its rows;
     the wall columns, which the straddling y-entries reach, are written last.
-    The y-fluxes of a weighted f take a block buffer, or the block's own run
-    of w with ``overwrite_w`` (no later block reads it), for the differences
-    of f and then of the fluxes; those of the Laplacian are differenced in
-    place."""
+    The y-fluxes of a weighted f hold the differences of f and then of the
+    fluxes in the block's own run of w, which no later block reads; those of
+    the Laplacian are differenced in place."""
     nx, ny = grid.shape
     rows = min(nx, block_rows(ny * 8, 4))
     out = np.empty(grid.shape)
@@ -210,9 +207,7 @@ def _flux_divergence(
     w_flat = None if w is None else w.ravel()
     for i in range(0, nx, rows):
         s, e = i * ny, min(i + rows, nx) * ny
-        diff = None
-        if w is not None:
-            diff = w_flat[s:e - 1] if overwrite_w else np.empty(e - s - 1)
+        diff = None if w is None else w_flat[s:e - 1]
         fy = _face_fluxes(f_flat[s:e], None if w is None else w_flat[s:e], grid.hy,
                           buf[:e - s - 1], diff)
         first = out[i:i + rows, 0] + fy[::ny] / grid.hy
@@ -230,17 +225,15 @@ def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     return _flux_divergence(grid, None, f)
 
 
-def face_flux_divergence(
-    grid: GridSpec, w: np.ndarray, f: np.ndarray, overwrite_w: bool = False,
-) -> np.ndarray:
+def face_flux_divergence(grid: GridSpec, w: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Divergence of w*grad(f) with face-centered fluxes and no-flux walls.
 
     ``w`` is a cell-centered coefficient, averaged onto faces.  With w == 1
-    this reduces bit-for-bit to :func:`laplacian`.  ``overwrite_w`` lets the
-    call overwrite w, one field fewer, when the caller is done with it.
+    this reduces bit-for-bit to :func:`laplacian`.  w is scratch: the call
+    overwrites it with differences, so pass a copy to keep its values.
     """
     grid.check(w, f)
-    return _flux_divergence(grid, w, f, overwrite_w)
+    return _flux_divergence(grid, w, f)
 
 
 def inner(grid: GridSpec, f: np.ndarray, g: np.ndarray) -> float:

@@ -305,7 +305,7 @@ def g_residual(
     for rows in row_blocks(phi.shape, 2):
         np.multiply(geom.kap[rows], geom.kap[rows], out=w[rows])
         w[rows] -= p.s1
-    out = face_flux_divergence(grid, w, phi, overwrite_w=True)
+    out = face_flux_divergence(grid, w, phi)
     del w
     for rows in row_blocks(phi.shape, 4):
         bulk = f_well(phi[rows])

@@ -1,12 +1,14 @@
 """Fast elliptic solvers for (a*I - b*Laplacian) u = rhs with Neumann walls.
 
 The constant-coefficient solve diagonalizes the compact Neumann Laplacian
-in the DCT-II cosine basis, which is exact up to roundoff.  It allocates
-the result and one workspace whose rows are padded by one 64-byte cache
-line, and runs both transforms in place in the workspace.  A row of 512
-doubles is 4 KiB, so without the padding every element of a column maps
-to one cache set, and the transform along axis 0 of a 512^2 field takes
-about twice as long.  The divisor a - b*lambda never exists as a full
+in the DCT-II cosine basis, which is exact up to roundoff.  It runs in
+float64, the dtype of every field of a run: it allocates the result and
+one float64 workspace whose rows are padded by one 64-byte cache line,
+converts a real rhs of another dtype as it copies it into the workspace,
+refuses a complex one, and runs both transforms in place in the
+workspace.  A row of 512 doubles is 4 KiB, so without the padding every
+element of a column maps to one cache set, and the transform along axis 0
+of a 512^2 field takes about twice as long.  The divisor a - b*lambda never exists as a full
 field: only the two 1-D eigenvalue vectors are cached per grid, and the
 divisor is built from them as (lx_i + ly_j)*(-b) + a, the same rounded
 sums a cached 2-D lambda would hold, a few padded rows at a time (blocks
@@ -27,11 +29,12 @@ step ladder.
 
 The cosine transforms are scipy's compiled pocketfft ``dct``, loaded from
 its file (``scipy/fft/_pocketfft/pypocketfft<suffix>``) and called with
-the arguments ``scipy.fft.dctn``/``idctn(type=2, norm="ortho")`` pass it,
-so every coefficient is bit for bit what ``scipy.fft`` returns.  Importing
-``scipy.fft`` would also import ``scipy.special`` (for its FFTLog
-transforms), which no solve uses: with scipy 1.17 on x86-64 Linux that is
-about 25 MiB of resident memory and 0.35 s per process.  Where that file
+the arguments ``scipy.fft.dctn``/``idctn(type=2, norm="ortho")`` pass it
+for a float64 array, so every coefficient is bit for bit what
+``scipy.fft`` returns; ``dctn``/``idctn`` take float64 arrays only.
+Importing ``scipy.fft`` would also import ``scipy.special`` (for its
+FFTLog transforms), which no solve uses: with scipy 1.17 on x86-64 Linux
+that is about 25 MiB of resident memory and 0.35 s per process.  Where that file
 is missing, fails to load, has no ``dct``, or has one that does not take
 [1, 0] to [1/sqrt(2), 1/sqrt(2)] when called with those arguments, the
 public ``scipy.fft`` functions are bound instead, with the same
@@ -97,41 +100,17 @@ def _transforms_like_dctn(dct) -> bool:
         return False
 
 
-def _float_dtype(dtype: np.dtype) -> np.dtype:
-    """The dtype scipy.fft's transforms compute in: float16 -> float32, any
-    other non-float dtype -> float64, native byte order."""
-    if dtype == np.float16:
-        return np.dtype(np.float32)
-    if dtype.kind not in "fc":
-        return np.dtype(np.float64)
-    return dtype.newbyteorder("=")
-
-
-def _as_float(x) -> np.ndarray:
-    """x as scipy.fft's transforms take it, aligned; x itself when it already is."""
-    x = np.asarray(x)
-    return np.require(x, _float_dtype(x.dtype), "A")
-
-
 _dct = _pocketfft_dct()
 
 if _dct is not None:
-    def _transform(x: np.ndarray, kind: int) -> np.ndarray:
-        x = _as_float(x)
-        if x.dtype.kind == "c":  # real and imaginary parts apart, as scipy.fft does
-            _transform(x.real, kind)
-            _transform(x.imag, kind)
-            return x
-        return _dct(x, kind, range(x.ndim), 1, x, 1, None)
-
     def dctn(x: np.ndarray) -> np.ndarray:
-        """Orthonormal DCT-II over every axis, ``scipy.fft.dctn(x, type=2,
-        norm="ortho")``, written into x itself when x is a float array."""
-        return _transform(x, 2)
+        """Orthonormal DCT-II over every axis of a float64 array,
+        ``scipy.fft.dctn(x, type=2, norm="ortho")``, written into x itself."""
+        return _dct(x, 2, range(x.ndim), 1, x, 1, None)
 
     def idctn(x: np.ndarray) -> np.ndarray:
-        """Inverse of ``dctn``, written into x itself when x is a float array."""
-        return _transform(x, 3)
+        """Inverse of ``dctn``, written into x itself."""
+        return _dct(x, 3, range(x.ndim), 1, x, 1, None)
 else:
     from scipy import fft as _fft
 
@@ -160,10 +139,13 @@ def _neumann_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> tuple[np.nda
 def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (a*I - b*Laplacian) u = rhs exactly via 2D cosine transforms.
 
-    Requires a finite a > 0 (keeps the constant mode invertible) and a
-    finite b >= 0.
+    Requires a finite a > 0 (keeps the constant mode invertible), a finite
+    b >= 0 and a real rhs.  The solve runs in float64: a rhs of another real
+    dtype is converted as it is copied into the workspace.
     """
     grid.check(rhs)
+    if np.iscomplexobj(rhs):
+        raise ValueError(f"helmholtz_solve needs a real rhs, got dtype {rhs.dtype}")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"helmholtz_solve needs finite a and b, got a={a}, b={b}")
     if not a > 0.0:
@@ -173,13 +155,12 @@ def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.n
     if not np.all(np.isfinite(rhs)):
         raise ValueError("helmholtz_solve: rhs contains non-finite values")
     if b == 0.0:
-        return rhs / a
+        return np.divide(rhs, a, dtype=np.float64)
     nx, ny = grid.shape
-    dtype = _float_dtype(rhs.dtype)
     # u's memory holds the divisor blocks until the result is copied into it
-    u = np.empty((nx, ny), dtype)
-    width = ny + _LINE // dtype.itemsize
-    work = np.empty((nx, width), dtype)
+    u = np.empty((nx, ny))
+    width = ny + _LINE // 8  # float64 rows padded by one cache line
+    work = np.empty((nx, width))
     coef = work[:, :ny]
     coef[...] = rhs
     work[:, ny:] = 0.0  # the padding is divided along with the coefficients

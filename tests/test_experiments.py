@@ -119,6 +119,18 @@ class TestRunSingle:
                 run_single(tiny_config(snapshot_times=(0.02, when)), tmp_path / "refused")
             assert not (tmp_path / "refused").exists()
 
+    @pytest.mark.parametrize("times, levels", [
+        ((0.0, 0.001, 0.03), [0, 3]),  # 0.0 and 0.001 share level 0
+        ((0.0049, 0.005), [0]),  # a tie goes to the first level within tau/2
+        ((0.029, 0.012), [1, 3]),
+    ])
+    def test_snapshot_times_take_first_level(self, tmp_path, times, levels):
+        # levels at t = 0, 0.01, ..., 0.05, decided before the run
+        assert experiments._snapshot_levels(tiny_config(snapshot_times=times)) == set(levels)
+        run_single(tiny_config(snapshot_times=times), tmp_path)
+        names = sorted(p.name for p in tmp_path.glob("run_phi_*.snp"))
+        assert names == [f"run_phi_n{n:06d}.snp" for n in levels]
+
     def test_bdf1_scheme_runs(self, tmp_path):
         res = run_single(tiny_config(scheme="bdf1"), tmp_path)
         assert res.final_state.n == 5
@@ -561,6 +573,22 @@ class TestCli:
                      flag, "inf"])
         assert code == EXIT_CONFIG
         assert f"time.{key}: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_step_count_overflow_exit_code(self, tmp_path, capsys, source):
+        # t_end / tau overflows to inf: refused with exit 2 before --out is created
+        cfg, args = CONFIG_DIR / "case2.cfg", ["--tau", "1e-320", "--t-end", "1"]
+        if source == "file":
+            cfg = tmp_path / "tiny_tau.cfg"
+            cfg.write_text((CONFIG_DIR / "case2.cfg").read_text()
+                           .replace("tau = 1e-3", "tau = 1e-320"))
+            args = []
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: time.t_end=1.0 / time.tau=1e-320")
+        assert "step count is not a finite number" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("case, level, needle", [

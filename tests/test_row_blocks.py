@@ -267,10 +267,8 @@ class TestBlockedKernelOracles:
         f, w = random_field(GRID, 1), 0.5 + np.random.default_rng(2).random(GRID.shape)
         assert _same_bits(laplacian(GRID, _laid_out(f, layout)), _ref_laplacian(GRID, f))
         want = _ref_face_flux_divergence(GRID, w, f)
-        assert _same_bits(face_flux_divergence(GRID, _laid_out(w, layout), _laid_out(f, layout)),
-                          want)
-        spent = w.copy()
-        assert _same_bits(face_flux_divergence(GRID, spent, f, overwrite_w=True), want)
+        assert _same_bits(face_flux_divergence(GRID, _laid_out(w.copy(), layout),
+                                               _laid_out(f, layout)), want)
 
     def test_helmholtz_divisor_blocks(self, budget, monkeypatch):
         rhs = random_field(GRID, 3)

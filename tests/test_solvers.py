@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 import scipy.fft
 
 import dendrosim
-from dendrosim import solvers
+from dendrosim import bdf1, solvers
+from dendrosim.experiments import run_single
 from dendrosim.grid import GridSpec, laplacian
+from dendrosim.model import FieldMobility, SourceTerms
 from dendrosim.solvers import (
     SolverError,
     helmholtz_solve,
@@ -18,7 +21,7 @@ from dendrosim.solvers import (
     variable_helmholtz_solve,
 )
 
-from conftest import random_field
+from conftest import random_field, shipped_config
 
 
 def dense_operator(grid: GridSpec, c, b: float) -> np.ndarray:
@@ -64,7 +67,8 @@ def layouts(shape: tuple[int, int], seed: int):
 
 
 class TestTransforms:
-    """solvers.dctn/idctn are scipy.fft.dctn/idctn(type=2, norm="ortho"), bit for bit."""
+    """On float64 arrays solvers.dctn/idctn are scipy.fft.dctn/idctn(type=2, norm="ortho"),
+    bit for bit."""
 
     @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (64, 48), (8, 512)])
     def test_float64_layouts(self, shape):
@@ -77,23 +81,6 @@ class TestTransforms:
             got = solvers.idctn(x)
             assert np.shares_memory(got, x), layout  # the inverse is written into x
             assert got.dtype == back.dtype and np.array_equal(got, back), layout
-
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (64, 48)])
-    @pytest.mark.parametrize("dtype, result", [
-        (np.float32, np.float32), (np.int64, np.float64), (np.int32, np.float64),
-        (np.complex128, np.complex128),
-    ])
-    def test_other_dtypes(self, shape, dtype, result):
-        rng = np.random.default_rng(3)
-        x = 50 * rng.standard_normal(shape)
-        if dtype == np.complex128:
-            x = x + 50j * rng.standard_normal(shape)
-        x = x.astype(dtype)
-        for ours, theirs in ((solvers.dctn, scipy.fft.dctn), (solvers.idctn, scipy.fft.idctn)):
-            expected = theirs(x, type=2, norm="ortho")
-            got = ours(x.copy())
-            assert got.dtype == expected.dtype == result
-            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("extension", [
         None,
@@ -206,16 +193,18 @@ class TestHelmholtz:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32])
     def test_matches_scipy_fft_bitwise(self, dtype):
-        # integers solve in float64 and float32 stays float32, as through scipy.fft;
-        # a 4x4 result is too small to hold the divisor blocks, which get a buffer
+        # every rhs solves in float64: another real dtype gives the solve of
+        # rhs.astype(float64), bit for bit; a 4x4 result is too small to hold
+        # the divisor blocks, which get a buffer
         for g in (GridSpec(64, 48, 0.0, 2.0, 0.0, 1.5), GridSpec(4, 4, 0.0, 2.0, 0.0, 1.5)):
-            for seed, (a, b) in enumerate(((1e-2, 5e-2), (1.0, 0.9), (150.0, 8.0))):
+            for seed, (a, b) in enumerate(((1e-2, 5e-2), (1.0, 0.9), (150.0, 8.0), (2.0, 0.0))):
                 rhs = (100 * random_field(g, seed)).astype(dtype)
                 u = helmholtz_solve(g, a, b, rhs)
-                expected = scipy_helmholtz(g, a, b, rhs)
-                assert u.dtype == expected.dtype
-                assert u.dtype == (np.float32 if dtype == np.float32 else np.float64)
-                assert np.array_equal(u, expected)
+                wide = rhs.astype(np.float64)
+                assert u.dtype == np.float64
+                assert np.array_equal(u, helmholtz_solve(g, a, b, wide))
+                if b > 0.0:
+                    assert np.array_equal(u, scipy_helmholtz(g, a, b, wide))
 
     @pytest.mark.parametrize("shape", [(8, 512), (512, 512)])
     def test_bitwise_at_4kib_rows(self, shape):
@@ -225,8 +214,8 @@ class TestHelmholtz:
             for rhs in (x, (100 * x).astype(np.float32), (100 * x).astype(np.int64)):
                 rhs0 = rhs.copy()
                 u = helmholtz_solve(g, 1.0, 0.9, rhs)
-                expected = scipy_helmholtz(g, 1.0, 0.9, rhs)
-                assert u.dtype == expected.dtype and np.array_equal(u, expected), layout
+                expected = scipy_helmholtz(g, 1.0, 0.9, rhs.astype(np.float64))
+                assert u.dtype == np.float64 and np.array_equal(u, expected), layout
                 assert u.flags.c_contiguous and u.flags.owndata, layout
                 assert not np.shares_memory(u, rhs), layout
                 assert np.array_equal(rhs, rhs0), layout
@@ -261,6 +250,13 @@ class TestHelmholtz:
         rhs[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             helmholtz_solve(grid8, 1.0, 1.0, rhs)
+
+    @pytest.mark.parametrize("b", [1.0, 0.0])
+    def test_rejects_complex_rhs(self, grid8, b):
+        # the float64 workspace would drop the imaginary part without a word
+        rhs = grid8.zeros() + 1j * random_field(grid8, 5)
+        with pytest.raises(ValueError, match="^helmholtz_solve needs a real rhs, got dtype complex"):
+            helmholtz_solve(grid8, 1.0, b, rhs)
 
 
 class TestVariableHelmholtz:
@@ -336,3 +332,34 @@ class TestSolveShifted:
         assert it_fast == 0
         assert it_cg >= 1
         assert u_fast == pytest.approx(u_cg, abs=1e-10)
+
+
+def test_solve_path_sees_float64_only(monkeypatch):
+    # pocketfft transforms float32 natively and helmholtz_solve converts any
+    # real rhs, so a field that left float64 would pass without an error: the
+    # dtypes that the runs send are pinned here
+    seen = []
+
+    def census(fn, *array_at):
+        def wrapped(*args):
+            seen.append((fn.__name__, [args[i].dtype for i in array_at]))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(solvers, "dctn", census(solvers.dctn, 0))
+    monkeypatch.setattr(solvers, "idctn", census(solvers.idctn, 0))
+    solve = census(solvers.helmholtz_solve, 3)
+    monkeypatch.setattr(solvers, "helmholtz_solve", solve)
+    monkeypatch.setattr(bdf1, "helmholtz_solve", solve)
+
+    base = replace(shipped_config("case2"), grid=GridSpec(16, 16), tau=0.01, t_end=0.03)
+    run_single(replace(base, scheme="bdf2", check_identity=True, strict_energy=True))
+    run_single(replace(base, scheme="bdf1"), sources=SourceTerms(
+        phi=lambda x, y, t: 0.3 * np.cos(np.pi * x), temp=lambda x, y, t: 0.1 * y + t))
+    p = replace(base.params, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
+    phi0, temp0 = base.initial.build(base.grid)
+    _, report = bdf1.step(base.grid, bdf1.init_state(base.grid, phi0, temp0, p), 0.01, p)
+    assert report.cg_iterations > 0
+
+    assert {name for name, _ in seen} == {"dctn", "idctn", "helmholtz_solve"}
+    assert all(dtype == np.float64 for _, dtypes in seen for dtype in dtypes)
