@@ -1,10 +1,12 @@
 """Command-line driver for single runs and the experiment reproductions.
 
-Exit codes: 0 success, 2 configuration error or an output path that cannot
-be written (the one stderr line names the path), 3 solver failure,
-4 energy-law violation under --strict-energy, 5 numerical breakdown (a
-non-positive auxiliary energy E1 or closure denominator A1, or a non-finite
-ledger value), reported with the level and time it happened at.
+Exit codes: 0 success, 2 configuration error (among them a [sources] forcing
+snapshot that is missing or corrupt, header included) or an output path
+that cannot be written (the one stderr line names the path), 3 solver
+failure, 4 energy-law violation under --strict-energy, 5 numerical breakdown
+(a non-positive auxiliary energy E1 or closure denominator A1, a non-finite
+ledger value, or a non-finite solve input such as a NaN forcing value).
+Failures during a run are reported with the level and time they happened at.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def main(argv=None) -> int:
                 for tau, ep, et in zip(rep.taus, rep.errors_phi, rep.errors_temp):
                     print(f"  tau={tau:<8g} err_phi={ep:.6e} err_T={et:.6e}")
         elif args.command == "stability":
-            results = run_stability(cfg, args.taus, args.out, n_steps=args.steps)
+            results = run_stability(cfg, args.taus, args.steps, args.out)
             print("stabilizers (s1,s2,s3,s4)   tau      max|xi-1|   min a1")
             for r in results:
                 p = r.config.params

@@ -32,6 +32,9 @@ __all__ = [
     "count_axis_branches",
 ]
 
+RAYS = 720  # rays cast from the domain center to find the crystal's extent
+AXIS_TOL_DEG = 20.0  # an arm this close to a coordinate axis is an axis arm
+
 
 class EnergyLawViolation(RuntimeError):
     """Under strict_energy, the modified energy rose from one level to the next."""
@@ -147,22 +150,20 @@ def read_ledger(path: str | Path) -> list[EnergyRecord]:
     return out
 
 
-def radial_extents(
-    grid: GridSpec, phi: np.ndarray, n_angles: int = 720, threshold: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Farthest radius with phi > threshold along rays from the domain center.
+def radial_extents(grid: GridSpec, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Farthest radius with phi > 0 along RAYS rays from the domain center.
 
     Returns (angles, extents).  Rays are sampled at half-cell resolution
     with nearest-cell lookup.
     """
     grid.check(phi)
-    mask = phi > threshold
+    mask = phi > 0.0
     cx = 0.5 * (grid.x0 + grid.x1)
     cy = 0.5 * (grid.y0 + grid.y1)
     r_max = 0.5 * min(grid.x1 - grid.x0, grid.y1 - grid.y0)
     step = 0.5 * min(grid.hx, grid.hy)
     radii = np.arange(0.0, r_max, step)
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * np.pi, RAYS, endpoint=False)
     xs = cx + np.outer(np.cos(angles), radii)
     ys = cy + np.outer(np.sin(angles), radii)
     ii = np.clip(((xs - grid.x0) / grid.hx).astype(int), 0, grid.nx - 1)
@@ -174,19 +175,16 @@ def radial_extents(
     return angles, extents
 
 
-def count_axis_branches(
-    grid: GridSpec, phi: np.ndarray, threshold: float = 0.0,
-    axis_tol_deg: float = 20.0,
-) -> tuple[int, int]:
+def count_axis_branches(grid: GridSpec, phi: np.ndarray) -> tuple[int, int]:
     """Count crystal arms by thresholding the radial extent profile.
 
     Angular sectors whose extent exceeds the midpoint between the longest
     and shortest ray form the arms (circular connected components).
     Returns (total arms, arms whose mean direction lies within
-    ``axis_tol_deg`` of a coordinate axis).  Profiles with less than 15%
+    AXIS_TOL_DEG of a coordinate axis).  Profiles with less than 15%
     radial contrast (discs up to grid jitter) count as armless.
     """
-    angles, extents = radial_extents(grid, phi, threshold=threshold)
+    angles, extents = radial_extents(grid, phi)
     lo, hi = extents.min(), extents.max()
     if hi <= 0.0 or hi - lo < 0.15 * hi:
         return 0, 0
@@ -201,7 +199,7 @@ def count_axis_branches(
     axis_arms = 0
     in_arm = False
     arm_angles: list[float] = []
-    tol = np.deg2rad(axis_tol_deg)
+    tol = np.deg2rad(AXIS_TOL_DEG)
     for flag, ang in zip(np.append(rolled, False), np.append(rolled_angles, 0.0)):
         if flag:
             in_arm = True

@@ -13,7 +13,6 @@ run depends on it.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import math
 import os
@@ -34,6 +33,7 @@ from .diagnostics import (
 from .grid import inner
 from .model import NO_SOURCES, EnergyPositivityError, SourceTerms
 from .snapshots import FieldSnapshot, SourceSeriesError, source_from_snapshots, write_snapshot
+from .solvers import SolverError
 
 __all__ = [
     "RunResult",
@@ -132,25 +132,29 @@ def _retain_heap() -> None:
 def _snapshot_levels(cfg: RunConfig) -> set[int]:
     """The levels that ``cfg.snapshot_times`` selects: each time maps to the
     first level 0..n_steps within tau/2 of it, the level times summed one tau
-    at a time as the steppers sum them.  Raises InvalidValueError, naming the
-    run's last time, for a time that no level lies within tau/2 of."""
-    if not cfg.snapshot_times:
-        return set()
-    times = [0.0]
-    for _ in range(cfg.n_steps):
-        times.append(times[-1] + cfg.tau)
-    levels = set()
+    at a time as the steppers sum them.  One walk up the levels serves the
+    times in ascending order and stops at the last of them.  Raises
+    InvalidValueError, naming the run's last time, for the first time in
+    ``cfg.snapshot_times`` that no level lies within tau/2 of."""
+    half = 0.5 * cfg.tau
+    level_of = {}
+    n, t = 0, 0.0
+    for target in sorted(cfg.snapshot_times):
+        # the levels within tau/2 of a time are consecutive, and none of them
+        # lies below the level of a smaller time
+        while abs(t - target) > half and t < target and n < cfg.n_steps:
+            n, t = n + 1, t + cfg.tau
+        if abs(t - target) <= half:
+            level_of[target] = n
     for target in cfg.snapshot_times:
-        k = bisect.bisect_left(times, target)
-        near = [n for n in range(max(k - 1, 0), min(k + 1, len(times)))
-                if abs(times[n] - target) <= 0.5 * cfg.tau]
-        if not near:
+        if target not in level_of:
+            for _ in range(n, cfg.n_steps):
+                t += cfg.tau
             raise InvalidValueError(
                 f"output.snapshot_times: no level lies within tau/2 of {target!r}; "
-                f"the run's levels span t=0 to t={times[-1]!r}"
+                f"the run's levels span t=0 to t={t!r}"
             )
-        levels.add(near[0])
-    return levels
+    return set(level_of.values())
 
 
 def _write_state_snapshots(cfg: RunConfig, out_dir: Path, state, step_index: int) -> None:
@@ -192,6 +196,10 @@ def run_single(
     the first level within tau/2 of a time in ``cfg.snapshot_times``.  A
     snapshot time that no level lies within tau/2 of raises
     InvalidValueError before anything is created.
+
+    EnergyPositivityError, FloatingPointError (a non-finite ledger row or
+    solve input among them), SolverError and SourceSeriesError are raised
+    again with the level and time they happened at.
     """
     snapshot_levels = _snapshot_levels(cfg)
     _retain_heap()
@@ -260,6 +268,9 @@ def run_single(
             emit(state, report)
     except (EnergyPositivityError, FloatingPointError, SourceSeriesError) as exc:
         raise type(exc)(f"level {level} (t={t_level:g}): {exc}") from exc
+    except SolverError as exc:
+        raise SolverError(f"level {level} (t={t_level:g}): {exc}",
+                          exc.residual, exc.iterations) from exc
     finally:
         if writer is not None:
             writer.close()
@@ -312,7 +323,7 @@ def _check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
 def run_accuracy(
     base: RunConfig,
     ladder: tuple[float, ...] | list[float],
-    ref_tau: float = 5e-5,
+    ref_tau: float,
     out_dir: str | Path | None = None,
 ) -> dict[str, ConvergenceReport]:
     """Self-convergence study of both schemes: L2 errors at t_end of every
@@ -362,8 +373,8 @@ def run_accuracy(
 def run_stability(
     base: RunConfig,
     taus: tuple[float, ...] | list[float],
+    n_steps: int,
     out_dir: str | Path | None = None,
-    n_steps: int = 200,
 ) -> list[RunResult]:
     """Sweep the stabilizer sets of STABILIZER_SETS and the step sizes; every
     run is strict, so one that does not dissipate the modified energy raises
@@ -388,7 +399,7 @@ def run_stability(
 
 def run_dendrite(
     base: RunConfig,
-    latent_values: tuple[float, ...] | list[float] = (0.6, 0.8, 1.0, 1.2),
+    latent_values: tuple[float, ...] | list[float],
     out_dir: str | Path | None = None,
 ) -> list[DendriteResult]:
     """Fourfold growth runs over the latent-heat sweep.

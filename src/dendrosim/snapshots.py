@@ -12,7 +12,8 @@ Snapshot layout (all little-endian, no padding):
 Checkpoints stack the same header idea with a scheme tag and the full
 scalar state, followed by the state's fields in a fixed order, so
 restore-then-step reproduces uninterrupted stepping bit for bit.
-Fields are read in place; a payload cut short or followed by trailing bytes is rejected.
+Fields are read in place; a payload cut short or followed by trailing bytes is rejected,
+and so is a header whose grid GridSpec refuses or whose field name is not UTF-8.
 """
 
 from __future__ import annotations
@@ -90,6 +91,16 @@ def _read_header(fh, header: struct.Struct, magic: bytes, version: int, where: s
     return rest
 
 
+def _header_grid(nx: int, ny: int, x0: float, x1: float, y0: float, y1: float,
+                 where: str) -> GridSpec:
+    """The grid a header declares; SnapshotFormatError, naming ``where``, for
+    one that GridSpec refuses (fewer than 4 cells, non-finite bounds...)."""
+    try:
+        return GridSpec(nx=nx, ny=ny, x0=x0, x1=x1, y0=y0, y1=y1)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"bad grid in {where}: {exc}") from exc
+
+
 def _read_fields(fh, size: int, names: tuple, nx: int, ny: int, where: str) -> dict:
     """Read the named (nx, ny) fields that must fill the rest of the ``size``
     bytes of ``fh``, each straight into its array."""
@@ -124,11 +135,14 @@ def read_snapshot(path: str | Path) -> FieldSnapshot:
     with open(path, "rb") as fh:
         nx, ny, x0, x1, y0, y1, time, name = _read_header(
             fh, _SNAP_HEADER, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, str(path))
+        grid = _header_grid(nx, ny, x0, x1, y0, y1, str(path))
+        try:
+            name = name.rstrip(b"\0").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotFormatError(f"field name in {path} is not UTF-8: {exc}") from exc
         size = os.fstat(fh.fileno()).st_size
         values = _read_fields(fh, size, ("values",), nx, ny, str(path))["values"]
-    grid = GridSpec(nx=nx, ny=ny, x0=x0, x1=x1, y0=y0, y1=y1)
-    return FieldSnapshot(grid=grid, time=time, name=name.rstrip(b"\0").decode("utf-8"),
-                         values=values)
+    return FieldSnapshot(grid=grid, time=time, name=name, values=values)
 
 
 def checkpoint(grid: GridSpec, state: State) -> bytes:
@@ -155,7 +169,7 @@ def restore(buf: bytes, where: str = "checkpoint") -> tuple[GridSpec, State]:
     fh = io.BytesIO(buf)
     tag, nx, ny, x0, x1, y0, y1, n, t, r, r_prev = _read_header(
         fh, _CKPT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, where)
-    grid = GridSpec(nx=nx, ny=ny, x0=x0, x1=x1, y0=y0, y1=y1)
+    grid = _header_grid(nx, ny, x0, x1, y0, y1, where)
     if tag not in (b"BDF1", b"BDF2"):
         raise SnapshotFormatError(f"unknown scheme tag {tag!r}")
     names = _BDF1_FIELDS if tag == b"BDF1" else _BDF2_FIELDS

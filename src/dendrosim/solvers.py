@@ -21,8 +21,9 @@ preconditioned with the constant solve at mean(c): the coefficients that
 arise in the time steppers vary mildly about their mean, so the
 preconditioned spectrum is tightly clustered.
 
-PCG stops at a relative residual of ``CG_TOL`` = 1e-12, within 500
-iterations; the steppers take no other tolerance.  At 1e-10 the
+PCG stops at a relative residual of ``CG_TOL`` = 1e-12, within
+``CG_MAXIT`` = 500 iterations; both are read at each call, and no caller
+passes another tolerance.  At 1e-10 the
 accumulated solve error of a variable-mobility bdf2 run floors its phase
 error near 4e-8 and hides the second order of the scheme on a desk-scale
 step ladder.
@@ -56,10 +57,12 @@ import numpy as np
 from .grid import GridSpec, block_rows, laplacian
 
 __all__ = [
-    "CG_TOL", "SolverError", "helmholtz_solve", "variable_helmholtz_solve", "solve_shifted",
+    "CG_TOL", "CG_MAXIT", "SolverError", "NonFiniteSolveError", "helmholtz_solve",
+    "variable_helmholtz_solve", "solve_shifted",
 ]
 
 CG_TOL = 1e-12  # relative residual at which PCG stops
+CG_MAXIT = 500  # PCG iterations after which a solve fails with SolverError
 _LINE = 64  # bytes of a cache line: the solve pads each workspace row by one
 
 
@@ -127,6 +130,11 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+class NonFiniteSolveError(ValueError, FloatingPointError):
+    """A solve was handed a non-finite coefficient or right-hand side: the
+    run feeding it has broken down numerically."""
+
+
 @lru_cache(maxsize=32)
 def _neumann_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D eigenvalues of the Neumann Laplacian along x (a column) and y."""
@@ -140,20 +148,21 @@ def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.n
     """Solve (a*I - b*Laplacian) u = rhs exactly via 2D cosine transforms.
 
     Requires a finite a > 0 (keeps the constant mode invertible), a finite
-    b >= 0 and a real rhs.  The solve runs in float64: a rhs of another real
+    b >= 0 and a real rhs; a non-finite a, b or rhs raises
+    NonFiniteSolveError.  The solve runs in float64: a rhs of another real
     dtype is converted as it is copied into the workspace.
     """
     grid.check(rhs)
     if np.iscomplexobj(rhs):
         raise ValueError(f"helmholtz_solve needs a real rhs, got dtype {rhs.dtype}")
     if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError(f"helmholtz_solve needs finite a and b, got a={a}, b={b}")
+        raise NonFiniteSolveError(f"helmholtz_solve needs finite a and b, got a={a}, b={b}")
     if not a > 0.0:
         raise ValueError(f"helmholtz_solve needs a > 0, got a={a}")
     if b < 0.0:
         raise ValueError(f"helmholtz_solve needs b >= 0, got b={b}")
     if not np.all(np.isfinite(rhs)):
-        raise ValueError("helmholtz_solve: rhs contains non-finite values")
+        raise NonFiniteSolveError("helmholtz_solve: rhs contains non-finite values")
     if b == 0.0:
         return np.divide(rhs, a, dtype=np.float64)
     nx, ny = grid.shape
@@ -194,30 +203,26 @@ def helmholtz_solve(grid: GridSpec, a: float, b: float, rhs: np.ndarray) -> np.n
 
 
 def variable_helmholtz_solve(
-    grid: GridSpec,
-    c: np.ndarray,
-    b: float,
-    rhs: np.ndarray,
-    tol: float = CG_TOL,
-    maxit: int = 500,
+    grid: GridSpec, c: np.ndarray, b: float, rhs: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Solve (c(x)*I - b*Laplacian) u = rhs by preconditioned CG.
 
-    Returns (u, iterations).  Converged when ||residual|| <= tol * ||rhs||;
-    raises SolverError past maxit.  Requires a finite c > 0 everywhere and a
-    finite b >= 0.
+    Returns (u, iterations).  Converged when ||residual|| <= CG_TOL * ||rhs||;
+    raises SolverError past CG_MAXIT iterations.  Requires a finite c > 0
+    everywhere and a finite b >= 0; a non-finite c, b or rhs raises
+    NonFiniteSolveError.
     """
     grid.check(c, rhs)
     if not np.isfinite(b):
-        raise ValueError(f"variable_helmholtz_solve needs a finite b, got b={b}")
+        raise NonFiniteSolveError(f"variable_helmholtz_solve needs a finite b, got b={b}")
     if not np.all(np.isfinite(c)):
-        raise ValueError("variable_helmholtz_solve needs a finite c everywhere")
+        raise NonFiniteSolveError("variable_helmholtz_solve needs a finite c everywhere")
     if not np.all(c > 0.0):
         raise ValueError("variable_helmholtz_solve needs c > 0 everywhere")
     if b < 0.0:
         raise ValueError(f"variable_helmholtz_solve needs b >= 0, got b={b}")
     if not np.all(np.isfinite(rhs)):
-        raise ValueError("variable_helmholtz_solve: rhs contains non-finite values")
+        raise NonFiniteSolveError("variable_helmholtz_solve: rhs contains non-finite values")
 
     c_mean = float(np.mean(c))
 
@@ -237,23 +242,23 @@ def variable_helmholtz_solve(
     p = z.copy()
     rz = float(np.vdot(r, z))
     res = rhs_norm
-    for it in range(1, maxit + 1):
+    for it in range(1, CG_MAXIT + 1):
         ap = apply_op(p)
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
         res = float(np.linalg.norm(r))
-        if res <= tol * rhs_norm:
+        if res <= CG_TOL * rhs_norm:
             return x, it
         z = precondition(r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(
-        f"PCG did not reach tol={tol} in {maxit} iterations "
+        f"PCG did not reach tol={CG_TOL} in {CG_MAXIT} iterations "
         f"(relative residual {res / rhs_norm:.3e})",
         residual=res / rhs_norm,
-        iterations=maxit,
+        iterations=CG_MAXIT,
     )
 
 

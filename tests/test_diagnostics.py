@@ -213,6 +213,23 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="version"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("nx, x0, name, needle", [
+        (2, -1.0, b"phi", ": grid needs nx, ny >= 4, got 2x8"),
+        (8, math.nan, b"phi", ": x0 must be a finite number, got nan"),
+        (8, -1.0, b"\xffphi", " is not UTF-8"),
+    ], ids=["nx-2", "nan-x0", "non-utf8-name"])
+    def test_corrupt_header_rejected(self, tmp_path, nx, x0, name, needle):
+        # a file of the payload size its header declares, whose grid GridSpec
+        # refuses or whose field name is not UTF-8: a format error that names
+        # the file
+        path = tmp_path / "f.snp"
+        header = struct.pack("<4sIIIddddd16s", b"PFC1", 1, nx, 8, x0, 1.0, -1.0, 1.0, 0.0,
+                             name.ljust(16, b"\0"))
+        path.write_bytes(header + np.zeros(nx * 8).tobytes())
+        with pytest.raises(SnapshotFormatError) as err:
+            read_snapshot(path)
+        assert f"{path}{needle}" in str(err.value)
+
     def test_name_too_long(self, grid8, tmp_path):
         snap = FieldSnapshot(grid8, 0.0, "x" * 17, grid8.zeros())
         with pytest.raises(ValueError, match="name too long"):
@@ -289,6 +306,15 @@ class TestCheckpoint:
         path.write_bytes(buf + b"x")
         with pytest.raises(SnapshotFormatError, match=r"trailing bytes in .*state\.ckpt: "):
             read_checkpoint(path)
+
+
+    def test_bad_grid_rejected(self, case2):
+        grid, p, phi0, temp0 = case2
+        buf = bytearray(checkpoint(grid, init_state(grid, phi0, temp0, p)))
+        buf[12:16] = struct.pack("<I", 2)  # nx
+        with pytest.raises(SnapshotFormatError,
+                           match=r"^bad grid in checkpoint: grid needs nx, ny >= 4, got 2x"):
+            restore(bytes(buf))
 
 
 class TestSnapshotSources:

@@ -1,6 +1,7 @@
 import math
 import os
 import resource
+import struct
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dendrosim import bdf1, bdf2, experiments, model
+from dendrosim import bdf1, bdf2, experiments, model, solvers
 from dendrosim import grid as grid_mod
 from dendrosim.cli import (
     EXIT_CONFIG,
@@ -39,6 +40,7 @@ from dendrosim.experiments import (
 from dendrosim.grid import GridSpec
 from dendrosim.model import EnergyPositivityError, FieldMobility, SourceTerms
 from dendrosim.snapshots import read_snapshot, source_from_snapshots
+from dendrosim.solvers import SolverError
 
 from conftest import shipped_config
 
@@ -130,6 +132,42 @@ class TestRunSingle:
         run_single(tiny_config(snapshot_times=times), tmp_path)
         names = sorted(p.name for p in tmp_path.glob("run_phi_*.snp"))
         assert names == [f"run_phi_n{n:06d}.snp" for n in levels]
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
+    def test_snapshot_levels_hold_no_list_of_level_times(self, monkeypatch):
+        # a million levels and one snapshot time: the snapshot levels come
+        # from one walk up the running sum, not from a list of every level
+        # time (about 31 MiB), and are known before the first level
+        cfg = tiny_config(tau=1e-6, t_end=1.0, snapshot_times=(0.01,))
+        assert cfg.n_steps == 10**6
+
+        class FirstLevel(Exception):
+            pass
+
+        def init_state(*args):
+            raise FirstLevel(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(bdf1, "init_state", init_state)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstLevel) as first:
+                run_single(cfg)
+        finally:
+            tracemalloc.stop()
+        assert first.value.args[0] < 1 << 20
+        assert experiments._snapshot_levels(cfg) == {10_000}
+
+    def test_pcg_failure_names_level(self, monkeypatch):
+        # a variable-mobility run whose phase solves may take 2 PCG iterations:
+        # the failure names the level and time and keeps residual and count
+        monkeypatch.setattr(solvers, "CG_MAXIT", 2)
+        mobility = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
+        cfg = tiny_config(params=replace(CASE2.params, mobility=mobility))
+        with pytest.raises(SolverError, match=r"^level 1 \(t=0\.01\): PCG did not reach "
+                                              r"tol=1e-12 in 2 iterations ") as err:
+            run_single(cfg)
+        assert err.value.iterations == 2
+        assert err.value.residual > 1e-12
 
     def test_bdf1_scheme_runs(self, tmp_path):
         res = run_single(tiny_config(scheme="bdf1"), tmp_path)
@@ -591,16 +629,26 @@ class TestCli:
         assert "step count is not a finite number" in err
         assert not out.exists()
 
+    # header bytes (offset, replacement) that corrupt a snapshot's header
+    HEADER_DAMAGE = {
+        "nx-2": (8, struct.pack("<I", 2)),
+        "nan-x0": (16, struct.pack("<d", math.nan)),
+        "non-utf8-name": (56, b"\xff"),
+    }
+
     @pytest.mark.parametrize("case, level, needle", [
         ("missing", 4, "s_phi_000004.snp: No such file or directory"),
         ("mis-shaped", 2, "has shape (8, 8), expected (16, 16)"),
         ("mis-timed", 2, "holds time 0.0035, more than tau/2 from t=0.002"),
         ("trailing", 3, "s_phi_000003.snp: expected 2048 bytes, found 2560"),
+        ("nx-2", 2, "s_phi_000002.snp: grid needs nx, ny >= 4, got 2x16"),
+        ("nan-x0", 2, "s_phi_000002.snp: x0 must be a finite number, got nan"),
+        ("non-utf8-name", 3, "s_phi_000003.snp is not UTF-8"),
     ])
     def test_forcing_series_failure_exit_code(self, tmp_path, capsys, case, level, needle):
         # a case1 run fed by a [sources] series of three levels: a missing,
-        # mis-shaped, mis-timed or overlong file is a configuration error
-        # naming the level
+        # mis-shaped, mis-timed, overlong or corrupt-header file is a
+        # configuration error naming the level
         from dendrosim.config import serialize_config
         from dendrosim.snapshots import FieldSnapshot, write_snapshot
 
@@ -615,10 +663,18 @@ class TestCli:
                 t = 3.5e-3
             snap = FieldSnapshot(grid=snap_grid, time=t, name="s_phi",
                                  values=snap_grid.full(0.1))
-            write_snapshot(snap, forcing / f"s_phi_{n:06d}.snp")
+            path = forcing / f"s_phi_{n:06d}.snp"
+            write_snapshot(snap, path)
             if n == level and case == "trailing":
-                with open(forcing / f"s_phi_{n:06d}.snp", "ab") as fh:
+                with open(path, "ab") as fh:
                     fh.write(np.ones(64).tobytes())
+            if n == level and case in self.HEADER_DAMAGE:
+                offset, raw = self.HEADER_DAMAGE[case]
+                with open(path, "r+b") as fh:
+                    fh.seek(offset)
+                    fh.write(raw)
+                    if case == "nx-2":  # a 2x16 payload: only the grid is at fault
+                        fh.truncate(72 + 8 * 2 * 16)
         t_end = 5e-3 if case == "missing" else 3e-3
         cfg = replace(shipped_config("case1"), grid=grid, scheme="bdf1",
                       tau=tau, t_end=t_end, source_phi_dir=str(forcing))
@@ -629,6 +685,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: level {level} (t={level * tau:g}): ")
         assert needle in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, value", [
+        ("phi", math.nan), ("temp", math.nan), ("phi", 1e308),
+    ])
+    def test_non_finite_forcing_exit_code(self, tmp_path, capsys, kind, value):
+        # a NaN in a forcing file, or a finite value that overflows the
+        # right-hand side, reaches the first solve of level 1: exit 5, one
+        # line naming the level and time
+        from dendrosim.snapshots import FieldSnapshot, write_snapshot
+
+        tau, grid = 1e-3, GridSpec(16, 16)
+        forcing = tmp_path / "forcing"
+        forcing.mkdir()
+        values = grid.full(0.1)
+        values[3, 5] = value
+        for n in (1, 2):
+            write_snapshot(FieldSnapshot(grid, n * tau, "s", values),
+                           forcing / f"s_{kind}_{n:06d}.snp")
+        cfg = replace(shipped_config("case1"), grid=grid, scheme="bdf1", tau=tau,
+                      t_end=2 * tau, **{f"source_{kind}_dir": str(forcing)})
+        path = tmp_path / "case1.cfg"
+        path.write_text(serialize_config(cfg))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        if math.isfinite(value):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                code = main(argv)
+        else:
+            code = main(argv)
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == ("numerical breakdown: level 1 (t=0.001): "
+                       "helmholtz_solve: rhs contains non-finite values\n")
 
     def test_unusable_out_path_exit_code(self, tmp_path, capsys):
         # --out below a regular file cannot be created: exit 2, one line

@@ -251,6 +251,17 @@ class TestHelmholtz:
         with pytest.raises(ValueError, match="non-finite"):
             helmholtz_solve(grid8, 1.0, 1.0, rhs)
 
+    def test_nonfinite_input_is_a_floating_point_error(self, grid8):
+        # a run reports a non-finite solve input as a numerical breakdown
+        rhs = grid8.zeros()
+        rhs[0, 0] = np.inf
+        with pytest.raises(FloatingPointError, match="^helmholtz_solve: rhs contains non-finite"):
+            helmholtz_solve(grid8, 1.0, 1.0, rhs)
+        with pytest.raises(FloatingPointError, match="^variable_helmholtz_solve: rhs contains"):
+            variable_helmholtz_solve(grid8, grid8.full(1.0), 1.0, rhs)
+        with pytest.raises(FloatingPointError, match="finite a and b"):
+            helmholtz_solve(grid8, np.nan, 1.0, grid8.zeros())
+
     @pytest.mark.parametrize("b", [1.0, 0.0])
     def test_rejects_complex_rhs(self, grid8, b):
         # the float64 workspace would drop the imaginary part without a word
@@ -263,7 +274,7 @@ class TestVariableHelmholtz:
     def test_constant_coefficient_reduces(self, grid16):
         rhs = random_field(grid16, 5)
         c = grid16.full(3.0)
-        u, iters = variable_helmholtz_solve(grid16, c, 2.0, rhs, tol=1e-12)
+        u, iters = variable_helmholtz_solve(grid16, c, 2.0, rhs)  # CG_TOL = 1e-12
         u_ref = helmholtz_solve(grid16, 3.0, 2.0, rhs)
         assert u == pytest.approx(u_ref, abs=1e-10 * max(1.0, np.max(np.abs(u_ref))))
         assert iters <= 3
@@ -278,24 +289,27 @@ class TestVariableHelmholtz:
         for _ in range(20):
             rhs = rng.standard_normal(g.shape)
             expected = np.linalg.solve(dense, rhs.ravel()).reshape(g.shape)
-            u, _ = variable_helmholtz_solve(g, c, b, rhs, tol=1e-12)
+            u, _ = variable_helmholtz_solve(g, c, b, rhs)  # CG_TOL = 1e-12
             assert np.max(np.abs(u - expected)) < 1e-8 * max(1.0, np.max(np.abs(expected)))
 
-    def test_iteration_count_regression(self):
+    def test_iteration_count_regression(self, monkeypatch):
         # 10% coefficient variation about the mean: the constant-shift
         # preconditioner keeps PCG short
+        monkeypatch.setattr(solvers, "CG_TOL", 1e-10)
         g = GridSpec(128, 128)
         x, y = g.mesh()
         c = 10.0 * (1.0 + 0.1 * np.sin(np.pi * x) * np.cos(np.pi * y))
         rhs = random_field(g, 21)
-        _, iters = variable_helmholtz_solve(g, c, 1.0, rhs, tol=1e-10)
+        _, iters = variable_helmholtz_solve(g, c, 1.0, rhs)
         assert iters <= 25
 
-    def test_nonconvergence_raises_with_residual(self, grid16):
+    def test_nonconvergence_raises_with_residual(self, grid16, monkeypatch):
+        monkeypatch.setattr(solvers, "CG_TOL", 1e-300)
+        monkeypatch.setattr(solvers, "CG_MAXIT", 3)
         c = grid16.full(1.0)
         rhs = random_field(grid16, 8)
         with pytest.raises(SolverError) as err:
-            variable_helmholtz_solve(grid16, c, 5.0, rhs, tol=1e-300, maxit=3)
+            variable_helmholtz_solve(grid16, c, 5.0, rhs)
         assert err.value.iterations == 3
         assert err.value.residual > 0.0
 
