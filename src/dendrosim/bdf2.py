@@ -12,7 +12,8 @@ formed once, from the recombined phi (``bdf1.phase_potential``).
 The first level is produced from the level-0 state of ``bdf1.init_state``
 by one first-order bootstrap step, which costs O(tau^2) globally and leaves
 the second-order convergence intact.  :func:`bootstrap` and :func:`step2`
-take the parameters of ``bdf1.step``.
+take the parameters of ``bdf1.step``, whose stepping body
+(``bdf1._advance``) :func:`step2` runs.
 
 The energy law is the one of ``bdf1`` at order k = 2: ``bdf1.scheme_energy``,
 ``bdf1.state_norms`` and ``bdf1.identity_proof_lines`` read the state's
@@ -61,21 +62,17 @@ def step2(
     sources: SourceTerms = NO_SOURCES,
     check_identity: bool = False,
 ) -> tuple[State, StepReport]:
-    """Advance one time level with the second-order scheme: the SAV kernel
-    with a0 = 3/2, history 2x^n - x^{n-1}/2 and explicit data 2x^n - x^{n-1}."""
-    t_new = state.t + tau
+    """Advance one time level with the second-order scheme: the stepping body
+    of ``bdf1.step`` with a0 = 3/2, history 2x^n - x^{n-1}/2 and explicit
+    data 2x^n - x^{n-1}, where a breakdown of E1 names the extrapolation."""
     try:
-        (phi, temp, mu, r), report = bdf1.sav_step(grid, p, tau, state, sources, t_new,
-                                                   check_identity)
+        return bdf1._advance(grid, state, tau, p, sources, check_identity,
+                             energy_identity_residual2)
     except EnergyPositivityError as exc:
         raise EnergyPositivityError(
-            f"{exc} (extrapolated field at t={t_new:g}; a larger bconst or a "
+            f"{exc} (extrapolated field at t={state.t + tau:g}; a larger bconst or a "
             "smaller tau tames the extrapolation overshoot)"
         ) from exc
-    new = state.next_level(phi, temp, mu, r, t_new)
-    if check_identity:
-        report.identity_residual = energy_identity_residual2(grid, p, tau, state, new)
-    return new, report
 
 
 def energy_identity_residual2(
@@ -85,6 +82,6 @@ def energy_identity_residual2(
     before: State,
     after: State,
 ) -> float:
-    """Energy-law balance of one second-order step, relative to |E^n|
-    (the order-k law of ``bdf1`` at k = 2)."""
+    """The largest proof line of one second-order step, relative to
+    2k|E^n| (the order-k law of ``bdf1`` at k = 2)."""
     return bdf1._identity_residual(grid, p, tau, before, after)

@@ -22,7 +22,7 @@ from .model import ConstantMobility, ModelParams
 
 __all__ = [
     "ConfigError", "UnknownKeyError", "MissingKeyError", "InvalidValueError",
-    "StabilizerBoundError", "InitialCondition", "RunConfig",
+    "InitialCondition", "RunConfig",
     "parse_config", "load_config", "serialize_config",
 ]
 
@@ -41,10 +41,6 @@ class MissingKeyError(ConfigError):
 
 class InvalidValueError(ConfigError):
     """A key parsed but its value is out of range or malformed."""
-
-
-class StabilizerBoundError(ConfigError):
-    """s1 must stay strictly below (1 - sigma)^2 when positive."""
 
 
 @dataclass(frozen=True)
@@ -243,11 +239,6 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise InvalidValueError(f"{section}.{key}: {exc}") from exc
 
-    s1, sigma = values["params"]["s1"], values["params"]["sigma"]
-    if s1 > 0.0 and s1 >= (1.0 - sigma) ** 2:
-        raise StabilizerBoundError(
-            f"model.s1={s1} must stay below (1-sigma)^2={(1.0 - sigma) ** 2}"
-        )
     run = values.pop("")
     for part, (cls, section) in _PARTS.items():
         try:

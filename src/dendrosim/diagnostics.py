@@ -191,28 +191,18 @@ def count_axis_branches(grid: GridSpec, phi: np.ndarray) -> tuple[int, int]:
     above = extents > 0.5 * (lo + hi)
     if above.all() or not above.any():
         return 0, 0
-    # rotate so a gap starts the scan, then split into runs of True
+    # rotate so a gap starts the scan: each arm is then a run of True whose
+    # first and last index follow the two edges of ``rolled`` around it
     start = int(np.argmin(above))
     rolled = np.roll(above, -start)
     rolled_angles = np.roll(angles, -start)
-    arms = 0
+    edges = np.flatnonzero(np.diff(np.append(rolled, False)))
     axis_arms = 0
-    in_arm = False
-    arm_angles: list[float] = []
     tol = np.deg2rad(AXIS_TOL_DEG)
-    for flag, ang in zip(np.append(rolled, False), np.append(rolled_angles, 0.0)):
-        if flag:
-            in_arm = True
-            arm_angles.append(ang)
-        elif in_arm:
-            arms += 1
-            mean = math.atan2(
-                float(np.mean(np.sin(arm_angles))), float(np.mean(np.cos(arm_angles)))
-            )
-            dev = min(abs(((mean - k * np.pi / 2 + np.pi) % (2 * np.pi)) - np.pi)
-                      for k in range(4))
-            if dev <= tol:
-                axis_arms += 1
-            in_arm = False
-            arm_angles = []
-    return arms, axis_arms
+    for first, last in zip(edges[0::2] + 1, edges[1::2] + 1):
+        arm = rolled_angles[first:last]
+        mean = math.atan2(float(np.mean(np.sin(arm))), float(np.mean(np.cos(arm))))
+        dev = min(abs(((mean - k * np.pi / 2 + np.pi) % (2 * np.pi)) - np.pi)
+                  for k in range(4))
+        axis_arms += int(dev <= tol)
+    return len(edges) // 2, axis_arms

@@ -197,9 +197,10 @@ def run_single(
     snapshot time that no level lies within tau/2 of raises
     InvalidValueError before anything is created.
 
-    EnergyPositivityError, FloatingPointError (a non-finite ledger row or
-    solve input among them), SolverError and SourceSeriesError are raised
-    again with the level and time they happened at.
+    EnergyPositivityError, FloatingPointError (a non-finite ledger row, solve
+    input or closure among them), SolverError and SourceSeriesError are
+    raised again, the same object, with the level and time they happened at
+    prefixed to their message.
     """
     snapshot_levels = _snapshot_levels(cfg)
     _retain_heap()
@@ -266,11 +267,9 @@ def run_single(
             state, report = advance(grid, state, cfg.tau, cfg.params, sources,
                                     cfg.check_identity)
             emit(state, report)
-    except (EnergyPositivityError, FloatingPointError, SourceSeriesError) as exc:
-        raise type(exc)(f"level {level} (t={t_level:g}): {exc}") from exc
-    except SolverError as exc:
-        raise SolverError(f"level {level} (t={t_level:g}): {exc}",
-                          exc.residual, exc.iterations) from exc
+    except (EnergyPositivityError, FloatingPointError, SourceSeriesError, SolverError) as exc:
+        exc.args = (f"level {level} (t={t_level:g}): {exc}",)  # a SolverError keeps its data
+        raise
     finally:
         if writer is not None:
             writer.close()

@@ -98,7 +98,7 @@ def xi_study(a1_registry):
 
 
 def test_criterion_1_energy_identity(identity_runs):
-    """Proof-line balance <= 1e-9 relative at every step, both schemes,
+    """Largest proof line <= 1e-9 relative at every step, both schemes,
     tau from 1e-3 to 100, Case-II data on 64x64."""
     worst = 0.0
     for (scheme, tau), res in identity_runs.items():

@@ -286,12 +286,30 @@ class TestIdentityChecker:
         assert 0.0 <= res <= 1e-12
 
     def test_detects_tampered_state(self, case2):
-        # corrupting the new state must blow the balance up
+        # corrupting the new state must blow the residual up
         grid, p, phi0, temp0 = case2
         before, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), 1.0, p)
         after, _ = step2(grid, before, 1.0, p)
         after = replace(after, r=after.r * 1.001)
         assert energy_identity_residual2(grid, p, 1.0, before, after) > 1e-6
+
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
+    @pytest.mark.parametrize("name", ["g_residual", "h_prime"])
+    def test_detects_wrong_explicit_term(self, case2, monkeypatch, scheme, name):
+        # the work of g and h' enters two proof lines with opposite signs and
+        # cancels from their sum, the energy balance that SAV meets for any
+        # explicit data: a check that evaluates g or h' wrongly shows only in
+        # the lines one at a time
+        grid, p, phi0, temp0 = case2
+        before = init_state(grid, phi0, temp0, p)
+        step_fn, residual = bdf1.step, bdf1.energy_identity_residual
+        if scheme == "bdf2":
+            before, _ = bootstrap(grid, before, 1.0, p)
+            step_fn, residual = step2, energy_identity_residual2
+        after, _ = step_fn(grid, before, 1.0, p)
+        fn = getattr(bdf1, name)
+        monkeypatch.setattr(bdf1, name, lambda *args: fn(*args) + 7.0)
+        assert residual(grid, p, 1.0, replace(before), replace(after)) > 1e-9
 
 
 # The identity check as it stood before the energy norms were memoized on the

@@ -13,7 +13,6 @@ from dendrosim.config import (
     InvalidValueError,
     MissingKeyError,
     RunConfig,
-    StabilizerBoundError,
     UnknownKeyError,
     load_config,
     parse_config,
@@ -129,7 +128,8 @@ class TestValidation:
 
     def test_stabilizer_bound(self):
         bad = MINIMAL.replace("s1 = 0.9", "s1 = 0.95")
-        with pytest.raises(StabilizerBoundError, match="s1"):
+        # ModelParams alone holds the bound; parse_config names its section
+        with pytest.raises(InvalidValueError, match=r"^model: s1=0\.95 must stay below"):
             parse_config(bad)
 
     def test_bad_scheme(self):

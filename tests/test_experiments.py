@@ -686,13 +686,17 @@ class TestCli:
         assert err.startswith(f"configuration error: level {level} (t={level * tau:g}): ")
         assert needle in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("kind, value", [
-        ("phi", math.nan), ("temp", math.nan), ("phi", 1e308),
-    ])
-    def test_non_finite_forcing_exit_code(self, tmp_path, capsys, kind, value):
-        # a NaN in a forcing file, or a finite value that overflows the
-        # right-hand side, reaches the first solve of level 1: exit 5, one
-        # line naming the level and time
+    @pytest.mark.parametrize("kind, value, needle", [
+        ("phi", math.nan, "helmholtz_solve: rhs contains non-finite values"),
+        ("temp", math.nan, "helmholtz_solve: rhs contains non-finite values"),
+        ("phi", 1e308, "helmholtz_solve: rhs contains non-finite values"),
+        ("temp", 1e308, "xi closure: A1=80200.0 and A2=nan must be finite"),
+    ], ids=["phi-nan", "temp-nan", "phi-1e+308", "temp-1e+308"])
+    def test_non_finite_forcing_exit_code(self, tmp_path, capsys, kind, value, needle):
+        # a NaN in a forcing file, or a finite value that overflows the phase
+        # right-hand side, reaches the first solve of level 1; a finite T value
+        # whose solve overflows reaches the xi closure: exit 5, one line naming
+        # the level, the time and where the run broke down, and no warning
         from dendrosim.snapshots import FieldSnapshot, write_snapshot
 
         tau, grid = 1e-3, GridSpec(16, 16)
@@ -707,16 +711,9 @@ class TestCli:
                       t_end=2 * tau, **{f"source_{kind}_dir": str(forcing)})
         path = tmp_path / "case1.cfg"
         path.write_text(serialize_config(cfg))
-        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
-        if math.isfinite(value):
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                code = main(argv)
-        else:
-            code = main(argv)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err == ("numerical breakdown: level 1 (t=0.001): "
-                       "helmholtz_solve: rhs contains non-finite values\n")
+        assert capsys.readouterr().err == f"numerical breakdown: level 1 (t=0.001): {needle}\n"
 
     def test_unusable_out_path_exit_code(self, tmp_path, capsys):
         # --out below a regular file cannot be created: exit 2, one line
