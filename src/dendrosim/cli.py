@@ -1,10 +1,12 @@
 """Command-line driver for single runs and the experiment reproductions.
 
 Exit codes: 0 success, 2 configuration error (among them a [sources] forcing
-snapshot that is missing or corrupt, header included) or an output path
-that cannot be written (the one stderr line names the path), 3 solver
-failure, 4 energy-law violation under --strict-energy, 5 numerical breakdown
-(a non-positive auxiliary energy E1 or closure denominator A1, a non-finite
+snapshot that is missing or corrupt, header included, a configuration file
+that is not UTF-8, an accuracy step that does not divide t_end, and sweep
+members that share an output name) or an output path that cannot be
+written (the one stderr line names the path), 3 solver failure, 4
+energy-law violation under --strict-energy, 5 numerical breakdown (a
+non-positive auxiliary energy E1 or closure denominator A1, a non-finite
 ledger value, or a non-finite solve input such as a NaN forcing value).
 Failures during a run are reported with the level and time they happened at.
 """

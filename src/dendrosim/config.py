@@ -251,8 +251,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """Parse the configuration file ``path``, read as UTF-8 whatever the
+    locale; a file that is not UTF-8 raises ConfigError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def serialize_config(cfg: RunConfig) -> str:

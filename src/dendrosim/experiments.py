@@ -63,15 +63,27 @@ DENDRITE_SNAPSHOT_TIMES = {
 
 @dataclass
 class RunResult:
+    """A finished run; its summary values are read from the ledger rows of
+    the stepped levels, ``records[1:]``."""
+
     config: RunConfig
     records: list[EnergyRecord]
     final_state: bdf1.State
     ledger_path: Path | None
-    min_a1: float
-    max_xi_dev: float
-    max_identity_residual: float
     cg_iterations: int  # CG iterations of the variable-mobility solves, summed over levels
     max_cg_iterations: int  # the most of them in one level
+
+    @property
+    def min_a1(self) -> float:
+        return min((rec.a1 for rec in self.records[1:]), default=math.inf)
+
+    @property
+    def max_xi_dev(self) -> float:
+        return max((abs(rec.xi - 1.0) for rec in self.records[1:]), default=0.0)
+
+    @property
+    def max_identity_residual(self) -> float:
+        return max((rec.identity_residual for rec in self.records[1:]), default=0.0)
 
 
 @dataclass
@@ -216,18 +228,15 @@ def run_single(
         resolved = serialize_config(cfg)
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "resolved.cfg").write_text(resolved)
+        (out_dir / "resolved.cfg").write_text(resolved, encoding="utf-8")
         ledger_path = out_dir / cfg.ledger
         writer = LedgerWriter(ledger_path)
 
-    min_a1 = math.inf
-    max_xi_dev = 0.0
-    max_identity = 0.0
     cg_total = cg_max = 0
     last_order = 0  # BDF order of the state of the last row
 
     def emit(state, report) -> None:
-        nonlocal min_a1, max_xi_dev, max_identity, cg_total, cg_max, last_order
+        nonlocal cg_total, cg_max, last_order
         rec = make_record(grid, cfg.params, state, report)
         if cfg.strict_energy and state.order == last_order:
             prev = records[-1]
@@ -241,9 +250,6 @@ def run_single(
         if writer is not None:
             writer.append(rec)
         if report is not None:
-            min_a1 = min(min_a1, report.a1)
-            max_xi_dev = max(max_xi_dev, abs(report.xi - 1.0))
-            max_identity = max(max_identity, report.identity_residual)
             cg_total += report.cg_iterations
             cg_max = max(cg_max, report.cg_iterations)
         if out_dir is not None and (
@@ -279,9 +285,6 @@ def run_single(
         records=records,
         final_state=replace(state),  # a fresh memo: no step takes the last row's geometry
         ledger_path=ledger_path,
-        min_a1=min_a1,
-        max_xi_dev=max_xi_dev,
-        max_identity_residual=max_identity,
         cg_iterations=cg_total,
         max_cg_iterations=cg_max,
     )
@@ -300,11 +303,28 @@ def _check_sweep(values, what: str) -> tuple[float, ...]:
     return values
 
 
-def _check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
+def _output_names(values, name, what: str) -> dict:
+    """Each swept value by the output name ``name(value)`` of its run.  Raises
+    InvalidValueError, naming both values and the name, when two of the
+    ``what`` share a name: the later run would overwrite the earlier one's
+    outputs."""
+    named = {}
+    for value in values:
+        key = name(value)
+        if key in named:
+            raise InvalidValueError(
+                f"{what} {named[key]!r} and {value!r} share the output name {key!r}")
+        named[key] = value
+    return named
+
+
+def _check_ladder(ladder, ref_tau: float, t_end: float) -> tuple[float, ...]:
     """The accuracy ladder as a tuple of floats.  Raises InvalidValueError
     unless the reference step and every rung are finite and positive, and the
     ladder has at least two strictly decreasing rungs, each at least 10x the
-    reference step."""
+    reference step, and unless each of those steps divides ``t_end``: a run
+    of round(t_end/tau) >= 1 steps ends within 1e-9 t_end of it, so every
+    rung is compared with the reference at t_end."""
     ladder = _check_sweep((ref_tau, *ladder), "accuracy step sizes")[1:]
     if len(ladder) < 2:
         raise InvalidValueError("accuracy ladder needs at least two step sizes")
@@ -316,6 +336,13 @@ def _check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
             f"ladder step {min(ladder)} too close to reference tau {ref_tau}; "
             "need at least a factor 10"
         )
+    for tau in (ref_tau, *ladder):
+        steps = t_end / tau
+        if math.isfinite(steps):
+            steps = round(steps)
+        if not (steps >= 1 and abs(steps * tau - t_end) <= 1e-9 * t_end):
+            raise InvalidValueError(f"accuracy step {tau!r} does not divide t_end={t_end!r}: "
+                                    f"its {steps} steps end at t={steps * tau:g}")
     return ladder
 
 
@@ -328,10 +355,11 @@ def run_accuracy(
     """Self-convergence study of both schemes: L2 errors at t_end of every
     ladder rung against one fine bdf2 reference at ``ref_tau``.
 
-    The ladder and ``out_dir`` are checked before any stepping.  With
+    The ladder and ``out_dir`` are checked before any stepping; every rung
+    and the reference step must divide t_end.  With
     ``out_dir``, each scheme's errors and slopes go to accuracy_<scheme>.csv.
     """
-    ladder = _check_ladder(ladder, ref_tau)
+    ladder = _check_ladder(ladder, ref_tau, base.t_end)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -377,16 +405,17 @@ def run_stability(
 ) -> list[RunResult]:
     """Sweep the stabilizer sets of STABILIZER_SETS and the step sizes; every
     run is strict, so one that does not dissipate the modified energy raises
-    EnergyLawViolation.  The step sizes and the step count are checked before
-    any run."""
-    taus = _check_sweep(taus, "stability step sizes")
+    EnergyLawViolation.  The step sizes, their distinct output names and the
+    step count are checked before any run."""
+    taus = _output_names(_check_sweep(taus, "stability step sizes"), "tau{:g}".format,
+                         "stability step sizes")
     if n_steps < 1:
         raise InvalidValueError(f"stability step count must be at least 1, got {n_steps}")
     results = []
     for s1, s2, s3, s4 in STABILIZER_SETS:
         params = replace(base.params, s1=s1, s2=s2, s3=s3, s4=s4)
-        for tau in taus:
-            tag = f"s{s1:g}_{s2:g}_{s3:g}_{s4:g}_tau{tau:g}"
+        for tau_tag, tau in taus.items():
+            tag = f"s{s1:g}_{s2:g}_{s3:g}_{s4:g}_{tau_tag}"
             cfg = replace(
                 base, params=params, tau=tau, t_end=tau * n_steps,
                 ledger=f"stability_{tag}.csv", prefix=f"stability_{tag}",
@@ -407,18 +436,20 @@ def run_dendrite(
     ``snapshot_times`` when it sets any, else at its latent heat's instants
     in DENDRITE_SNAPSHOT_TIMES (the configuration's t_end for a latent heat
     outside that table), runs to the last instant and keeps a full ledger.
-    The latent heats are checked before any run.
+    The latent heats and their distinct output names are checked before any
+    run.
     """
-    latent_values = _check_sweep(latent_values, "latent heat values")
+    latent_values = _output_names(_check_sweep(latent_values, "latent heat values"),
+                                  "K{:g}".format, "latent heat values")
     results = []
-    for latent in latent_values:
+    for tag, latent in latent_values.items():
         times = base.snapshot_times or DENDRITE_SNAPSHOT_TIMES.get(latent, (base.t_end,))
         params = replace(base.params, latent=latent)
         cfg = replace(
             base, params=params, t_end=max(times), snapshot_times=times,
-            ledger=f"dendrite_K{latent:g}.csv", prefix=f"dendrite_K{latent:g}",
+            ledger=f"dendrite_{tag}.csv", prefix=f"dendrite_{tag}",
         )
-        sub_dir = None if out_dir is None else Path(out_dir) / f"K{latent:g}"
+        sub_dir = None if out_dir is None else Path(out_dir) / tag
         res = run_single(cfg, sub_dir)
         arms, axis_arms = count_axis_branches(cfg.grid, res.final_state.phi)
         results.append(DendriteResult(latent=latent, result=res, arms=arms, axis_arms=axis_arms))

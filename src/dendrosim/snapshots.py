@@ -11,14 +11,14 @@ Snapshot layout (all little-endian, no padding):
 
 Checkpoints stack the same header idea with a scheme tag and the full
 scalar state, followed by the state's fields in a fixed order, so
-restore-then-step reproduces uninterrupted stepping bit for bit.
-Fields are read in place; a payload cut short or followed by trailing bytes is rejected,
-and so is a header whose grid GridSpec refuses or whose field name is not UTF-8.
+read-then-step reproduces uninterrupted stepping bit for bit.
+Both are written from each field's own buffer and read in place, uncopied; a
+payload cut short or followed by trailing bytes is rejected, and so is a header
+whose grid GridSpec refuses or whose field name is not UTF-8.  Errors name the file.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -36,8 +36,6 @@ __all__ = [
     "SourceSeriesError",
     "write_snapshot",
     "read_snapshot",
-    "checkpoint",
-    "restore",
     "write_checkpoint",
     "read_checkpoint",
     "source_from_snapshots",
@@ -73,10 +71,6 @@ class FieldSnapshot:
     values: np.ndarray
 
 
-def _field_bytes(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f8").tobytes()
-
-
 def _read_header(fh, header: struct.Struct, magic: bytes, version: int, where: str) -> tuple:
     head = fh.read(header.size)
     if len(head) < header.size:
@@ -101,10 +95,10 @@ def _header_grid(nx: int, ny: int, x0: float, x1: float, y0: float, y1: float,
         raise SnapshotFormatError(f"bad grid in {where}: {exc}") from exc
 
 
-def _read_fields(fh, size: int, names: tuple, nx: int, ny: int, where: str) -> dict:
-    """Read the named (nx, ny) fields that must fill the rest of the ``size``
-    bytes of ``fh``, each straight into its array."""
-    need, found = 8 * nx * ny * len(names), size - fh.tell()
+def _read_fields(fh, names: tuple, nx: int, ny: int, where: str) -> dict:
+    """Read the named (nx, ny) fields that must fill the rest of the file
+    ``fh``, each straight into its array."""
+    need, found = 8 * nx * ny * len(names), os.fstat(fh.fileno()).st_size - fh.tell()
     if found != need:
         kind = "truncated payload" if found < need else "trailing bytes"
         raise SnapshotFormatError(f"{kind} in {where}: expected {need} bytes, found {found}")
@@ -113,6 +107,15 @@ def _read_fields(fh, size: int, names: tuple, nx: int, ny: int, where: str) -> d
         if fh.readinto(values) != values.nbytes:
             raise SnapshotFormatError(f"{where} shrank while it was read")
     return fields
+
+
+def _write_fields(path: str | Path, header: bytes, fields) -> None:
+    """Write ``header``, then each field as little-endian f64; a contiguous
+    little-endian field is written from its own buffer, uncopied."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for values in fields:
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def write_snapshot(snap: FieldSnapshot, path: str | Path) -> None:
@@ -125,10 +128,7 @@ def write_snapshot(snap: FieldSnapshot, path: str | Path) -> None:
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.nx, g.ny,
         g.x0, g.x1, g.y0, g.y1, snap.time, name.ljust(16, b"\0"),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        # a contiguous little-endian field is written from its own buffer, uncopied
-        fh.write(np.ascontiguousarray(snap.values, dtype="<f8"))
+    _write_fields(path, header, (snap.values,))
 
 
 def read_snapshot(path: str | Path) -> FieldSnapshot:
@@ -140,50 +140,39 @@ def read_snapshot(path: str | Path) -> FieldSnapshot:
             name = name.rstrip(b"\0").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SnapshotFormatError(f"field name in {path} is not UTF-8: {exc}") from exc
-        size = os.fstat(fh.fileno()).st_size
-        values = _read_fields(fh, size, ("values",), nx, ny, str(path))["values"]
+        values = _read_fields(fh, ("values",), nx, ny, str(path))["values"]
     return FieldSnapshot(grid=grid, time=time, name=name, values=values)
 
 
-def checkpoint(grid: GridSpec, state: State) -> bytes:
-    """Serialize a scheme state (every field and scalar, both levels at BDF
-    order 2); the tag names the order."""
-    if state.order == 2:
-        tag, fields, r_prev = b"BDF2", _BDF2_FIELDS, state.r_prev
-    else:
-        tag, fields, r_prev = b"BDF1", _BDF1_FIELDS, 0.0
-    header = _CKPT_HEADER.pack(
-        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tag, grid.nx, grid.ny,
-        grid.x0, grid.x1, grid.y0, grid.y1,
-        state.n, state.t, state.r, r_prev,
-    )
-    chunks = [header]
-    for name in fields:
-        arr = getattr(state, name)
-        grid.check(arr)
-        chunks.append(_field_bytes(arr))
-    return b"".join(chunks)
-
-
-def restore(buf: bytes, where: str = "checkpoint") -> tuple[GridSpec, State]:
-    fh = io.BytesIO(buf)
-    tag, nx, ny, x0, x1, y0, y1, n, t, r, r_prev = _read_header(
-        fh, _CKPT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, where)
-    grid = _header_grid(nx, ny, x0, x1, y0, y1, where)
-    if tag not in (b"BDF1", b"BDF2"):
-        raise SnapshotFormatError(f"unknown scheme tag {tag!r}")
-    names = _BDF1_FIELDS if tag == b"BDF1" else _BDF2_FIELDS
-    arrays = _read_fields(fh, len(buf), names, nx, ny, where)
-    prev = {"r_prev": r_prev} if tag == b"BDF2" else {}
-    return grid, State(r=r, t=t, n=n, **prev, **arrays)
-
-
 def write_checkpoint(path: str | Path, grid: GridSpec, state: State) -> None:
-    Path(path).write_bytes(checkpoint(grid, state))
+    """Write a scheme state (every field and scalar, both levels at BDF order
+    2) to ``path``; the tag names the order.  A field not on ``grid`` raises
+    ValueError before the file is opened."""
+    if state.order == 2:
+        tag, names, r_prev = b"BDF2", _BDF2_FIELDS, state.r_prev
+    else:
+        tag, names, r_prev = b"BDF1", _BDF1_FIELDS, 0.0
+    fields = [getattr(state, name) for name in names]
+    grid.check(*fields)
+    header = _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, tag, grid.nx, grid.ny,
+                               grid.x0, grid.x1, grid.y0, grid.y1,
+                               state.n, state.t, state.r, r_prev)
+    _write_fields(path, header, fields)
 
 
 def read_checkpoint(path: str | Path) -> tuple[GridSpec, State]:
-    return restore(Path(path).read_bytes(), str(path))
+    """The grid and scheme state that :func:`write_checkpoint` wrote to ``path``."""
+    where = str(path)
+    with open(path, "rb") as fh:
+        tag, nx, ny, x0, x1, y0, y1, n, t, r, r_prev = _read_header(
+            fh, _CKPT_HEADER, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, where)
+        grid = _header_grid(nx, ny, x0, x1, y0, y1, where)
+        if tag not in (b"BDF1", b"BDF2"):
+            raise SnapshotFormatError(f"unknown scheme tag {tag!r} in {where}")
+        fields = _read_fields(fh, _BDF1_FIELDS if tag == b"BDF1" else _BDF2_FIELDS,
+                              nx, ny, where)
+    prev = {"r_prev": r_prev} if tag == b"BDF2" else {}
+    return grid, State(r=r, t=t, n=n, **prev, **fields)
 
 
 def source_from_snapshots(directory: str | Path, prefix: str, tau: float):

@@ -14,7 +14,7 @@ import pytest
 from dendrosim.config import RunConfig
 from dendrosim.experiments import run_accuracy, run_dendrite, run_single
 from dendrosim.grid import GridSpec, laplacian
-from dendrosim.snapshots import checkpoint, restore
+from dendrosim.snapshots import read_checkpoint, write_checkpoint
 from dendrosim.solvers import helmholtz_solve, variable_helmholtz_solve
 
 from conftest import shipped_config
@@ -233,8 +233,9 @@ def test_criterion_7_solver_oracles():
           "within 1e-10 / 1e-8")
 
 
-def test_criterion_8_determinism_and_persistence():
-    """Checkpoint/restore mid-run equals uninterrupted stepping bit for bit."""
+def test_criterion_8_determinism_and_persistence(tmp_path):
+    """A checkpoint file written mid-run and read back steps on bit for bit
+    as uninterrupted stepping does."""
     from dendrosim import bdf1
     from dendrosim import bdf2 as b2
 
@@ -251,11 +252,12 @@ def test_criterion_8_determinism_and_persistence():
         return s
 
     straight = advance(state, 10)
-    half = advance(state, 5)
-    _, resumed = restore(checkpoint(grid, half))
+    path = tmp_path / "half.ckpt"
+    write_checkpoint(path, grid, advance(state, 5))
+    _, resumed = read_checkpoint(path)
     resumed = advance(resumed, 5)
     for name in ("phi", "phi_prev", "temp", "temp_prev", "mu", "mu_prev"):
         assert np.array_equal(getattr(straight, name), getattr(resumed, name))
     assert straight.r == resumed.r and straight.r_prev == resumed.r_prev
-    print("\n[acceptance] criterion 8 PASS: 10 steps == 5 + checkpoint/restore "
+    print("\n[acceptance] criterion 8 PASS: 10 steps == 5 + checkpoint file "
           "+ 5, bitwise")

@@ -1,5 +1,7 @@
 import math
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,16 +24,14 @@ from dendrosim.model import e1_energy
 from dendrosim.snapshots import (
     FieldSnapshot,
     SnapshotFormatError,
-    checkpoint,
     read_checkpoint,
     read_snapshot,
-    restore,
     source_from_snapshots,
     write_checkpoint,
     write_snapshot,
 )
 
-from conftest import random_field
+from conftest import random_field, shipped_config
 
 
 class TestCrystalArea:
@@ -237,11 +237,13 @@ class TestSnapshots:
 
 
 class TestCheckpoint:
-    def test_bdf1_roundtrip(self, case2):
+    def test_bdf1_roundtrip(self, case2, tmp_path):
         grid, p, phi0, temp0 = case2
         state = init_state(grid, phi0, temp0, p)
         state, _ = step(grid, state, 0.01, p)
-        grid2, back = restore(checkpoint(grid, state))
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, grid, state)
+        grid2, back = read_checkpoint(path)
         assert grid2 == grid
         assert back.n == state.n and back.t == state.t and back.r == state.r
         assert back.order == state.order == 1 and back.a0 == state.a0 == 1.0
@@ -261,8 +263,8 @@ class TestCheckpoint:
         assert back.order == state.order == 2 and back.a0 == state.a0 == 1.5
 
     @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
-    def test_restart_equals_uninterrupted_bitwise(self, case2, scheme):
-        # 10 steps == 5 steps + checkpoint/restore + 5 steps, bit for bit:
+    def test_restart_equals_uninterrupted_bitwise(self, case2, scheme, tmp_path):
+        # 10 steps == 5 steps + checkpoint file + 5 steps, bit for bit:
         # restart must not re-bootstrap or lose any level
         grid, p, phi0, temp0 = case2
         tau = 0.05
@@ -280,41 +282,84 @@ class TestCheckpoint:
             start, _ = bootstrap(grid, start, tau, p)
 
         straight = advance(start, 10)
-        half = advance(start, 5)
-        _, resumed = restore(checkpoint(grid, half))
+        path = tmp_path / "half.ckpt"
+        write_checkpoint(path, grid, advance(start, 5))
+        _, resumed = read_checkpoint(path)
         resumed = advance(resumed, 5)
         for name in ("phi", "temp", "mu"):
             assert np.array_equal(getattr(straight, name), getattr(resumed, name))
         assert straight.r == resumed.r
 
-    def test_truncated_checkpoint(self, case2):
+    @staticmethod
+    def _file(case2, tmp_path):
         grid, p, phi0, temp0 = case2
-        state = init_state(grid, phi0, temp0, p)
-        buf = checkpoint(grid, state)
-        with pytest.raises(SnapshotFormatError, match="truncated"):
-            restore(buf[:-100])
-
-    def test_trailing_bytes_rejected(self, case2, tmp_path):
-        grid, p, phi0, temp0 = case2
-        buf = checkpoint(grid, init_state(grid, phi0, temp0, p))
-        payload = 3 * 8 * grid.nx * grid.ny  # phi, T and mu
-        with pytest.raises(SnapshotFormatError,
-                           match=rf"trailing bytes in checkpoint: expected {payload} bytes, "
-                                 rf"found {payload + 8}"):
-            restore(buf + bytes(8))
         path = tmp_path / "state.ckpt"
-        path.write_bytes(buf + b"x")
-        with pytest.raises(SnapshotFormatError, match=r"trailing bytes in .*state\.ckpt: "):
+        write_checkpoint(path, grid, init_state(grid, phi0, temp0, p))
+        return path
+
+    def test_truncated_checkpoint(self, case2, tmp_path):
+        path = self._file(case2, tmp_path)
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(SnapshotFormatError, match=r"^truncated payload in .*state\.ckpt: "):
             read_checkpoint(path)
 
-
-    def test_bad_grid_rejected(self, case2):
-        grid, p, phi0, temp0 = case2
-        buf = bytearray(checkpoint(grid, init_state(grid, phi0, temp0, p)))
-        buf[12:16] = struct.pack("<I", 2)  # nx
+    def test_trailing_bytes_rejected(self, case2, tmp_path):
+        grid = case2[0]
+        path = self._file(case2, tmp_path)
+        payload = 3 * 8 * grid.nx * grid.ny  # phi, T and mu
+        path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(SnapshotFormatError,
-                           match=r"^bad grid in checkpoint: grid needs nx, ny >= 4, got 2x"):
-            restore(bytes(buf))
+                           match=rf"^trailing bytes in .*state\.ckpt: expected {payload} bytes, "
+                                 rf"found {payload + 8}"):
+            read_checkpoint(path)
+
+    def test_bad_grid_rejected(self, case2, tmp_path):
+        path = self._file(case2, tmp_path)
+        buf = bytearray(path.read_bytes())
+        buf[12:16] = struct.pack("<I", 2)  # nx
+        path.write_bytes(bytes(buf))
+        with pytest.raises(SnapshotFormatError,
+                           match=r"^bad grid in .*state\.ckpt: grid needs nx, ny >= 4, got 2x"):
+            read_checkpoint(path)
+
+    def test_unknown_scheme_tag_rejected(self, case2, tmp_path):
+        path = self._file(case2, tmp_path)
+        buf = bytearray(path.read_bytes())
+        buf[8:12] = b"BDF3"  # the scheme tag
+        path.write_bytes(bytes(buf))
+        with pytest.raises(SnapshotFormatError,
+                           match=r"^unknown scheme tag b'BDF3' in .*state\.ckpt$"):
+            read_checkpoint(path)
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
+    def test_fields_stream_uncopied(self, tmp_path):
+        # a bdf2 state of six 128^2 fields is written from the fields' own
+        # buffers and read into the six returned arrays, with no copy of the
+        # payload in memory on either side
+        cfg, grid = shipped_config("case2"), GridSpec(128, 128)
+        start = init_state(grid, *cfg.initial.build(grid), cfg.params)
+        state, _ = bootstrap(grid, start, 0.01, cfg.params)
+        path, field = tmp_path / "state.ckpt", 8 * grid.nx * grid.ny
+        tracemalloc.start()
+        try:
+            write_checkpoint(path, grid, state)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, back = read_checkpoint(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert write_peak < field / 8
+        assert 6 * field <= read_peak < 6 * field + field / 8
+
+    def test_field_off_grid_leaves_no_file(self, case2, tmp_path):
+        grid, p, phi0, temp0 = case2
+        state = init_state(grid, phi0, temp0, p)
+        path = tmp_path / "state.ckpt"
+        with pytest.raises(ValueError, match="not conformable"):
+            write_checkpoint(path, replace(grid, nx=grid.nx + 1), state)
+        assert not path.exists()
 
 
 class TestSnapshotSources:

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import resource
 import struct
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -259,6 +261,22 @@ class TestRunSingle:
         res = run_single(replace(cfg, params=replace(cfg.params, mobility=mobility)))
         assert 0 < res.max_cg_iterations <= res.cg_iterations <= 3 * res.max_cg_iterations
 
+    def test_summary_is_read_from_the_stepped_rows(self):
+        # min a1, max |xi - 1| and the largest identity residual follow the
+        # ledger rows after level 0, so a result cut to its first stepped
+        # level reports that level's values
+        res = run_single(tiny_config(t_end=0.03))
+        stepped = res.records[1:]
+        assert res.min_a1 == min(rec.a1 for rec in stepped)
+        assert res.max_xi_dev == max(abs(rec.xi - 1.0) for rec in stepped)
+        assert res.max_identity_residual == max(rec.identity_residual for rec in stepped)
+        first = replace(res, records=res.records[:2])
+        assert (first.min_a1, first.max_xi_dev, first.max_identity_residual) == (
+            stepped[0].a1, abs(stepped[0].xi - 1.0), stepped[0].identity_residual)
+        unstepped = replace(res, records=res.records[:1])
+        assert (unstepped.min_a1, unstepped.max_xi_dev, unstepped.max_identity_residual) == (
+            math.inf, 0.0, 0.0)
+
     def test_unwritable_config_creates_no_directory(self, tmp_path):
         # a variable mobility cannot be written to resolved.cfg; the run must
         # fail before it creates its output directory
@@ -460,6 +478,30 @@ class TestRunAccuracy:
             run_accuracy(cfg, ladder=(1e-2, 5e-3), ref_tau=1e-3)
         with pytest.raises(ValueError, match="at least two"):
             run_accuracy(cfg, ladder=(1e-2,), ref_tau=1e-4)
+
+    @pytest.mark.parametrize("t_end, ladder, ref_tau, needle", [
+        # 0.021 / 4e-3 rounds to 5 steps, which end at t = 0.02
+        (0.021, (4e-3, 2e-3), 1e-4, "accuracy step 0.004 does not divide t_end=0.021: "
+                                    "its 5 steps end at t=0.02"),
+        (0.05, (1e-2, 3e-3), 1e-4, "accuracy step 0.003 does not divide t_end=0.05: "
+                                   "its 17 steps end at t=0.051"),
+        (0.05, (1e-2, 5e-3), 3e-4, "accuracy step 0.0003 does not divide t_end=0.05: "
+                                   "its 167 steps end at t=0.0501"),
+        # a rung of more than 2 t_end rounds to no step at all
+        (0.05, (0.2, 0.1), 1e-2, "accuracy step 0.2 does not divide t_end=0.05: "
+                                 "its 0 steps end at t=0"),
+    ], ids=["rungs-stop-early", "rung-rounds-up", "reference-rounds-up", "rung-of-no-step"])
+    def test_every_step_divides_t_end(self, tmp_path, monkeypatch, t_end, ladder, ref_tau,
+                                      needle):
+        # a rung that ended before or after t_end would be compared with the
+        # reference at another time: it is refused before any run and before
+        # out_dir is made
+        runs = []
+        monkeypatch.setattr(experiments, "run_single", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "acc"
+        with pytest.raises(InvalidValueError, match=f"^{re.escape(needle)}$"):
+            run_accuracy(tiny_config(t_end=t_end), ladder=ladder, ref_tau=ref_tau, out_dir=out)
+        assert runs == [] and not out.exists()
 
     def test_report_file(self, tmp_path):
         cfg = tiny_config(scheme="bdf1", t_end=0.05)
@@ -792,6 +834,9 @@ class TestCli:
         ("inf,1e-2", "5e-4", "finite and positive, got inf"),
         ("1e-2,5e-3", "0", "finite and positive, got 0.0"),
         ("1e-2,5e-3", "-1", "finite and positive, got -1.0"),
+        # 0.05 / 3e-3 rounds to 17 steps, which end at t = 0.051
+        ("1e-2,3e-3", "1e-4", "accuracy step 0.003 does not divide t_end=0.05: "
+                              "its 17 steps end at t=0.051"),
     ])
     def test_accuracy_bad_ladder_steps_nothing(self, tmp_path, capsys, monkeypatch,
                                                ladder, ref_tau, needle):
@@ -834,6 +879,32 @@ class TestCli:
         with pytest.raises(OSError):
             run_accuracy(tiny_config(), ladder=(1e-2, 5e-3), ref_tau=5e-4, out_dir=out)
         assert runs == []
+
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# \xff\n" + (CONFIG_DIR / "case2.cfg").read_bytes())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {cfg} is not UTF-8 text: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_is_utf8_under_the_c_locale(self, tmp_path):
+        # a UTF-8 comment and a non-ASCII prefix read and round-trip through
+        # resolved.cfg whatever the locale's encoding
+        cfg = tmp_path / "delta.cfg"
+        text = serialize_config(replace(CASE2, prefix="\u0394run"))
+        cfg.write_text("# \u0394 = 0.6\n" + text, encoding="utf-8")
+        out = tmp_path / "out"
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "dendrosim.cli", "run", "--config", str(cfg),
+                               "--t-end", "0.002", "--out", str(out)],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert load_config(out / "resolved.cfg").prefix == "\u0394run"
 
     def test_missing_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.cfg"
@@ -963,10 +1034,20 @@ class TestCli:
         ("stability", "--taus", "inf", "step sizes must be finite and positive, got inf"),
         ("stability", "--steps", "0", "stability step count must be at least 1, got 0"),
         ("stability", "--steps", "-2", "stability step count must be at least 1, got -2"),
+        # members whose output names format alike would write into one directory
+        ("stability", "--taus", "0.1,0.1000001",
+         "stability step sizes 0.1 and 0.1000001 share the output name 'tau0.1'"),
+        ("stability", "--taus", "0.5,0.1,0.5",
+         "stability step sizes 0.5 and 0.5 share the output name 'tau0.5'"),
+        ("dendrite", "--k-values", "0.6,0.6000001",
+         "latent heat values 0.6 and 0.6000001 share the output name 'K0.6'"),
+        ("dendrite", "--k-values", "1.2,1.2",
+         "latent heat values 1.2 and 1.2 share the output name 'K1.2'"),
     ])
     def test_bad_sweep_runs_nothing(self, tmp_path, capsys, monkeypatch, command, flag, values,
                                     needle):
-        # every sweep value is checked before the first run and before --out is made
+        # every sweep value, and the output name it formats to, is checked before
+        # the first run and before --out is made
         runs = []
         monkeypatch.setattr(experiments, "run_single", lambda *args, **kwargs: runs.append(args))
         out = tmp_path / "sweep"
