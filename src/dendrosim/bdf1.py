@@ -484,10 +484,10 @@ def _advance(
     grid: GridSpec, state: State, tau: float, p: ModelParams, sources: SourceTerms,
     check_identity: bool, residual: Callable[..., float],
 ) -> tuple[State, StepReport]:
-    """The stepping body of both schemes: :func:`sav_step` from ``state`` to
-    t + tau, the new level of the state's order (``state.next_level``) and,
-    when checked, its identity residual from the entry point ``residual``."""
-    t_new = state.t + tau
+    """The stepping body of both schemes: :func:`sav_step` from level n to
+    t = (n + 1)*tau, the new level of the state's order (``state.next_level``)
+    and, when checked, its identity residual from the entry point ``residual``."""
+    t_new = (state.n + 1) * tau
     (phi, temp, mu, r), report = sav_step(grid, p, tau, state, sources, t_new, check_identity)
     new = state.next_level(phi, temp, mu, r, t_new)
     if check_identity:

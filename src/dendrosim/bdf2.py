@@ -70,7 +70,7 @@ def step2(
                              energy_identity_residual2)
     except EnergyPositivityError as exc:
         raise EnergyPositivityError(
-            f"{exc} (extrapolated field at t={state.t + tau:g}; a larger bconst or a "
+            f"{exc} (extrapolated field at t={(state.n + 1) * tau:g}; a larger bconst or a "
             "smaller tau tames the extrapolation overshoot)"
         ) from exc
 

@@ -1,14 +1,15 @@
 """Command-line driver for single runs and the experiment reproductions.
 
 Exit codes: 0 success, 2 configuration error (among them a [sources] forcing
-snapshot that is missing or corrupt, header included, a configuration file
-that is not UTF-8, an accuracy step that does not divide t_end, and sweep
-members that share an output name) or an output path that cannot be
-written (the one stderr line names the path), 3 solver failure, 4
-energy-law violation under --strict-energy, 5 numerical breakdown (a
+snapshot that is missing, corrupt or on another grid, a configuration file
+that is not UTF-8, a tau that does not divide t_end, a list flag that is
+not numbers, and sweep members that share an output name) or an output
+path that cannot be written (the one stderr line names the path), 3 solver
+failure (a variable-mobility PCG solve, which only the Python API selects),
+4 energy-law violation under --strict-energy, 5 numerical breakdown (a
 non-positive auxiliary energy E1 or closure denominator A1, a non-finite
 ledger value, or a non-finite solve input such as a NaN forcing value).
-Failures during a run are reported with the level and time they happened at.
+Failures during a run are reported with the level n and its time n*tau.
 """
 
 from __future__ import annotations

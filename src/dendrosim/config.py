@@ -87,7 +87,9 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one simulation needs, including output policy."""
+    """Everything one simulation needs, including output policy.  A run is
+    ``n_steps`` whole steps, level n at t = n*tau; ``n_steps`` is read when a
+    run starts, not here, so a driver may replace tau or t_end first."""
 
     grid: GridSpec
     scheme: str
@@ -130,7 +132,14 @@ class RunConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.t_end / self.tau))
+        """The run's step count round(t_end/tau); InvalidValueError unless
+        those steps end within 1e-9 t_end of t_end."""
+        steps = round(self.t_end / self.tau)
+        if abs(steps * self.tau - self.t_end) > 1e-9 * self.t_end:
+            raise InvalidValueError(
+                f"time.tau={self.tau!r} does not divide time.t_end={self.t_end!r}: "
+                f"its {steps} steps end at t={steps * self.tau:g}")
+        return steps
 
 
 def _parse_float(raw: str) -> float:

@@ -188,9 +188,7 @@ def count_axis_branches(grid: GridSpec, phi: np.ndarray) -> tuple[int, int]:
     lo, hi = extents.min(), extents.max()
     if hi <= 0.0 or hi - lo < 0.15 * hi:
         return 0, 0
-    above = extents > 0.5 * (lo + hi)
-    if above.all() or not above.any():
-        return 0, 0
+    above = extents > 0.5 * (lo + hi)  # the longest ray is above, the shortest is not
     # rotate so a gap starts the scan: each arm is then a run of True whose
     # first and last index follow the two edges of ``rolled`` around it
     start = int(np.argmin(above))

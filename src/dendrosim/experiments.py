@@ -3,7 +3,8 @@ dendritic growth, matching the reference study at desk scale.
 
 Every driver goes through ``run_single``, whose one stepping loop serves
 both schemes, and writes its resolved configuration next to its outputs, so
-a run directory is self-describing.
+a run directory is self-describing.  Every run is ``RunConfig.n_steps``
+whole steps, level n at t = n*tau; no driver counts steps of its own.
 
 ``run_single`` changes one process-wide setting, once per process: on glibc
 it keeps the memory that a time level frees on the heap for the next level
@@ -143,30 +144,21 @@ def _retain_heap() -> None:
 
 def _snapshot_levels(cfg: RunConfig) -> set[int]:
     """The levels that ``cfg.snapshot_times`` selects: each time maps to the
-    first level 0..n_steps within tau/2 of it, the level times summed one tau
-    at a time as the steppers sum them.  One walk up the levels serves the
-    times in ascending order and stops at the last of them.  Raises
-    InvalidValueError, naming the run's last time, for the first time in
-    ``cfg.snapshot_times`` that no level lies within tau/2 of."""
-    half = 0.5 * cfg.tau
-    level_of = {}
-    n, t = 0, 0.0
-    for target in sorted(cfg.snapshot_times):
-        # the levels within tau/2 of a time are consecutive, and none of them
-        # lies below the level of a smaller time
-        while abs(t - target) > half and t < target and n < cfg.n_steps:
-            n, t = n + 1, t + cfg.tau
-        if abs(t - target) <= half:
-            level_of[target] = n
+    first of the two levels nearest time/tau whose time n*tau lies within
+    tau/2 of it.  Raises InvalidValueError, naming the run's last time, for
+    the first time that no level 0..n_steps lies within tau/2 of."""
+    tau, last = cfg.tau, cfg.n_steps
+    levels = set()
     for target in cfg.snapshot_times:
-        if target not in level_of:
-            for _ in range(n, cfg.n_steps):
-                t += cfg.tau
+        below = target // tau  # a float: a time that is not finite selects no level
+        level = next((n for n in (below, below + 1)
+                      if 0 <= n <= last and abs(n * tau - target) <= 0.5 * tau), None)
+        if level is None:
             raise InvalidValueError(
                 f"output.snapshot_times: no level lies within tau/2 of {target!r}; "
-                f"the run's levels span t=0 to t={t!r}"
-            )
-    return set(level_of.values())
+                f"the run's levels span t=0 to t={last * tau!r}")
+        levels.add(int(level))
+    return levels
 
 
 def _write_state_snapshots(cfg: RunConfig, out_dir: Path, state, step_index: int) -> None:
@@ -178,9 +170,10 @@ def _write_state_snapshots(cfg: RunConfig, out_dir: Path, state, step_index: int
 def _config_sources(cfg: RunConfig) -> SourceTerms:
     phi = temp = None
     if cfg.source_phi_dir:
-        phi = source_from_snapshots(cfg.source_phi_dir, cfg.source_phi_prefix, cfg.tau)
+        phi = source_from_snapshots(cfg.source_phi_dir, cfg.source_phi_prefix, cfg.tau, cfg.grid)
     if cfg.source_temp_dir:
-        temp = source_from_snapshots(cfg.source_temp_dir, cfg.source_temp_prefix, cfg.tau)
+        temp = source_from_snapshots(cfg.source_temp_dir, cfg.source_temp_prefix, cfg.tau,
+                                     cfg.grid)
     if phi is None and temp is None:
         return NO_SOURCES
     return SourceTerms(phi=phi, temp=temp)
@@ -204,16 +197,18 @@ def run_single(
     EnergyLawViolation before it is written.  Rows of states of different
     BDF order (bdf2's bootstrap row) are not compared.
 
-    Level n is written when ``cfg.snapshot_every`` divides n, or when n is
-    the first level within tau/2 of a time in ``cfg.snapshot_times``.  A
-    snapshot time that no level lies within tau/2 of raises
-    InvalidValueError before anything is created.
+    The run is ``cfg.n_steps`` steps, and level n sits at t = n*tau.  Level n
+    is written when ``cfg.snapshot_every`` divides n, or when n is the first
+    level within tau/2 of a time in ``cfg.snapshot_times``.  A tau that does
+    not divide t_end, or a snapshot time that no level lies within tau/2 of,
+    raises InvalidValueError before anything is created.
 
     EnergyPositivityError, FloatingPointError (a non-finite ledger row, solve
     input or closure among them), SolverError and SourceSeriesError are
     raised again, the same object, with the level and time they happened at
     prefixed to their message.
     """
+    n_steps = cfg.n_steps
     snapshot_levels = _snapshot_levels(cfg)
     _retain_heap()
     grid = cfg.grid
@@ -257,14 +252,12 @@ def run_single(
                 or state.n in snapshot_levels):
             _write_state_snapshots(cfg, out_dir, state, state.n)
 
-    # level and time being computed, named in a numerical breakdown
-    level, t_level = 0, 0.0
+    level = 0  # the level being computed, named with its time in a numerical breakdown
     try:
         state = bdf1.init_state(grid, phi0, temp0, cfg.params)
         del phi0, temp0  # the state holds copies
         emit(state, None)
-        for _ in range(cfg.n_steps):
-            level, t_level = state.n + 1, state.t + cfg.tau
+        for level in range(1, n_steps + 1):
             # looked up per level, so a rebound module attribute takes effect
             if cfg.scheme == "bdf1":
                 advance = bdf1.step
@@ -274,7 +267,7 @@ def run_single(
                                     cfg.check_identity)
             emit(state, report)
     except (EnergyPositivityError, FloatingPointError, SourceSeriesError, SolverError) as exc:
-        exc.args = (f"level {level} (t={t_level:g}): {exc}",)  # a SolverError keeps its data
+        exc.args = (f"level {level} (t={level * cfg.tau:g}): {exc}",)  # SolverError keeps its data
         raise
     finally:
         if writer is not None:
@@ -318,13 +311,11 @@ def _output_names(values, name, what: str) -> dict:
     return named
 
 
-def _check_ladder(ladder, ref_tau: float, t_end: float) -> tuple[float, ...]:
+def _check_ladder(ladder, ref_tau: float) -> tuple[float, ...]:
     """The accuracy ladder as a tuple of floats.  Raises InvalidValueError
     unless the reference step and every rung are finite and positive, and the
     ladder has at least two strictly decreasing rungs, each at least 10x the
-    reference step, and unless each of those steps divides ``t_end``: a run
-    of round(t_end/tau) >= 1 steps ends within 1e-9 t_end of it, so every
-    rung is compared with the reference at t_end."""
+    reference step."""
     ladder = _check_sweep((ref_tau, *ladder), "accuracy step sizes")[1:]
     if len(ladder) < 2:
         raise InvalidValueError("accuracy ladder needs at least two step sizes")
@@ -336,13 +327,6 @@ def _check_ladder(ladder, ref_tau: float, t_end: float) -> tuple[float, ...]:
             f"ladder step {min(ladder)} too close to reference tau {ref_tau}; "
             "need at least a factor 10"
         )
-    for tau in (ref_tau, *ladder):
-        steps = t_end / tau
-        if math.isfinite(steps):
-            steps = round(steps)
-        if not (steps >= 1 and abs(steps * tau - t_end) <= 1e-9 * t_end):
-            raise InvalidValueError(f"accuracy step {tau!r} does not divide t_end={t_end!r}: "
-                                    f"its {steps} steps end at t={steps * tau:g}")
     return ladder
 
 
@@ -355,23 +339,29 @@ def run_accuracy(
     """Self-convergence study of both schemes: L2 errors at t_end of every
     ladder rung against one fine bdf2 reference at ``ref_tau``.
 
-    The ladder and ``out_dir`` are checked before any stepping; every rung
-    and the reference step must divide t_end.  With
+    The ladder, the step count of the reference and of every rung (each
+    step must divide t_end, so every rung is compared with the reference at
+    t_end) and ``out_dir`` are checked before any stepping.  With
     ``out_dir``, each scheme's errors and slopes go to accuracy_<scheme>.csv.
     """
-    ladder = _check_ladder(ladder, ref_tau, base.t_end)
+    ladder = _check_ladder(ladder, ref_tau)
+    quiet = replace(base, check_identity=False, snapshot_every=0, snapshot_times=())
+    ref_cfg = replace(quiet, scheme="bdf2", tau=ref_tau)
+    rungs = {scheme: [replace(quiet, scheme=scheme, tau=tau) for tau in ladder]
+             for scheme in ("bdf1", "bdf2")}
+    for cfg in (ref_cfg, *rungs["bdf1"], *rungs["bdf2"]):
+        cfg.n_steps  # raises InvalidValueError for a step that does not divide t_end
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    quiet = replace(base, check_identity=False, snapshot_every=0, snapshot_times=())
-    ref = run_single(replace(quiet, scheme="bdf2", tau=ref_tau)).final_state
+    ref = run_single(ref_cfg).final_state
 
     reports = {}
-    for scheme in ("bdf1", "bdf2"):
+    for scheme, configs in rungs.items():
         errors_phi, errors_temp = [], []
         min_a1 = math.inf
-        for tau in ladder:
-            res = run_single(replace(quiet, scheme=scheme, tau=tau))
+        for cfg in configs:
+            res = run_single(cfg)
             min_a1 = min(min_a1, res.min_a1)
             dphi = res.final_state.phi - ref.phi
             dtemp = res.final_state.temp - ref.temp
@@ -435,9 +425,10 @@ def run_dendrite(
     Each run dumps phi and T snapshots at the configuration's
     ``snapshot_times`` when it sets any, else at its latent heat's instants
     in DENDRITE_SNAPSHOT_TIMES (the configuration's t_end for a latent heat
-    outside that table), runs to the last instant and keeps a full ledger.
-    The latent heats and their distinct output names are checked before any
-    run.
+    outside that table), runs to the level nearest the last instant,
+    t_end = round(max(times)/tau)*tau, so any tau runs, and keeps a full
+    ledger.  The latent heats and their distinct output names are checked
+    before any run.
     """
     latent_values = _output_names(_check_sweep(latent_values, "latent heat values"),
                                   "K{:g}".format, "latent heat values")
@@ -449,6 +440,8 @@ def run_dendrite(
             base, params=params, t_end=max(times), snapshot_times=times,
             ledger=f"dendrite_{tag}.csv", prefix=f"dendrite_{tag}",
         )
+        # checked above: t_end/tau is a finite count of at least one step
+        cfg = replace(cfg, t_end=round(cfg.t_end / cfg.tau) * cfg.tau)
         sub_dir = None if out_dir is None else Path(out_dir) / tag
         res = run_single(cfg, sub_dir)
         arms, axis_arms = count_axis_branches(cfg.grid, res.final_state.phi)

@@ -58,7 +58,7 @@ class SnapshotFormatError(ValueError):
 
 class SourceSeriesError(SnapshotFormatError, ConfigError):
     """A forcing series declared in a configuration has no usable snapshot
-    for a time level: missing, unreadable, of another shape or time."""
+    for a time level: missing, unreadable, on another grid or of another time."""
 
 
 @dataclass(frozen=True)
@@ -175,15 +175,15 @@ def read_checkpoint(path: str | Path) -> tuple[GridSpec, State]:
     return grid, State(r=r, t=t, n=n, **prev, **fields)
 
 
-def source_from_snapshots(directory: str | Path, prefix: str, tau: float):
+def source_from_snapshots(directory: str | Path, prefix: str, tau: float, grid: GridSpec):
     """Source-term provider backed by one snapshot file per time level.
 
     The steppers evaluate sources at the new time level t^{n+1}; this
     provider maps t to the file ``{prefix}_{round(t/tau):06d}.snp``, whose
-    header time must lie within tau/2 of t.  Use it for externally
-    manufactured forcing (one field per level) through the SourceTerms
-    hooks.  A missing, unreadable, mis-shaped or mis-timed file raises
-    :class:`SourceSeriesError`.
+    header must declare the run's ``grid`` and a time within tau/2 of t.  Use
+    it for externally manufactured forcing (one field per level) through the
+    SourceTerms hooks.  A missing, unreadable, off-grid or mis-timed file
+    raises :class:`SourceSeriesError`.
     """
     directory = Path(directory)
 
@@ -198,10 +198,9 @@ def source_from_snapshots(directory: str | Path, prefix: str, tau: float):
             ) from exc
         except SnapshotFormatError as exc:
             raise SourceSeriesError(str(exc)) from exc
-        if snap.values.shape != x.shape:
+        if snap.grid != grid:
             raise SourceSeriesError(
-                f"source snapshot level {level} has shape {snap.values.shape}, "
-                f"expected {x.shape}"
+                f"source snapshot {path} lies on {snap.grid}, not on the run's grid {grid}"
             )
         if abs(snap.time - t) > 0.5 * tau:
             raise SourceSeriesError(

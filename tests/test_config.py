@@ -166,6 +166,33 @@ class TestValidation:
         with pytest.raises(InvalidValueError, match=rf"^{re.escape(name)}: not a finite number"):
             parse_config(MINIMAL.replace(line, bad))
 
+    @pytest.mark.parametrize("line, bad, message", [
+        ("eps0 = 0.1", "eps0 = 0", "initial.eps0 must be positive, got 0.0"),
+        ("eps0 = 0.1", "eps0 = 0.1\n[output]\nsnapshot_every = -1",
+         "output.snapshot_every must be >= 0"),
+        ("eps0 = 0.1", "eps0 = 0.1\n[output]\nstrict_energy = maybe",
+         "output.strict_energy: not a boolean: 'maybe'"),
+        ("eps = 0.1", "eps = 0", "model: eps must be positive"),
+        ("diff = 5e-2", "diff = 0", "model: diff must be positive"),
+        ("s3 = 0.0", "s3 = -1", "model: s3 must be >= 0"),
+        ("bconst = 5e3", "bconst = 0", "model: bconst must be positive"),
+    ], ids=["eps0-zero", "snapshot_every-negative", "strict_energy-not-boolean", "eps-zero",
+            "diff-zero", "s3-negative", "bconst-zero"])
+    def test_out_of_range_value_names_key(self, line, bad, message):
+        with pytest.raises(InvalidValueError, match=f"^{re.escape(message)}$"):
+            parse_config(MINIMAL.replace(line, bad))
+
+    def test_tau_must_divide_t_end(self):
+        # a run is a whole number of steps; the count is read when a run
+        # starts, so a configuration whose tau a driver replaces still parses
+        cfg = parse_config(MINIMAL.replace("tau = 0.1", "tau = 0.3"))
+        with pytest.raises(InvalidValueError, match=re.escape(
+                "time.tau=0.3 does not divide time.t_end=1.0: its 3 steps end at t=0.9")):
+            cfg.n_steps
+        assert parse_config(MINIMAL).n_steps == 10
+        # a quotient within 1e-9 of a whole number of steps is that number
+        assert parse_config(MINIMAL.replace("t_end = 1.0", "t_end = 0.7000000001")).n_steps == 7
+
 
 class TestRoundTrip:
     def test_minimal(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -102,6 +103,13 @@ class TestLedger:
         with LedgerWriter(path) as w:
             w.append(_rec(0, ugly))
         assert read_ledger(path)[0].e_modified == ugly
+
+    def test_foreign_header_refused(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_text("step,time,energy\n0,0.0,1.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"unexpected ledger header in {path}: ['step', 'time', 'energy']")):
+            read_ledger(path)
 
 
 class TestBranchCounting:
@@ -229,6 +237,18 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError) as err:
             read_snapshot(path)
         assert f"{path}{needle}" in str(err.value)
+
+    @pytest.mark.parametrize("size", [0, 71])
+    @pytest.mark.parametrize("read, need", [(read_snapshot, 72), (read_checkpoint, 84)],
+                             ids=["snapshot", "checkpoint"])
+    def test_truncated_header_rejected(self, tmp_path, read, need, size):
+        # a file shorter than its header: a format error naming the file and both sizes
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"P" * size)
+        with pytest.raises(SnapshotFormatError) as err:
+            read(path)
+        assert str(err.value) == (f"truncated header in {path}: "
+                                  f"expected {need} bytes, found {size}")
 
     def test_name_too_long(self, grid8, tmp_path):
         snap = FieldSnapshot(grid8, 0.0, "x" * 17, grid8.zeros())
@@ -378,7 +398,7 @@ class TestSnapshotSources:
                                  values=analytic(x, y, t))
             write_snapshot(snap, tmp_path / f"src_{level:06d}.snp")
 
-        provider = source_from_snapshots(tmp_path, "src", tau)
+        provider = source_from_snapshots(tmp_path, "src", tau, grid16)
         for level in range(1, 5):
             t = level * tau
             assert np.array_equal(provider(x, y, t), analytic(x, y, t))
@@ -386,7 +406,8 @@ class TestSnapshotSources:
     def test_shape_mismatch_rejected(self, tmp_path, grid16, grid8):
         snap = FieldSnapshot(grid=grid8, time=0.01, name="s", values=grid8.zeros())
         write_snapshot(snap, tmp_path / "src_000001.snp")
-        provider = source_from_snapshots(tmp_path, "src", 0.01)
+        provider = source_from_snapshots(tmp_path, "src", 0.01, grid16)
         x, y = grid16.mesh()
-        with pytest.raises(SnapshotFormatError, match="shape"):
+        with pytest.raises(SnapshotFormatError, match=r"GridSpec\(nx=8, ny=8, .*not on the "
+                                                      r"run's grid GridSpec\(nx=16, ny=16, "):
             provider(x, y, 0.01)

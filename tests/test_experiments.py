@@ -113,6 +113,16 @@ class TestRunSingle:
         assert snap.time == pytest.approx(0.03)
         assert snap.name == "phi"
 
+    def test_level_n_sits_at_n_tau(self, tmp_path):
+        # ten steps of 1e-3 end at t = 0.01, in the ledger and in the snapshot
+        # headers; a running sum of tau would read 0.010000000000000002
+        cfg = tiny_config(tau=1e-3, t_end=0.01, snapshot_every=5)
+        run_single(cfg, tmp_path)
+        rows = (tmp_path / "ledger.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == [repr(n * 1e-3) for n in range(11)]
+        assert rows[-1].split(",")[1] == "0.01"
+        assert read_snapshot(tmp_path / "run_temp_n000010.snp").time == 0.01
+
     def test_snapshot_times_within_half_a_step(self, tmp_path):
         # levels at t = 0, 0.01, ..., 0.05: a time within tau/2 of one of
         # them is written, one past it is refused before anything is created
@@ -138,7 +148,7 @@ class TestRunSingle:
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
     def test_snapshot_levels_hold_no_list_of_level_times(self, monkeypatch):
         # a million levels and one snapshot time: the snapshot levels come
-        # from one walk up the running sum, not from a list of every level
+        # from the level nearest each time, not from a list of every level
         # time (about 31 MiB), and are known before the first level
         cfg = tiny_config(tau=1e-6, t_end=1.0, snapshot_times=(0.01,))
         assert cfg.n_steps == 10**6
@@ -223,7 +233,7 @@ class TestRunSingle:
         cfg = tiny_config(tau=tau, t_end=0.05)
         res_analytic = run_single(cfg, sources=SourceTerms(phi=phi_src))
         res_files = run_single(
-            cfg, sources=SourceTerms(phi=source_from_snapshots(src_dir, "sphi", tau))
+            cfg, sources=SourceTerms(phi=source_from_snapshots(src_dir, "sphi", tau, grid16))
         )
         assert np.array_equal(res_analytic.final_state.phi, res_files.final_state.phi)
         # the same forcing declared through the [sources] config section
@@ -481,15 +491,14 @@ class TestRunAccuracy:
 
     @pytest.mark.parametrize("t_end, ladder, ref_tau, needle", [
         # 0.021 / 4e-3 rounds to 5 steps, which end at t = 0.02
-        (0.021, (4e-3, 2e-3), 1e-4, "accuracy step 0.004 does not divide t_end=0.021: "
+        (0.021, (4e-3, 2e-3), 1e-4, "time.tau=0.004 does not divide time.t_end=0.021: "
                                     "its 5 steps end at t=0.02"),
-        (0.05, (1e-2, 3e-3), 1e-4, "accuracy step 0.003 does not divide t_end=0.05: "
+        (0.05, (1e-2, 3e-3), 1e-4, "time.tau=0.003 does not divide time.t_end=0.05: "
                                    "its 17 steps end at t=0.051"),
-        (0.05, (1e-2, 5e-3), 3e-4, "accuracy step 0.0003 does not divide t_end=0.05: "
+        (0.05, (1e-2, 5e-3), 3e-4, "time.tau=0.0003 does not divide time.t_end=0.05: "
                                    "its 167 steps end at t=0.0501"),
         # a rung of more than 2 t_end rounds to no step at all
-        (0.05, (0.2, 0.1), 1e-2, "accuracy step 0.2 does not divide t_end=0.05: "
-                                 "its 0 steps end at t=0"),
+        (0.05, (0.2, 0.1), 1e-2, "time.t_end=0.05 must be at least one step tau=0.2"),
     ], ids=["rungs-stop-early", "rung-rounds-up", "reference-rounds-up", "rung-of-no-step"])
     def test_every_step_divides_t_end(self, tmp_path, monkeypatch, t_end, ladder, ref_tau,
                                       needle):
@@ -586,6 +595,32 @@ class TestRunDendrite:
         assert snaps == ["dendrite_K0.6_phi_n000001.snp", "dendrite_K0.6_phi_n000003.snp"]
 
 
+    def test_ends_at_the_level_nearest_the_last_instant(self, tmp_path):
+        # tau = 0.007 divides no instant: the run still goes, to level 4 at
+        # t = 0.028, the level nearest 0.03, and snapshots the nearest levels
+        cfg = RunConfig(
+            grid=GridSpec(32, 32), scheme="bdf2", tau=0.007, t_end=9.0,
+            params=DENDRITE.params, initial=DENDRITE.initial, snapshot_times=(0.01, 0.03),
+        )
+        (res,) = run_dendrite(cfg, latent_values=(0.6,), out_dir=tmp_path)
+        assert [rec.step for rec in res.result.records] == [0, 1, 2, 3, 4]
+        assert res.result.records[-1].time == res.result.config.t_end == 4 * 0.007
+        assert load_config(tmp_path / "K0.6" / "resolved.cfg").t_end == 4 * 0.007
+        snaps = sorted(p.name for p in (tmp_path / "K0.6").glob("*_phi_*.snp"))
+        assert snaps == ["dendrite_K0.6_phi_n000001.snp", "dendrite_K0.6_phi_n000004.snp"]
+
+
+    def test_overflowing_step_count_refused(self, monkeypatch):
+        # K = 1.2 runs to 17: 17/tau overflows where the config's 9/tau did not,
+        # so the run is refused before it starts, as any such run is
+        runs = []
+        monkeypatch.setattr(experiments, "run_single", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(InvalidValueError, match=r"^time\.t_end=17\.0 / time\.tau=6e-308: "
+                                                    r"the step count is not a finite number$"):
+            run_dendrite(replace(DENDRITE, tau=6e-308), latent_values=(1.2,))
+        assert runs == []
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         code = main([
@@ -671,6 +706,22 @@ class TestCli:
         assert "step count is not a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_step_that_does_not_divide_t_end_exit_code(self, tmp_path, capsys, source):
+        # ten steps of 2e-3 end at t = 0.02, short of t_end = 0.021: refused
+        # with exit 2 before --out is created, not run to the wrong time
+        cfg, args = CONFIG_DIR / "case2.cfg", ["--tau", "2e-3", "--t-end", "0.021"]
+        if source == "file":
+            cfg = tmp_path / "short.cfg"
+            cfg.write_text(serialize_config(replace(CASE2, tau=2e-3, t_end=0.021)))
+            args = []
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *args]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: time.tau=0.002 does not divide time.t_end=0.021: "
+            "its 10 steps end at t=0.02\n")
+        assert not out.exists()
+
     # header bytes (offset, replacement) that corrupt a snapshot's header
     HEADER_DAMAGE = {
         "nx-2": (8, struct.pack("<I", 2)),
@@ -680,7 +731,11 @@ class TestCli:
 
     @pytest.mark.parametrize("case, level, needle", [
         ("missing", 4, "s_phi_000004.snp: No such file or directory"),
-        ("mis-shaped", 2, "has shape (8, 8), expected (16, 16)"),
+        pytest.param("mis-shaped", 2, "lies on GridSpec(nx=8, ny=8, x0=-1.0, x1=1.0, "
+                     "y0=-1.0, y1=1.0), not on the run's grid GridSpec(nx=16, ny=16, ",
+                     id="mis-shaped-2-has shape (8, 8), expected (16, 16)"),
+        ("off-domain", 2, "lies on GridSpec(nx=16, ny=16, x0=0.0, x1=5.0, y0=0.0, y1=5.0), "
+                          "not on the run's grid GridSpec(nx=16, ny=16, x0=-1.0, x1=1.0, "),
         ("mis-timed", 2, "holds time 0.0035, more than tau/2 from t=0.002"),
         ("trailing", 3, "s_phi_000003.snp: expected 2048 bytes, found 2560"),
         ("nx-2", 2, "s_phi_000002.snp: grid needs nx, ny >= 4, got 2x16"),
@@ -689,8 +744,8 @@ class TestCli:
     ])
     def test_forcing_series_failure_exit_code(self, tmp_path, capsys, case, level, needle):
         # a case1 run fed by a [sources] series of three levels: a missing,
-        # mis-shaped, mis-timed, overlong or corrupt-header file is a
-        # configuration error naming the level
+        # mis-shaped, off-domain, mis-timed, overlong or corrupt-header file
+        # is a configuration error naming the level
         from dendrosim.config import serialize_config
         from dendrosim.snapshots import FieldSnapshot, write_snapshot
 
@@ -701,6 +756,8 @@ class TestCli:
             snap_grid, t = grid, n * tau
             if n == level and case == "mis-shaped":
                 snap_grid = GridSpec(8, 8)
+            if n == level and case == "off-domain":
+                snap_grid = GridSpec(16, 16, 0.0, 5.0, 0.0, 5.0)
             if n == level and case == "mis-timed":
                 t = 3.5e-3
             snap = FieldSnapshot(grid=snap_grid, time=t, name="s_phi",
@@ -835,8 +892,9 @@ class TestCli:
         ("1e-2,5e-3", "0", "finite and positive, got 0.0"),
         ("1e-2,5e-3", "-1", "finite and positive, got -1.0"),
         # 0.05 / 3e-3 rounds to 17 steps, which end at t = 0.051
-        ("1e-2,3e-3", "1e-4", "accuracy step 0.003 does not divide t_end=0.05: "
-                              "its 17 steps end at t=0.051"),
+        pytest.param("1e-2,3e-3", "1e-4", "time.tau=0.003 does not divide time.t_end=0.05: "
+                                          "its 17 steps end at t=0.051",
+                     id="1e-2,3e-3-1e-4-accuracy step 0.003 does not divide t_end=0.05"),
     ])
     def test_accuracy_bad_ladder_steps_nothing(self, tmp_path, capsys, monkeypatch,
                                                ladder, ref_tau, needle):
@@ -969,7 +1027,7 @@ class TestCli:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: output.snapshot_times")
-        assert f"{when!r}" in err and "t=0.010000000000000002" in err
+        assert f"{when!r}" in err and "span t=0 to t=0.01\n" in err
         assert not out.exists()
 
     def test_dendrite_refuses_t_end(self, tmp_path, capsys):
@@ -1003,6 +1061,21 @@ class TestCli:
             main([command, "--config", str(CONFIG_DIR / "case2.cfg"), "--out", str(out), *flags])
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("stability", "--taus"), ("dendrite", "--k-values"), ("accuracy", "--ladder"),
+    ])
+    def test_malformed_float_list_exit_code(self, tmp_path, capsys, command, flag):
+        # a list that is not comma-separated floats is refused by argparse:
+        # exit 2, naming the list, before --out is created
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(CONFIG_DIR / "case2.cfg"), "--out", str(out),
+                  flag, "0.1,x"])
+        assert exc.value.code == EXIT_CONFIG
+        assert (f"argument {flag}: expected comma-separated floats, got '0.1,x'"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, expected", [

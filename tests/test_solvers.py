@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
@@ -146,6 +148,55 @@ for i, shape in enumerate([(12, 10), (8, 512)]):
             assert np.array_equal(u, helmholtz_solve(grid, 3.0, 0.7, rhs))
             assert np.array_equal(u, scipy_helmholtz(grid, 3.0, 0.7, rhs))
 
+    @pytest.mark.parametrize("refusal", ["missing", "load fails", "no dct"])
+    def test_fallback_copy_matches_the_extension(self, monkeypatch, refusal):
+        # a second copy of the module, loaded in this process with the
+        # extension refused, binds scipy.fft; dendrosim.solvers keeps its dct
+        class Loader:
+            def __init__(self, name, path):
+                pass
+
+            def create_module(self, spec):
+                return None
+
+            def exec_module(self, module):
+                if refusal == "load fails":
+                    raise ImportError("refused")
+
+        if refusal == "missing":
+            find_spec = importlib.util.find_spec
+            monkeypatch.setattr(importlib.util, "find_spec",
+                                lambda name, *args: None if name == "scipy"
+                                else find_spec(name, *args))
+        monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader", Loader)
+        spec = importlib.util.spec_from_file_location("dendrosim._fallback_solvers",
+                                                      solvers.__file__)
+        fallback = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fallback)
+        monkeypatch.undo()
+        assert fallback._dct is None and fallback.dctn.func is scipy.fft.dctn
+        assert fallback.idctn.func is scipy.fft.idctn
+        assert sys.modules["dendrosim.solvers"] is solvers and solvers._dct is not None
+        for shape in ((64, 64), (128, 96), (512, 512)):
+            x = np.random.default_rng(shape[1]).standard_normal(shape)
+            assert np.array_equal(fallback.dctn(x.copy()), solvers.dctn(x.copy()))
+            assert np.array_equal(fallback.idctn(x.copy()), solvers.idctn(x.copy()))
+        grid = GridSpec(64, 48, 0.0, 2.0, 0.0, 1.5)
+        rhs = random_field(grid, 9)
+        assert np.array_equal(fallback.helmholtz_solve(grid, 3.0, 0.7, rhs),
+                              helmholtz_solve(grid, 3.0, 0.7, rhs))
+
+    def test_probe_refuses_a_dct_that_raises_or_scales_otherwise(self):
+        def raises(*args):
+            raise TypeError("incompatible function arguments")
+
+        def backward(x, type, axes, norm, out, nthreads, *rest):
+            return scipy.fft.dct(x, type=type)  # unnormalized: [2, 2]
+
+        assert solvers._transforms_like_dctn(solvers._dct)
+        assert not solvers._transforms_like_dctn(raises)
+        assert not solvers._transforms_like_dctn(backward)
+
 
 @pytest.mark.parametrize("module", ["dendrosim.experiments", "dendrosim.cli"])
 def test_import_leaves_out_scipy_fft(module):
@@ -244,6 +295,12 @@ class TestHelmholtz:
     def test_rejects_nonfinite_coefficients(self, grid8, a, b):
         with pytest.raises(ValueError, match=f"finite a and b, got a={a}, b={b}"):
             helmholtz_solve(grid8, a, b, grid8.zeros())
+
+    @pytest.mark.parametrize("name", ["helmholtz_solve", "variable_helmholtz_solve"])
+    def test_rejects_negative_b(self, grid8, name):
+        a = 1.0 if name == "helmholtz_solve" else grid8.full(1.0)
+        with pytest.raises(ValueError, match=rf"^{name} needs b >= 0, got b=-0\.5$"):
+            getattr(solvers, name)(grid8, a, -0.5, grid8.zeros())
 
     def test_rejects_nonfinite_rhs(self, grid8):
         rhs = grid8.zeros()
