@@ -283,7 +283,7 @@ def _phi_bar_terms(grid: GridSpec, p: ModelParams, state: State, take: bool):
     grad_lead = state_norms(grid, state).grad_lead  # reads the lead while it is memoized
     phi_bar = state.lead("phi", take)
     geom = state._norms.pop(("geometry", grid, p), None) or anisotropy(grid, phi_bar, p.sigma)
-    return phi_bar, geom, p.mobility.rho_at(phi_bar), e1_energy(grid, phi_bar, p, geom, grad_lead)
+    return phi_bar, geom, p.rho_at(phi_bar), e1_energy(grid, phi_bar, p, geom, grad_lead)
 
 
 def explicit_data(grid: GridSpec, p: ModelParams, state: State) -> ExplicitData:
@@ -336,7 +336,7 @@ def partial_solves(
             lap[rows] *= p.s4
             r -= lap[rows]
     del phi_bar, lap
-    src = sources.phi_at(grid, t_new)
+    src = sources.at("phi", grid, t_new)
     if src is not None:
         with np.errstate(over="ignore"):  # the phase solve refuses a non-finite rhs_1
             for rows in row_blocks(grid.shape, 3):
@@ -350,7 +350,7 @@ def partial_solves(
         temp_forcing[rows] *= mu_bar[rows]
     del mu_bar
     rhs_t1 = state.history("temp") / tau
-    src = sources.temp_at(grid, t_new)
+    src = sources.at("temp", grid, t_new)
     if src is not None:
         rhs_t1 += src
     del src

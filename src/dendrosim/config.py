@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridSpec
-from .model import ConstantMobility, ModelParams
+from .model import ModelParams
 
 __all__ = [
     "ConfigError", "UnknownKeyError", "MissingKeyError", "InvalidValueError",
@@ -160,14 +160,8 @@ def _parse_times(raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in raw.split(",") if part.strip())
 
 
-def _parse_mobility(raw: str) -> ConstantMobility:
-    return ConstantMobility(_parse_float(raw))
-
-
 def _format(value) -> str:
     """Inverse of the parsers: the text that reads back to ``value``."""
-    if isinstance(value, ConstantMobility):
-        value = value.rho
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     return str(value).lower() if isinstance(value, bool) else str(value)
@@ -191,7 +185,7 @@ _KEYS: dict[tuple[str, str], tuple[str, Callable[[str], object], bool]] = {
     ("model", "diff"): ("params.diff", _parse_float, True),
     ("model", "latent"): ("params.latent", _parse_float, True),
     ("model", "sigma"): ("params.sigma", _parse_float, True),
-    ("model", "mobility"): ("params.mobility", _parse_mobility, True),
+    ("model", "mobility"): ("params.mobility", _parse_float, True),
     ("model", "s1"): ("params.s1", _parse_float, True),
     ("model", "s2"): ("params.s2", _parse_float, True),
     ("model", "s3"): ("params.s3", _parse_float, True),
@@ -272,7 +266,7 @@ def load_config(path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) equals c."""
-    if not isinstance(cfg.params.mobility, ConstantMobility):
+    if cfg.params.mobility_tanh != 0.0:
         raise ConfigError("only constant mobility is representable in config files")
     blocks: dict[str, list[str]] = {}
     for (section, key), (attr, _, _) in _KEYS.items():

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bdf1, bdf2
+from . import bdf1, bdf2, snapshots
 from .config import InvalidValueError, RunConfig, serialize_config
 from .diagnostics import (
     EnergyLawViolation,
@@ -32,8 +32,8 @@ from .diagnostics import (
     make_record,
 )
 from .grid import inner
-from .model import NO_SOURCES, EnergyPositivityError, SourceTerms
-from .snapshots import FieldSnapshot, SourceSeriesError, source_from_snapshots, write_snapshot
+from .model import EnergyPositivityError, SourceTerms
+from .snapshots import FieldSnapshot, SourceSeriesError, write_snapshot
 from .solvers import SolverError
 
 __all__ = [
@@ -167,16 +167,28 @@ def _write_state_snapshots(cfg: RunConfig, out_dir: Path, state, step_index: int
         write_snapshot(snap, out_dir / f"{cfg.prefix}_{name}_n{step_index:06d}.snp")
 
 
+def _name_level(exc: Exception, level: int, tau: float) -> None:
+    """Prefix the message of ``exc`` with the level and time it happened at."""
+    exc.args = (f"level {level} (t={level * tau:g}): {exc}",)  # SolverError keeps its data
+
+
 def _config_sources(cfg: RunConfig) -> SourceTerms:
-    phi = temp = None
-    if cfg.source_phi_dir:
-        phi = source_from_snapshots(cfg.source_phi_dir, cfg.source_phi_prefix, cfg.tau, cfg.grid)
-    if cfg.source_temp_dir:
-        temp = source_from_snapshots(cfg.source_temp_dir, cfg.source_temp_prefix, cfg.tau,
-                                     cfg.grid)
-    if phi is None and temp is None:
-        return NO_SOURCES
-    return SourceTerms(phi=phi, temp=temp)
+    """The forcing of the [sources] series of ``cfg``.  The header and size
+    of each file of levels 1..n_steps are checked first, in the order the
+    steps read them, so a bad file raises SourceSeriesError, named as a step
+    would name it, before the run creates anything."""
+    series = {kind: (directory, prefix, cfg.tau, cfg.grid) for kind, directory, prefix in (
+        ("phi", cfg.source_phi_dir, cfg.source_phi_prefix),
+        ("temp", cfg.source_temp_dir, cfg.source_temp_prefix)) if directory}
+    for level in range(1, cfg.n_steps + 1):
+        for args in series.values():
+            try:
+                snapshots.source_snapshot(*args, level * cfg.tau, read=False)
+            except SourceSeriesError as exc:
+                _name_level(exc, level, cfg.tau)
+                raise
+    return SourceTerms(**{kind: snapshots.source_from_snapshots(*args)
+                          for kind, args in series.items()})
 
 
 def run_single(
@@ -201,7 +213,8 @@ def run_single(
     is written when ``cfg.snapshot_every`` divides n, or when n is the first
     level within tau/2 of a time in ``cfg.snapshot_times``.  A tau that does
     not divide t_end, or a snapshot time that no level lies within tau/2 of,
-    raises InvalidValueError before anything is created.
+    raises InvalidValueError before anything is created, and so does a
+    [sources] file whose header or size is at fault (SourceSeriesError).
 
     EnergyPositivityError, FloatingPointError (a non-finite ledger row, solve
     input or closure among them), SolverError and SourceSeriesError are
@@ -267,7 +280,7 @@ def run_single(
                                     cfg.check_identity)
             emit(state, report)
     except (EnergyPositivityError, FloatingPointError, SourceSeriesError, SolverError) as exc:
-        exc.args = (f"level {level} (t={level * cfg.tau:g}): {exc}",)  # SolverError keeps its data
+        _name_level(exc, level, cfg.tau)
         raise
     finally:
         if writer is not None:

@@ -45,8 +45,6 @@ from .grid import (
 )
 
 __all__ = [
-    "ConstantMobility",
-    "FieldMobility",
     "ModelParams",
     "SourceTerms",
     "EnergyPositivityError",
@@ -68,35 +66,6 @@ class EnergyPositivityError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConstantMobility:
-    """Constant relaxation coefficient rho; mobility M = 1/rho."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.rho):
-            raise ValueError(f"mobility rho must be a finite number, got {self.rho!r}")
-        if not self.rho > 0.0:
-            raise ValueError(f"mobility rho must be positive, got {self.rho}")
-
-    def rho_at(self, phi: np.ndarray) -> float:
-        return self.rho
-
-
-@dataclass(frozen=True)
-class FieldMobility:
-    """Phase-dependent relaxation coefficient rho(phi) > 0."""
-
-    rho_fn: Callable[[np.ndarray], np.ndarray]
-
-    def rho_at(self, phi: np.ndarray) -> np.ndarray:
-        rho = np.asarray(self.rho_fn(phi), dtype=float)
-        if not np.all(rho > 0.0):
-            raise ValueError("field mobility produced non-positive rho(phi)")
-        return rho
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Physical and stabilization constants of the crystal growth model.
 
@@ -105,9 +74,12 @@ class ModelParams:
     diff    temperature diffusion rate
     latent  latent heat coefficient
     sigma   fourfold anisotropy strength, in [0, 1)
-    mobility  ConstantMobility or FieldMobility
+    mobility  relaxation coefficient rho = 1/M, positive
     s1..s4  stabilization constants (s1 < (1-sigma)^2 when positive)
     bconst  positive shift making the auxiliary energy positive
+    mobility_tanh  weight w, |w| < 1, of the phase-dependent relaxation
+            coefficient rho(phi) = mobility*(1 + w*tanh(phi)), which is
+            positive for every phi; 0 keeps rho constant
     """
 
     eps: float
@@ -115,17 +87,24 @@ class ModelParams:
     diff: float
     latent: float
     sigma: float
-    mobility: ConstantMobility | FieldMobility
+    mobility: float
     s1: float
     s2: float
     s3: float
     s4: float
     bconst: float
+    mobility_tanh: float = 0.0
 
     def __post_init__(self):
         for name in ("eps", "lam", "diff", "latent", "sigma", "s1", "s2", "s3", "s4", "bconst"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if not math.isfinite(self.mobility):
+            raise ValueError(f"mobility rho must be a finite number, got {self.mobility!r}")
+        if not self.mobility > 0.0:
+            raise ValueError(f"mobility rho must be positive, got {self.mobility}")
+        if not abs(self.mobility_tanh) < 1.0:  # nan fails too
+            raise ValueError(f"mobility_tanh must lie in (-1, 1), got {self.mobility_tanh!r}")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if self.eps * self.eps < sys.float_info.min:  # the steps divide by eps^2
@@ -148,6 +127,18 @@ class ModelParams:
         if not self.bconst > 0.0:
             raise ValueError("bconst must be positive")
 
+    def rho_at(self, phi: np.ndarray) -> float | np.ndarray:
+        """The relaxation coefficient 1/M at ``phi``: the float ``mobility``
+        when the tanh weight is 0, else mobility*(1 + w*tanh(phi)), formed
+        in its result."""
+        if self.mobility_tanh == 0.0:
+            return self.mobility
+        rho = np.tanh(phi)
+        rho *= self.mobility_tanh
+        rho += 1.0
+        rho *= self.mobility
+        return rho
+
 
 @dataclass(frozen=True)
 class SourceTerms:
@@ -162,15 +153,10 @@ class SourceTerms:
     phi: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
     temp: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
 
-    def phi_at(self, grid: GridSpec, t: float) -> np.ndarray | None:
-        if self.phi is None:
-            return None
-        return np.asarray(self.phi(*_cell_centers(grid), t), dtype=float)
-
-    def temp_at(self, grid: GridSpec, t: float) -> np.ndarray | None:
-        if self.temp is None:
-            return None
-        return np.asarray(self.temp(*_cell_centers(grid), t), dtype=float)
+    def at(self, name: str, grid: GridSpec, t: float) -> np.ndarray | None:
+        """The ``name`` ("phi" or "temp") forcing at time t; None without its hook."""
+        hook = getattr(self, name)
+        return None if hook is None else np.asarray(hook(*_cell_centers(grid), t), dtype=float)
 
 
 @lru_cache(maxsize=2)

@@ -38,6 +38,7 @@ __all__ = [
     "read_snapshot",
     "write_checkpoint",
     "read_checkpoint",
+    "source_snapshot",
     "source_from_snapshots",
 ]
 
@@ -95,13 +96,16 @@ def _header_grid(nx: int, ny: int, x0: float, x1: float, y0: float, y1: float,
         raise SnapshotFormatError(f"bad grid in {where}: {exc}") from exc
 
 
-def _read_fields(fh, names: tuple, nx: int, ny: int, where: str) -> dict:
+def _read_fields(fh, names: tuple, nx: int, ny: int, where: str, read: bool = True) -> dict:
     """Read the named (nx, ny) fields that must fill the rest of the file
-    ``fh``, each straight into its array."""
+    ``fh``, each straight into its array; unless ``read``, only check their
+    size and return none."""
     need, found = 8 * nx * ny * len(names), os.fstat(fh.fileno()).st_size - fh.tell()
     if found != need:
         kind = "truncated payload" if found < need else "trailing bytes"
         raise SnapshotFormatError(f"{kind} in {where}: expected {need} bytes, found {found}")
+    if not read:
+        return {}
     fields = {name: np.empty((nx, ny), dtype="<f8") for name in names}
     for values in fields.values():
         if fh.readinto(values) != values.nbytes:
@@ -131,7 +135,9 @@ def write_snapshot(snap: FieldSnapshot, path: str | Path) -> None:
     _write_fields(path, header, (snap.values,))
 
 
-def read_snapshot(path: str | Path) -> FieldSnapshot:
+def _read_snapshot(path: str | Path, read: bool) -> FieldSnapshot:
+    """The snapshot in ``path``; unless ``read``, only its header is read and
+    its payload's size checked, and the snapshot holds no values (None)."""
     with open(path, "rb") as fh:
         nx, ny, x0, x1, y0, y1, time, name = _read_header(
             fh, _SNAP_HEADER, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, str(path))
@@ -140,8 +146,12 @@ def read_snapshot(path: str | Path) -> FieldSnapshot:
             name = name.rstrip(b"\0").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SnapshotFormatError(f"field name in {path} is not UTF-8: {exc}") from exc
-        values = _read_fields(fh, ("values",), nx, ny, str(path))["values"]
+        values = _read_fields(fh, ("values",), nx, ny, str(path), read).get("values")
     return FieldSnapshot(grid=grid, time=time, name=name, values=values)
+
+
+def read_snapshot(path: str | Path) -> FieldSnapshot:
+    return _read_snapshot(path, read=True)
 
 
 def write_checkpoint(path: str | Path, grid: GridSpec, state: State) -> None:
@@ -175,6 +185,33 @@ def read_checkpoint(path: str | Path) -> tuple[GridSpec, State]:
     return grid, State(r=r, t=t, n=n, **prev, **fields)
 
 
+def source_snapshot(directory: str | Path, prefix: str, tau: float, grid: GridSpec, t: float,
+                    read: bool = True) -> np.ndarray | None:
+    """The forcing field of time ``t`` in the snapshot series ``prefix`` of
+    ``directory`` (see :func:`source_from_snapshots`); unless ``read``, only
+    the file's header and size are checked, and None is returned.  Raises
+    SourceSeriesError for a missing, unreadable, off-grid or mis-timed file."""
+    path = Path(directory) / f"{prefix}_{round(t / tau):06d}.snp"
+    try:
+        snap = read_snapshot(path) if read else _read_snapshot(path, read=False)
+    except OSError as exc:
+        raise SourceSeriesError(
+            f"cannot read forcing snapshot {path}: {exc.strerror or exc}"
+        ) from exc
+    except SnapshotFormatError as exc:
+        raise SourceSeriesError(str(exc)) from exc
+    if snap.grid != grid:
+        raise SourceSeriesError(
+            f"source snapshot {path} lies on {snap.grid}, not on the run's grid {grid}"
+        )
+    if abs(snap.time - t) > 0.5 * tau:
+        raise SourceSeriesError(
+            f"source snapshot {path} holds time {snap.time:g}, more than "
+            f"tau/2 from t={t:g}"
+        )
+    return snap.values
+
+
 def source_from_snapshots(directory: str | Path, prefix: str, tau: float, grid: GridSpec):
     """Source-term provider backed by one snapshot file per time level.
 
@@ -185,28 +222,4 @@ def source_from_snapshots(directory: str | Path, prefix: str, tau: float, grid: 
     SourceTerms hooks.  A missing, unreadable, off-grid or mis-timed file
     raises :class:`SourceSeriesError`.
     """
-    directory = Path(directory)
-
-    def provider(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-        level = round(t / tau)
-        path = directory / f"{prefix}_{level:06d}.snp"
-        try:
-            snap = read_snapshot(path)
-        except OSError as exc:
-            raise SourceSeriesError(
-                f"cannot read forcing snapshot {path}: {exc.strerror or exc}"
-            ) from exc
-        except SnapshotFormatError as exc:
-            raise SourceSeriesError(str(exc)) from exc
-        if snap.grid != grid:
-            raise SourceSeriesError(
-                f"source snapshot {path} lies on {snap.grid}, not on the run's grid {grid}"
-            )
-        if abs(snap.time - t) > 0.5 * tau:
-            raise SourceSeriesError(
-                f"source snapshot {path} holds time {snap.time:g}, more than "
-                f"tau/2 from t={t:g}"
-            )
-        return snap.values
-
-    return provider
+    return lambda x, y, t: source_snapshot(directory, prefix, tau, grid, t)

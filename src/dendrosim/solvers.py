@@ -224,33 +224,26 @@ def variable_helmholtz_solve(
     if not np.all(np.isfinite(rhs)):
         raise NonFiniteSolveError("variable_helmholtz_solve: rhs contains non-finite values")
 
-    c_mean = float(np.mean(c))
-
-    def apply_op(u: np.ndarray) -> np.ndarray:
-        return c * u - b * laplacian(grid, u)
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        return helmholtz_solve(grid, c_mean, b, r)
-
+    c_mean = float(np.mean(c))  # of the preconditioner's constant solve
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = precondition(r)
+    z = helmholtz_solve(grid, c_mean, b, r)
     p = z.copy()
     rz = float(np.vdot(r, z))
     res = rhs_norm
     for it in range(1, CG_MAXIT + 1):
-        ap = apply_op(p)
+        ap = c * p - b * laplacian(grid, p)
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
         res = float(np.linalg.norm(r))
         if res <= CG_TOL * rhs_norm:
             return x, it
-        z = precondition(r)
+        z = helmholtz_solve(grid, c_mean, b, r)
         rz_new = float(np.vdot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -17,7 +17,6 @@ from dendrosim.bdf1 import (
 )
 from dendrosim.grid import GridSpec, inner, laplacian, norm_sq
 from dendrosim.model import (
-    FieldMobility,
     ModelParams,
     SourceTerms,
     e1_energy,
@@ -524,8 +523,8 @@ class TestStep:
         grid, p, phi0, temp0 = case2
         p_var = ModelParams(
             eps=p.eps, lam=p.lam, diff=p.diff, latent=p.latent, sigma=p.sigma,
-            mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))),
-            s1=p.s1, s2=p.s2, s3=p.s3, s4=p.s4, bconst=p.bconst,
+            mobility=1.2e3, s1=p.s1, s2=p.s2, s3=p.s3, s4=p.s4, bconst=p.bconst,
+            mobility_tanh=1 / 6,
         )
         s = init_state(grid, phi0, temp0, p_var)
         e_prev = scheme_energy(grid, p_var, s)

@@ -16,9 +16,7 @@ from dendrosim.grid import GridSpec, grad_norm_sq, inner, laplacian, norm_sq
 from dendrosim.model import (
     NO_SOURCES,
     Anisotropy,
-    ConstantMobility,
     EnergyPositivityError,
-    FieldMobility,
     ModelParams,
     e1_energy,
     g_residual,
@@ -184,7 +182,7 @@ class TestStep2:
         # violent extrapolation can push E1(phi_bar) negative: expect the
         # structured error, not a crash or silent clamp
         p = ModelParams(eps=0.1, lam=1.0, diff=5e-2, latent=0.1, sigma=0.0,
-                        mobility=ConstantMobility(1e3), s1=0.0, s2=10.0,
+                        mobility=1e3, s1=0.0, s2=10.0,
                         s3=0.0, s4=0.0, bconst=500.0)
         s0 = init_state(grid16, grid16.full(0.5), grid16.zeros(), p)
         state = State(
@@ -229,7 +227,7 @@ def pcg_identity_slack(grid, p, tau, before, after):
     """
     phi_bar = 2.0 * before.phi - before.phi_prev
     temp_bar = 2.0 * before.temp - before.temp_prev
-    rho = p.mobility.rho_at(phi_bar)
+    rho = p.rho_at(phi_bar)
     rhs1 = ((2.0 * before.phi - 0.5 * before.phi_prev) * (rho / tau)
             + (p.s3 / p.eps**2) * phi_bar - p.s4 * laplacian(grid, phi_bar))
     core = -(g_residual(grid, phi_bar, p) + (p.lam / p.eps) * h_prime(phi_bar) * temp_bar)
@@ -246,7 +244,7 @@ class TestFieldMobility:
     @pytest.mark.parametrize("tau", [1e-3, 1.0, 100.0])
     def test_energy_law_any_tau(self, case2, tau):
         grid, p, phi0, temp0 = case2
-        p = replace(p, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
+        p = replace(p, mobility=1.2e3, mobility_tanh=1 / 6)
         state, _ = bootstrap(grid, init_state(grid, phi0, temp0, p), tau, p)
         e_prev = scheme_energy(grid, p, state)
         for _ in range(20):
@@ -267,7 +265,7 @@ class TestFieldMobility:
         # near 3.6e-8 (the 5e-4 rung's truncation error is 1e-8) and pulls
         # the slope to about 1.4.
         grid, p, _, _ = case2
-        p = replace(p, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
+        p = replace(p, mobility=1.2e3, mobility_tanh=1 / 6)
         base = RunConfig(grid=grid, scheme="bdf2", tau=1e-3, t_end=0.1, params=p,
                          initial=CASE2.initial, check_identity=False)
         reports = run_accuracy(base, (4e-3, 2e-3, 1e-3, 5e-4), ref_tau=5e-5)
@@ -316,7 +314,7 @@ class TestIdentityChecker:
 # states: private references that recompute every norm and cross term.
 
 def _ref_identity_proof_lines(grid, p, tau, before, after):
-    rho_n = p.mobility.rho_at(before.phi)
+    rho_n = p.rho_at(before.phi)
     g_n = g_residual(grid, before.phi, p)
     hp_n = h_prime(before.phi)
     e1_n = e1_energy(grid, before.phi, p)
@@ -365,7 +363,7 @@ def _ref_identity_proof_lines2(grid, p, tau, before, after):
     phi_bar = 2.0 * before.phi - before.phi_prev
     temp_bar = 2.0 * before.temp - before.temp_prev
     mu_bar = 2.0 * before.mu - before.mu_prev
-    rho_bar = p.mobility.rho_at(phi_bar)
+    rho_bar = p.rho_at(phi_bar)
     g_bar = g_residual(grid, phi_bar, p)
     hp_bar = h_prime(phi_bar)
     e1_bar = e1_energy(grid, phi_bar, p)

@@ -40,8 +40,14 @@ from dendrosim.experiments import (
     run_stability,
 )
 from dendrosim.grid import GridSpec
-from dendrosim.model import EnergyPositivityError, FieldMobility, SourceTerms
-from dendrosim.snapshots import read_snapshot, source_from_snapshots
+from dendrosim.model import EnergyPositivityError, SourceTerms
+from dendrosim.snapshots import (
+    FieldSnapshot,
+    SourceSeriesError,
+    read_snapshot,
+    source_from_snapshots,
+    write_snapshot,
+)
 from dendrosim.solvers import SolverError
 
 from conftest import shipped_config
@@ -173,8 +179,8 @@ class TestRunSingle:
         # a variable-mobility run whose phase solves may take 2 PCG iterations:
         # the failure names the level and time and keeps residual and count
         monkeypatch.setattr(solvers, "CG_MAXIT", 2)
-        mobility = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
-        cfg = tiny_config(params=replace(CASE2.params, mobility=mobility))
+        params = replace(CASE2.params, mobility=1.2e3, mobility_tanh=1 / 6)
+        cfg = tiny_config(params=params)
         with pytest.raises(SolverError, match=r"^level 1 \(t=0\.01\): PCG did not reach "
                                               r"tol=1e-12 in 2 iterations ") as err:
             run_single(cfg)
@@ -214,8 +220,6 @@ class TestRunSingle:
     def test_file_sources_match_analytic(self, tmp_path, grid16):
         # the externally-supplied snapshot-series source reproduces the
         # analytic-callable run exactly
-        from dendrosim.snapshots import FieldSnapshot, write_snapshot
-
         tau = 0.01
         x, y = grid16.mesh()
 
@@ -267,8 +271,8 @@ class TestRunSingle:
         cfg = tiny_config(t_end=0.03)
         res = run_single(cfg)
         assert (res.cg_iterations, res.max_cg_iterations) == (0, 0)
-        mobility = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
-        res = run_single(replace(cfg, params=replace(cfg.params, mobility=mobility)))
+        params = replace(cfg.params, mobility=1.2e3, mobility_tanh=1 / 6)
+        res = run_single(replace(cfg, params=params))
         assert 0 < res.max_cg_iterations <= res.cg_iterations <= 3 * res.max_cg_iterations
 
     def test_summary_is_read_from_the_stepped_rows(self):
@@ -287,11 +291,35 @@ class TestRunSingle:
         assert (unstepped.min_a1, unstepped.max_xi_dev, unstepped.max_identity_residual) == (
             math.inf, 0.0, 0.0)
 
+    def test_forcing_file_removed_mid_run_names_its_level(self, tmp_path, monkeypatch):
+        # the whole series passes the check before the run; each step reads
+        # its file afresh, so one removed after level 1 stops level 2
+        grid, tau = GridSpec(16, 16), 1e-3
+        forcing = tmp_path / "forcing"
+        forcing.mkdir()
+        for n in (1, 2):
+            write_snapshot(FieldSnapshot(grid, n * tau, "s_phi", grid.full(0.1)),
+                           forcing / f"s_phi_{n:06d}.snp")
+        cfg = replace(shipped_config("case1"), grid=grid, scheme="bdf1", tau=tau,
+                      t_end=2 * tau, source_phi_dir=str(forcing))
+        record = experiments.make_record
+
+        def remove_after_level_1(grid, p, state, report):
+            if state.n == 1:
+                (forcing / "s_phi_000002.snp").unlink()
+            return record(grid, p, state, report)
+
+        monkeypatch.setattr(experiments, "make_record", remove_after_level_1)
+        with pytest.raises(SourceSeriesError, match=r"^level 2 \(t=0\.002\): cannot read "
+                                                    r"forcing snapshot .*s_phi_000002\.snp"):
+            run_single(cfg, tmp_path / "out")
+        assert [rec.step for rec in read_ledger(tmp_path / "out" / cfg.ledger)] == [0, 1]
+
     def test_unwritable_config_creates_no_directory(self, tmp_path):
         # a variable mobility cannot be written to resolved.cfg; the run must
         # fail before it creates its output directory
-        mobility = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
-        cfg = tiny_config(t_end=0.02, params=replace(CASE2.params, mobility=mobility))
+        params = replace(CASE2.params, mobility=1.2e3, mobility_tanh=1 / 6)
+        cfg = tiny_config(t_end=0.02, params=params)
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="only constant mobility"):
             run_single(cfg, out)
@@ -745,9 +773,9 @@ class TestCli:
     def test_forcing_series_failure_exit_code(self, tmp_path, capsys, case, level, needle):
         # a case1 run fed by a [sources] series of three levels: a missing,
         # mis-shaped, off-domain, mis-timed, overlong or corrupt-header file
-        # is a configuration error naming the level
+        # is a configuration error naming the level, found before the run
+        # creates anything
         from dendrosim.config import serialize_config
-        from dendrosim.snapshots import FieldSnapshot, write_snapshot
 
         tau, grid = 1e-3, GridSpec(16, 16)
         forcing = tmp_path / "forcing"
@@ -779,11 +807,13 @@ class TestCli:
                       tau=tau, t_end=t_end, source_phi_dir=str(forcing))
         path = tmp_path / "case1.cfg"
         path.write_text(serialize_config(cfg))
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: level {level} (t={level * tau:g}): ")
         assert needle in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind, value, needle", [
         ("phi", math.nan, "helmholtz_solve: rhs contains non-finite values"),
@@ -796,8 +826,6 @@ class TestCli:
         # right-hand side, reaches the first solve of level 1; a finite T value
         # whose solve overflows reaches the xi closure: exit 5, one line naming
         # the level, the time and where the run broke down, and no warning
-        from dendrosim.snapshots import FieldSnapshot, write_snapshot
-
         tau, grid = 1e-3, GridSpec(16, 16)
         forcing = tmp_path / "forcing"
         forcing.mkdir()

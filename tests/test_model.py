@@ -19,9 +19,7 @@ from dendrosim.grid import (
 )
 from dendrosim.model import (
     Anisotropy,
-    ConstantMobility,
     EnergyPositivityError,
-    FieldMobility,
     ModelParams,
     aniso_flux,
     anisotropy,
@@ -31,6 +29,7 @@ from dendrosim.model import (
     h_prime,
     original_energy,
 )
+from dendrosim.solvers import solve_shifted
 
 from conftest import random_field, shipped_config, smooth_field
 from test_grid import divergence
@@ -54,7 +53,7 @@ def _h_latent(phi):
 
 def make_params(**overrides):
     base = dict(eps=0.1, lam=1.0, diff=5e-2, latent=0.1, sigma=0.05,
-                mobility=ConstantMobility(1e3), s1=0.9, s2=10.0, s3=0.0,
+                mobility=1e3, s1=0.9, s2=10.0, s3=0.0,
                 s4=0.0, bconst=5e3)
     base.update(overrides)
     return ModelParams(**base)
@@ -87,8 +86,9 @@ class TestParams:
             make_params(lam=lam)
 
     def test_rejects_nonpositive_mobility(self):
-        with pytest.raises(ValueError, match="rho"):
-            ConstantMobility(0.0)
+        for rho in (0.0, -1e3):
+            with pytest.raises(ValueError, match=f"mobility rho must be positive, got {rho}"):
+                make_params(mobility=rho)
 
     @pytest.mark.parametrize("name", ["eps", "lam", "diff", "latent", "sigma",
                                       "s1", "s2", "s3", "s4", "bconst"])
@@ -101,12 +101,34 @@ class TestParams:
     @pytest.mark.parametrize("rho", [math.inf, math.nan])
     def test_rejects_nonfinite_mobility(self, rho):
         with pytest.raises(ValueError, match=f"rho must be a finite number, got {rho}"):
-            ConstantMobility(rho)
+            make_params(mobility=rho)
 
-    def test_field_mobility_positivity_guard(self):
-        mob = FieldMobility(lambda phi: phi)
-        with pytest.raises(ValueError, match="non-positive"):
-            mob.rho_at(np.array([-1.0, 1.0]))
+    @pytest.mark.parametrize("weight", [1.0, -1.0, 1.5, math.nan, math.inf])
+    def test_rejects_tanh_weight_outside_unit_interval(self, weight):
+        # |w| >= 1 lets 1 + w*tanh(phi) reach 0 or below
+        with pytest.raises(ValueError, match=rf"mobility_tanh must lie in \(-1, 1\), got {weight}"):
+            make_params(mobility_tanh=weight)
+
+    def test_constant_mobility_is_the_float(self):
+        # weight 0: rho_at hands back the float itself, so the phase solves
+        # keep the exact cosine-transform path
+        p = make_params(mobility=1.2e3)
+        rho = p.rho_at(np.zeros((8, 8)))
+        assert rho is p.mobility and type(rho) is float
+        grid = GridSpec(8, 8)
+        _, iterations = solve_shifted(grid, rho / 1e-3, p.s1, random_field(grid, seed=3))
+        assert iterations == 0
+
+    def test_tanh_mobility_stays_positive(self):
+        # rho = mobility*(1 + w*tanh(phi)) > 0 by construction, far outside
+        # [-1, 1] too; w = 1/6 gives the family 1e3*(1.2 + 0.2*tanh(phi))
+        # that the variable-mobility tests step with
+        p = make_params(mobility=1.2e3, mobility_tanh=1 / 6)
+        phi = np.array([[-50.0, -1.0, 0.0], [1.0, 50.0, 0.5]])
+        rho = p.rho_at(phi)
+        assert np.all(rho > 0.0)
+        np.testing.assert_allclose(rho, 1e3 * (1.2 + 0.2 * np.tanh(phi)), rtol=1e-14)
+        assert rho[0, 0] == pytest.approx(1e3) and rho[1, 1] == pytest.approx(1.4e3)
 
 
 class TestPotentials:

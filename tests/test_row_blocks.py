@@ -19,7 +19,6 @@ from dendrosim.grid import GridSpec, face_flux_divergence, gradient, laplacian, 
 from dendrosim.model import (
     NO_SOURCES,
     Anisotropy,
-    FieldMobility,
     SourceTerms,
     aniso_flux,
     g_residual,
@@ -147,14 +146,14 @@ def _ref_partial_solves(grid, p, tau, state, rho, core, hp, sources, t_new):
         lap = _ref_laplacian(grid, phi_bar)
         lap *= p.s4
         rhs1 -= lap
-    src = sources.phi_at(grid, t_new)
+    src = sources.at("phi", grid, t_new)
     if src is not None:
         rhs1 += rho * src
     temp_forcing = p.latent * hp
     temp_forcing /= rho
     temp_forcing *= lead("mu")
     rhs_t1 = history("temp") / tau
-    src = sources.temp_at(grid, t_new)
+    src = sources.at("temp", grid, t_new)
     if src is not None:
         rhs_t1 += src
     temp1 = helmholtz_solve(grid, a0 / tau, p.diff, rhs_t1)
@@ -181,7 +180,7 @@ def _phi():
     return np.tanh(3.0 * smooth_field(GRID, 7) + 0.1 * random_field(GRID, 8))
 
 
-FIELD_MOBILITY = FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi)))
+FIELD_MOBILITY = dict(mobility=1.2e3, mobility_tanh=1 / 6)
 
 
 # ---- the blocks themselves --------------------------------------------------
@@ -299,14 +298,14 @@ class TestBlockedKernelOracles:
     def test_partial_solves(self, budget, mobility, order):
         p = _params()
         if mobility == "field":
-            p = replace(p, mobility=FIELD_MOBILITY)
+            p = replace(p, **FIELD_MOBILITY)
         state = _order2_state(10)
         if order == 1:
             state = State(state.phi, state.temp, state.mu, state.r)
         sources = SourceTerms(phi=lambda x, y, t: np.cos(3 * x) * y + t,
                               temp=lambda x, y, t: np.sin(2 * y) - x * t)
         phi_bar = state.lead("phi")
-        rho = p.mobility.rho_at(phi_bar)
+        rho = p.rho_at(phi_bar)
         core, hp = random_field(GRID, 11), h_prime(phi_bar)
         want = _ref_partial_solves(GRID, p, 0.01, state, rho, core, hp, sources, 0.21)
         got = partial_solves(GRID, p, 0.01, state, rho, core, hp, sources, 0.21)
@@ -334,7 +333,7 @@ class TestBlockedSteps:
                                   getattr(whole.final_state, name))
 
     def test_field_mobility_step(self, budget, monkeypatch):
-        p = _params(mobility=FIELD_MOBILITY)
+        p = _params(**FIELD_MOBILITY)
         phi0, temp0 = DENDRITE.initial.build(GRID)
 
         def stepped():

@@ -15,7 +15,7 @@ import dendrosim
 from dendrosim import bdf1, solvers
 from dendrosim.experiments import run_single
 from dendrosim.grid import GridSpec, laplacian
-from dendrosim.model import FieldMobility, SourceTerms
+from dendrosim.model import SourceTerms
 from dendrosim.solvers import (
     SolverError,
     helmholtz_solve,
@@ -427,7 +427,7 @@ def test_solve_path_sees_float64_only(monkeypatch):
     run_single(replace(base, scheme="bdf2", check_identity=True, strict_energy=True))
     run_single(replace(base, scheme="bdf1"), sources=SourceTerms(
         phi=lambda x, y, t: 0.3 * np.cos(np.pi * x), temp=lambda x, y, t: 0.1 * y + t))
-    p = replace(base.params, mobility=FieldMobility(lambda phi: 1e3 * (1.2 + 0.2 * np.tanh(phi))))
+    p = replace(base.params, mobility=1.2e3, mobility_tanh=1 / 6)
     phi0, temp0 = base.initial.build(base.grid)
     _, report = bdf1.step(base.grid, bdf1.init_state(base.grid, phi0, temp0, p), 0.01, p)
     assert report.cg_iterations > 0
