@@ -34,11 +34,14 @@ reader: its fields die inside the step, the lead phi_bar that the ledger
 row's norms memoized in an order-2 state included (they take ||T_bar||^2
 without keeping T_bar, which the step forms again).  A checked step
 evaluates g(phi_bar) a second time, from the same geometry, for its
-identity check, and keeps that field in the state's memo with the
-explicit data up to h', while the geometry's four fields die after g as
-in an unchecked step; the check takes them out and forms mu_bar again
-(:func:`explicit_data`).  The ledger row of phi^n = phi_bar hands its
-geometry to the step through the memo (:func:`state_geometry`).
+identity check, and keeps for the check only what it cannot form again
+cheaply: that g, E1, 1/M and h' (which the step holds through its solves
+anyway), in the state's memo, while the geometry's four fields die after
+g as in an unchecked step.  The check takes them out and forms the leads
+phi_bar, T_bar and mu_bar again from the state, each at its first read
+(one 2x^n - x^{n-1} pass at order 2, none at order 1), bitwise the arrays
+the step used (:func:`explicit_data`).  The ledger row of phi^n = phi_bar
+hands its geometry to the step through the memo (:func:`state_geometry`).
 
 The discrete energy law is written once for both schemes, in terms of the
 BDF order k of a state (``state.order``) and its lead rule (``state.lead``:
@@ -109,8 +112,9 @@ class State:
     order 2, level n-1 in the ``*_prev`` fields (all ``None`` at order 1).
 
     ``_norms`` is the state's memo: its energy norms (:func:`state_norms`),
-    its order-2 lead of phi and, until the identity check takes it out, the
-    explicit data that a checked step from it kept (:func:`explicit_data`)."""
+    its order-2 lead of phi and, until the identity check takes them out,
+    g, E1, 1/M and h' at phi_bar that a checked step from it kept
+    (:func:`explicit_data`)."""
 
     phi: np.ndarray
     temp: np.ndarray
@@ -148,7 +152,11 @@ class State:
         2x^n - x^{n-1}, kept in the state's memo until a reader ``take``s
         it, so the ledger row's norms and the step share the lead of phi;
         the lead leaves the memo and dies with the reader that takes it, and
-        a reader that takes a lead not in the memo gets it formed afresh."""
+        a reader that takes a lead not in the memo gets it formed afresh.
+        A reader that takes an order-2 lead owns it and may write into it.
+        An order-1 lead is the state's own array, which a later state may
+        hold too (the bdf2 bootstrap keeps level 0 as its level n-1): no
+        reader may write into it."""
         if self.phi_prev is None:
             return getattr(self, name)
         key = ("lead", name)
@@ -182,6 +190,14 @@ def _two_levels(x, x_prev, c: float):
         o = np.multiply(x[rows], 2.0, out=out[rows])
         o -= x_prev[rows] if c == 1.0 else c * x_prev[rows]  # the lead skips 1.0*x_prev
     return out
+
+
+def _scratch(state: State, lead: np.ndarray) -> np.ndarray:
+    """Memory for a field that takes the place of ``lead`` in the reader that
+    took it: the lead itself at order 2, where ``state.lead`` formed it for
+    that reader, and a new field at order 1, where the lead is the state's
+    own field, which no reader may write into."""
+    return lead if state.order == 2 else np.empty(lead.shape)
 
 
 def _at(x, rows):
@@ -286,20 +302,31 @@ def _phi_bar_terms(grid: GridSpec, p: ModelParams, state: State, take: bool):
     return phi_bar, geom, p.rho_at(phi_bar), e1_energy(grid, phi_bar, p, geom, grad_lead)
 
 
-def explicit_data(grid: GridSpec, p: ModelParams, state: State) -> ExplicitData:
-    """The explicit data of the step from ``state``, for that step's identity
-    check, its last reader: taken out of the state's memo, where a checked
-    step kept it, or else evaluated afresh in the step's order (phi_bar,
-    geometry, E1, g, T_bar, h'), the geometry dying after g; mu_bar, which
-    the step's solves took, is formed again.  Either way the state's memo
-    holds no field of it afterwards."""
+def _kept_data(grid: GridSpec, p: ModelParams, state: State):
+    """1/M, h', E1 and g at phi_bar of the step from ``state``: taken out of
+    the state's memo, where a checked step kept them, or else evaluated
+    afresh in the step's order, the geometry dying after g and an order-2
+    lead of phi left in the memo for the caller's first read of phi_bar."""
     data = state._norms.pop(("explicit", grid, p), None)
     if data is None:
-        phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=True)
-        data = dict(phi=phi_bar, g=g_residual(grid, phi_bar, p, geom), rho=rho, e1=e1)
+        phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=False)
+        data = dict(g=g_residual(grid, phi_bar, p, geom), rho=rho, e1=e1)
         del geom
-        data.update(temp=state.lead("temp", True), hp=h_prime(phi_bar))
-    return ExplicitData(**data, mu=state.lead("mu", True))
+        data["hp"] = h_prime(phi_bar)
+    return data["rho"], data["hp"], data["e1"], data["g"]
+
+
+def explicit_data(grid: GridSpec, p: ModelParams, state: State) -> ExplicitData:
+    """The explicit data of the step from ``state``, for a reader after the
+    step, such as its identity check: 1/M, h', E1 and g at phi_bar, taken out
+    of the state's memo, where a checked step kept them, or else evaluated
+    afresh in the step's order; and the leads phi_bar, T_bar and mu_bar,
+    which the step's solves took, formed again from the state
+    (``state.lead``), bitwise the arrays the step used.  Either way the
+    state's memo holds no field of it afterwards."""
+    rho, hp, e1, g = _kept_data(grid, p, state)
+    return ExplicitData(state.lead("phi", True), state.lead("temp", True),
+                        state.lead("mu", True), rho, hp, e1, g)
 
 
 def partial_solves(
@@ -416,8 +443,9 @@ def sav_step(
     the geometry after g, T_bar after core, phi_bar in rhs_1, mu_bar in the
     forcing, the forcing after the temperature solves, h' after the solves.
     With ``checked`` the step evaluates g a second time, from the same
-    geometry, for its identity check, and the state's memo keeps that field
-    and the explicit data up to h' for the check.  The new phi
+    geometry, for its identity check, and the state's memo keeps that g,
+    E1, 1/M and h' for the check, which forms phi_bar, T_bar and mu_bar
+    again; the leads die in the step as they do unchecked.  The new phi
     and T are recombined in place, and the new mu is formed once, from the
     new phi (:func:`phase_potential`).
     A1 collects 2*a0 times the auxiliary energy plus weighted squares
@@ -432,7 +460,7 @@ def sav_step(
     core = g_residual(grid, phi_bar, p, geom)
     if checked:  # the check's own g(phi_bar) takes the place of the geometry in the memo
         kept = state._norms["explicit", grid, p] = dict(
-            phi=phi_bar, g=g_residual(grid, phi_bar, p, geom), rho=rho, e1=e1)
+            g=g_residual(grid, phi_bar, p, geom), rho=rho, e1=e1)
     del geom
     temp_bar, hp = state.lead("temp", True), h_prime(phi_bar)
     del phi_bar
@@ -440,7 +468,7 @@ def sav_step(
         core[rows] += (p.lam / p.eps) * hp[rows] * temp_bar[rows]
         np.negative(core[rows], out=core[rows])
     if checked:
-        kept.update(temp=temp_bar, hp=hp)
+        kept["hp"] = hp
     del temp_bar
     phi, rhs1, phi2, temp, temp2, coeff, cg_iterations, forcing_temp1, forcing_temp2, \
         core_dphi1 = partial_solves(grid, p, tau, state, rho, core, hp, sources, t_new)
@@ -579,41 +607,53 @@ def identity_proof_lines(
     stepper; their sum is 2k times the telescoped energy balance, from which
     the work of g and h' and the heat transfer cancel.
     Everything is read from the two states alone: their energy norms through
-    :func:`state_norms` and the explicit data through :func:`explicit_data`,
-    which takes it out of the memo where a checked step from ``before`` kept
-    it.  The nonlinear term g(phi_bar) is evaluated apart from the step's
-    own: by the checked step, a second time, or else by
-    :func:`explicit_data`.  The norms of both states are taken before the
-    explicit data exists, the heat transfer first of the products, so that
-    mu_bar dies early, and each field dies after its last reader; a term
-    shared by two lines is evaluated once.
+    :func:`state_norms`; g, E1, 1/M and h' at phi_bar as in
+    :func:`explicit_data`, from the memo where a checked step from
+    ``before`` kept them (so g(phi_bar) is evaluated apart from the step's
+    own); and the leads mu_bar, phi_bar and T_bar, formed again from
+    ``before`` at their first read.  The norms of both states are taken
+    before the explicit data exists.  Each product folds into a field that
+    dies with it: the heat transfer into mu_bar, c and then w into phi_bar,
+    h' T_bar into h', the temperature jump into T_bar, except that an
+    order-1 lead is ``before``'s own field and gets a new one
+    (:func:`_scratch`).  A term shared by two lines is evaluated once.
     """
     k = before.order
     nb, na = state_norms(grid, before), state_norms(grid, after)
-    phi_bar, temp_bar, mu_bar, rho_bar, hp_bar, e1_bar, g_bar = explicit_data(grid, p, before)
+    rho_bar, hp_bar, e1_bar, g_bar = _kept_data(grid, p, before)
     xi = after.r / math.sqrt(e1_bar)
     lam_e = p.lam / p.eps
     lam_ek = p.lam / (p.eps * p.latent)
-    heat = hp_bar / rho_bar
-    heat *= mu_bar
+    mu_bar = before.lead("mu", True)
+    heat = _scratch(before, mu_bar)
+    for rows in row_blocks(grid.shape, 3):
+        np.multiply(hp_bar[rows] / _at(rho_bar, rows), mu_bar[rows], out=heat[rows])
     del mu_bar
     heat_transfer = 2.0 * k * xi * tau * lam_e * inner(grid, heat, after.temp)
     del heat
 
-    curv = after.phi - phi_bar
+    phi_bar = before.lead("phi", True)
+    curv = np.subtract(after.phi, phi_bar, out=_scratch(before, phi_bar))
     del phi_bar
-    bdf_phi = curv if k == 1 else 2.0 * (after.phi - before.phi) + curv
     curv_sq = norm_sq(grid, curv)
     curv_grad_sq = grad_norm_sq(grid, curv)
+    bdf_phi = curv
     del curv
+    if k == 2:  # 2(phi^{n+1} - phi^n) + c, in the memory of c
+        for rows in row_blocks(grid.shape, 2):
+            d = np.subtract(after.phi[rows], before.phi[rows])
+            d *= 2.0
+            bdf_phi[rows] += d
     residual_work = 2.0 * xi * inner(grid, g_bar, bdf_phi)
     del g_bar
-    coupling_work = 2.0 * xi * lam_e * inner(grid, hp_bar * temp_bar, bdf_phi)
+    temp_bar = before.lead("temp", True)
+    hp_bar *= temp_bar  # h' T_bar; the check owns h'
+    coupling_work = 2.0 * xi * lam_e * inner(grid, hp_bar, bdf_phi)
     del hp_bar
+    temp_jump = norm_sq(grid, np.subtract(after.temp, temp_bar, out=_scratch(before, temp_bar)))
+    del temp_bar
     dissipation = (2.0 / (k * tau)) * inner(grid, rho_bar * bdf_phi, bdf_phi)
     del bdf_phi
-    temp_jump = norm_sq(grid, after.temp - temp_bar)
-    del temp_bar
 
     line1 = math.fsum(
         [

@@ -7,8 +7,11 @@ g(phi_bar)) and the explicit data at the lead of the state, the linear
 extrapolation 2*(.)^n - (.)^{n-1}.  The ledger row's norms build the lead
 of phi, which stays in the state's memo until the step from the state, or
 its identity check, takes it out; they take ||T_bar||^2 without keeping
-T_bar, which the step forms again, as it forms mu_bar.  The new mu is
-formed once, from the recombined phi (``bdf1.phase_potential``).
+T_bar, which the step forms again, as it forms mu_bar.  A checked step
+keeps g, E1, 1/M and h' at phi_bar for its identity check, not the leads:
+the check forms phi_bar, T_bar and mu_bar again, one extrapolation pass
+each, and folds its products into them.  The new mu is formed once, from
+the recombined phi (``bdf1.phase_potential``).
 The first level is produced from the level-0 state of ``bdf1.init_state``
 by one first-order bootstrap step, which costs O(tau^2) globally and leaves
 the second-order convergence intact.  :func:`bootstrap` and :func:`step2`

@@ -599,10 +599,11 @@ class TestExplicitDataMemo:
     identity check."""
 
     def test_memo_equals_fresh_evaluation(self, case2, scheme):
-        # the identity check takes the explicit data that a checked step kept
-        # out of the memo, and forms mu_bar again; its leads, rho, h', E1 and
-        # g(phi_bar) equal, bitwise, those of a copy of the state that has no
-        # memo, whose g is evaluated from a geometry that dies with the call
+        # the identity check takes g, h', rho and E1 that a checked step kept
+        # out of the memo, and forms phi_bar, T_bar and mu_bar again; its
+        # leads, rho, h', E1 and g(phi_bar) equal, bitwise, those of a copy
+        # of the state that has no memo, whose g is evaluated from a geometry
+        # that dies with the call
         grid, p, _, _ = case2
         for state, _ in _stepped_pairs(scheme, case2, p, levels=2):
             before = _row_then_step(grid, p, state, checked=True)
@@ -610,8 +611,9 @@ class TestExplicitDataMemo:
             assert "mu" not in memo
             got = bdf1.explicit_data(grid, p, before)
             assert _explicit_memos(before) == [] and _memo_fields(before) == []
-            for name in ("phi", "temp", "hp", "g"):
+            for name in ("hp", "g"):
                 assert getattr(got, name) is memo[name]
+            assert np.array_equal(got.phi, replace(state).lead("phi"))
             fresh = replace(state)
             want = bdf1.explicit_data(grid, p, fresh)
             assert _memo_fields(fresh) == []
@@ -627,8 +629,9 @@ class TestExplicitDataMemo:
     def test_memo_keeps_explicit_data_only_for_checked_step(self, case2, scheme):
         # the ledger row leaves the geometry (bdf1) or the lead of phi (bdf2)
         # in the memo for the step; an unchecked step takes every field
-        # out, a checked one keeps the explicit data for its identity check,
-        # with g(phi_bar) in place of the four fields of the geometry
+        # out, a checked one keeps for its identity check what it cannot form
+        # again from the state: g(phi_bar), in place of the four fields of the
+        # geometry, h', 1/M and E1, not the leads
         grid, p, phi0, temp0 = case2
         state = init_state(grid, phi0, temp0, p)
         if scheme == "bdf2":
@@ -639,7 +642,7 @@ class TestExplicitDataMemo:
         assert _memo_fields(_row_then_step(grid, p, state, checked=False)) == []
         checked = _row_then_step(grid, p, state, checked=True)
         (memo,) = _explicit_memos(checked)
-        assert sorted(memo) == ["e1", "g", "hp", "phi", "rho", "temp"]
+        assert sorted(memo) == ["e1", "g", "hp", "rho"]
         assert not any(isinstance(v, Anisotropy) for v in checked._norms.values())
 
     @pytest.mark.parametrize("check", [False, True])

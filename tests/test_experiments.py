@@ -461,15 +461,42 @@ class TestRetainHeap:
         assert faults < 50 * levels
 
 
+class TestCheckedRunMatchesUnchecked:
+    """The identity check reads the states and writes into none of them: a
+    checked run is the unchecked run plus the ledger's identity column."""
+
+    @pytest.mark.parametrize("scheme", ["bdf1", "bdf2"])
+    @pytest.mark.parametrize("case", ["dendrite64", "case2-s3-s4"])
+    def test_bitwise_equal_outputs(self, scheme, case):
+        if case == "dendrite64":
+            g = DENDRITE.grid
+            cfg = replace(DENDRITE, grid=GridSpec(64, 64, g.x0, g.x1, g.y0, g.y1),
+                          t_end=6 * DENDRITE.tau)
+        else:
+            cfg = replace(CASE2, t_end=6 * CASE2.tau,
+                          params=replace(CASE2.params, s3=0.3, s4=0.02))
+        cfg = replace(cfg, scheme=scheme, snapshot_every=0, snapshot_times=())
+        checked = run_single(replace(cfg, check_identity=True))
+        unchecked = run_single(replace(cfg, check_identity=False))
+        assert checked.max_identity_residual > 0.0
+        for name in ("phi", "temp", "mu"):
+            assert np.array_equal(getattr(checked.final_state, name),
+                                  getattr(unchecked.final_state, name))
+        assert checked.final_state.r == unchecked.final_state.r
+        assert len(checked.records) == len(unchecked.records) == 7
+        for a, b in zip(checked.records, unchecked.records):
+            assert replace(a, identity_residual=0.0) == b
+
+
 class TestWorkingSet:
     """A level holds the state and the fields of its solves, and every field
     of a step dies after its last reader."""
 
     # peak traced fields over the run's baseline, half a field above what the
-    # steps reach (14.1 / 17.1 / 11.1 / 12.1); no step call passes a field
+    # steps reach (14.1 / 15.1 / 11.1 / 12.1); no step call passes a field
     # that should die inside it, so the peak is the same where a call's
     # arguments live as long as the call (Python 3.10)
-    BOUNDS = {("bdf2", False): 14.5, ("bdf2", True): 17.5,
+    BOUNDS = {("bdf2", False): 14.5, ("bdf2", True): 15.5,
               ("bdf1", False): 11.5, ("bdf1", True): 12.5}
 
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="memory is traced already")
@@ -660,6 +687,22 @@ class TestCli:
         assert "finished bdf2 run" in out
         assert "CG iterations 0 (at most 0 per level)" in out
         assert (tmp_path / "case2.csv").exists()
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_run_reports_identity_check(self, tmp_path, capsys, check):
+        # an unchecked run has no identity residual to report: it says the
+        # check is off rather than print a residual of 0 that reads as perfect
+        cfg = tmp_path / "case2.cfg"
+        cfg.write_text((CONFIG_DIR / "case2.cfg").read_text()
+                       + f"\n[solver]\ncheck_identity = {str(check).lower()}\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--t-end", "0.01"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert ("max identity residual" in out) is check
+        assert ("identity check off" in out) is not check
+        if check:
+            assert float(re.search(r"max identity residual (\S+)", out).group(1)) > 0.0
 
     def test_overrides_apply(self, tmp_path):
         main([
