@@ -1,13 +1,11 @@
-"""First-order decoupled, unconditionally energy-stable time stepper, and the
-SAV step kernel shared with the second-order scheme.
+"""First-order SAV time stepper, and the step kernel and discrete energy
+law it shares with the second-order scheme (``bdf2``).
 
-Both schemes write the time derivative as (a0*x^{n+1} - x_hist)/tau and take
-the nonlinear terms at explicit data x_bar.  One frozen :class:`State` serves
-both: it holds level n-1 exactly when its BDF order k is 2, and its ``a0``,
-its history ``state.history`` and its lead ``state.lead`` are the BDF table
-of that order, a0 = 1 and x_hist = x_bar = x^n at k = 1.
-:func:`sav_step` then advances (phi, T, mu, R) through four linear elliptic
-solves (:func:`partial_solves`) and a scalar closure:
+Both schemes write the time derivative as (a0*x^{n+1} - x_hist)/tau and
+take the nonlinear terms at the lead x_bar; a :class:`State` supplies a0,
+the history and the lead of its BDF order k.  :func:`sav_step` advances
+(phi, T, mu, R) through four linear elliptic solves (:func:`partial_solves`)
+and a scalar closure:
 
 1. the xi-independent phase solve phi_1 from the phase history;
 2. the xi-proportional phase solve phi_2 forced by the explicit nonlinear
@@ -17,54 +15,11 @@ solves (:func:`partial_solves`) and a scalar closure:
    Phys. 353, 2018), after which the new fields are the affine
    recombinations phi_1 + xi*phi_2 etc.
 
-:func:`step` and ``bdf2.step2`` share one stepping body (``_advance``): the
-kernel, ``state.next_level`` and, when checked, the identity residual.
-
-The chemical potential (:func:`phase_potential`) and the T_2 Laplacian in A2
-are read off the equations the solves just satisfied, so the only
-real-space Laplacian of a step is the explicit s4 term of the phase
-history, and none when s4 = 0.  The new mu is formed once, after xi, from
-the recombined phi, whose equation has the right-hand side rhs_1 + xi*core;
-mu_1 and mu_2 are never formed.
-
-The explicit data of the step from a state (the leads, 1/M, h', E1 and the
-anisotropy geometry at phi_bar) is evaluated once per state, in one order,
-by one helper (:func:`_explicit_terms`), and each field is owned by its
-last reader.  An unchecked step is that reader: its fields die inside the
-step, the lead phi_bar that the ledger row's norms memoized in an order-2
-state included (they take ||T_bar||^2 without keeping T_bar, which the
-step forms again).  A checked step has the helper evaluate g(phi_bar) a
-second time, by the same code from the same geometry, so the two are
-bitwise equal; the second call is there only because the benchmark's
-self-test pins two g evaluations per checked level.  The step keeps for
-the check only what it cannot form again cheaply: that g, E1, 1/M and h'
-(which the step holds through its solves anyway), as one tuple in the
-state's memo, while the geometry's four fields die after g as in an
-unchecked step.  The check takes them out and forms the leads phi_bar,
-T_bar and mu_bar again from the state (``state.lead``), each at its first
-read (one 2x^n - x^{n-1} pass at order 2, none at order 1), bitwise the
-arrays the step used.  The ledger row of phi^n = phi_bar hands its
-geometry to the step through the memo (:func:`state_geometry`).
-
-The discrete energy law is written once for both schemes, in terms of the
-BDF order k of a state (``state.order``) and its lead rule (``state.lead``:
-the explicit data of the next level).  :func:`scheme_energy` is the modified
-energy, summed over the level and its lead for k = 2;
-:func:`identity_proof_lines` re-assembles the three inner-product
-identities behind the law from the two states, the explicit data of the
-step and an evaluation of the nonlinear residual g apart from the one the
-step's solves use, and ``energy_identity_residual``
-(``bdf2.energy_identity_residual2`` for k = 2) reports the largest of them
-relative to the modified energy.  The squared norms of a
-state's modified energy are evaluated once per state (:func:`state_norms`)
-and shared by the check, the ledger row and E1 at the lead.
-
-The pointwise chains of a step (the leads and histories of a state, the
-right-hand side rhs_1 and the temperature forcing of the solves, core, the
-recombination and mu) run over the row blocks of ``grid.row_blocks``.
-Their block temporaries replace whole-field temporaries, and no name keeps
-a block of a field past the field's last reader, so a step holds the
-fields it held with whole-field passes, and its bits are theirs.
+:class:`State` sets out what a state memoizes and which reader owns each
+field of a step.  :func:`scheme_energy` is the modified energy of order k,
+and :func:`identity_proof_lines` re-assembles the three identities behind
+its law.  The pointwise chains run over ``grid.row_blocks``, bitwise the
+whole-field passes (see ``grid``).
 """
 
 from __future__ import annotations
@@ -112,10 +67,22 @@ class State:
     """Time-level data (phi^n, T^n, mu^n, R^n) at t = n*tau and, for BDF
     order 2, level n-1 in the ``*_prev`` fields (all ``None`` at order 1).
 
-    ``_norms`` is the state's memo: its energy norms (:func:`state_norms`),
-    its order-2 lead of phi and, until the identity check takes them out,
-    the 1/M, h', E1 and g at phi_bar that a checked step from it kept
-    (:func:`_explicit_terms`)."""
+    ``_norms`` is the state's memo.  States are frozen, so it cannot go
+    stale, and ``dataclasses.replace`` starts an empty one.  It holds:
+
+    * the energy norms (:func:`state_norms`), shared by the ledger row, E1
+      at the lead and the identity check;
+    * the order-2 lead of phi (:meth:`lead`), formed by the norms;
+    * the geometry of phi^n that a ledger row hands to the step where phi^n
+      is the lead, as in bdf1 (:func:`state_geometry`);
+    * the 1/M, h', E1 and g at phi_bar that a checked step keeps for its
+      identity check (:func:`_explicit_terms`, :func:`_kept_data`).
+
+    Each field of a step is owned by its last reader, which takes it out of
+    the memo and lets it die.  An unchecked step is that reader for all of
+    its explicit data.  A checked step hands the four fields above to the
+    check, and the check forms phi_bar, T_bar and mu_bar again at their
+    first read, bitwise the arrays the step used."""
 
     phi: np.ndarray
     temp: np.ndarray
@@ -146,18 +113,14 @@ class State:
         return 1.0 if self.phi_prev is None else 1.5
 
     def lead(self, name: str, take: bool = False):
-        """The explicit data of the next level for field ``name``.
+        """The explicit data of the next level for field ``name``: x^n at
+        order 1, 2x^n - x^{n-1} at order 2.
 
-        At order 1 it is x^n itself, which stays with the state whether or
-        not a reader ``take``s it.  At order 2 it is the linear extrapolation
-        2x^n - x^{n-1}, kept in the state's memo until a reader ``take``s
-        it, so the ledger row's norms and the step share the lead of phi;
-        the lead leaves the memo and dies with the reader that takes it, and
-        a reader that takes a lead not in the memo gets it formed afresh.
-        A reader that takes an order-2 lead owns it and may write into it.
-        An order-1 lead is the state's own array, which a later state may
-        hold too (the bdf2 bootstrap keeps level 0 as its level n-1): no
-        reader may write into it."""
+        An order-2 lead stays in the memo until a reader ``take``s it; that
+        reader owns it and may write into it, and one that takes a lead not
+        in the memo gets it formed afresh.  An order-1 lead is the state's
+        own array, which a later state may hold too (the bdf2 bootstrap
+        keeps level 0 as its level n-1): no reader may write into it."""
         if self.phi_prev is None:
             return getattr(self, name)
         key = ("lead", name)
@@ -167,8 +130,7 @@ class State:
 
     def history(self, name: str):
         """The history of the BDF derivative for field ``name``: x^n at order 1;
-        2x^n - x^{n-1}/2 at order 2, formed afresh at each call, so it dies
-        with the step's last use."""
+        2x^n - x^{n-1}/2 at order 2, formed afresh at each call."""
         if self.phi_prev is None:
             return getattr(self, name)
         return _two_levels(getattr(self, name), getattr(self, name + "_prev"), 0.5)
@@ -195,9 +157,8 @@ def _two_levels(x, x_prev, c: float):
 
 def _scratch(state: State, lead: np.ndarray) -> np.ndarray:
     """Memory for a field that takes the place of ``lead`` in the reader that
-    took it: the lead itself at order 2, where ``state.lead`` formed it for
-    that reader, and a new field at order 1, where the lead is the state's
-    own field, which no reader may write into."""
+    took it: the lead itself at order 2, a new field at order 1
+    (:meth:`State.lead`)."""
     return lead if state.order == 2 else np.empty(lead.shape)
 
 
@@ -271,9 +232,8 @@ def init_state(grid: GridSpec, phi0: np.ndarray, temp0: np.ndarray, p: ModelPara
 
 
 def state_geometry(grid: GridSpec, p: ModelParams, state: State) -> Anisotropy:
-    """The anisotropy geometry of ``state.phi``.  Where phi is the state's own
-    lead, the step from the state needs it again: it stays in the state's memo
-    until the step takes it out, and dies after the step's g."""
+    """The anisotropy geometry of ``state.phi``, kept in the memo for the step
+    where phi is the state's own lead (:class:`State`)."""
     geom = state._norms.get(("geometry", grid, p)) or anisotropy(grid, state.phi, p.sigma)
     if state.lead("phi") is state.phi:
         state._norms["geometry", grid, p] = geom
@@ -283,10 +243,13 @@ def state_geometry(grid: GridSpec, p: ModelParams, state: State) -> Anisotropy:
 def _explicit_terms(grid: GridSpec, p: ModelParams, state: State, checked: bool):
     """1/M, h', E1 and g at phi_bar of the step from ``state`` and, when
     ``checked``, the identity check's own g(phi_bar) (else ``None``), in the
-    step's order: phi_bar, an order-2 lead left in the memo for the step's
-    solves (or the check) to take; its geometry, taken out of the memo where
-    the ledger row left it, or else formed; 1/M and E1; g, and the check's g
-    from the same geometry, which dies after them; then h'."""
+    step's order: phi_bar, its geometry, 1/M and E1, g, then h'.
+
+    The check's g is the same code run on the same phi_bar and geometry, so
+    it is bitwise the step's, not an independent evaluation.  It is formed
+    only because ``perfbench/selftest.py`` pins two ``model.g_residual``
+    calls per checked level (ROADMAP item 1), and keeping it costs the check
+    one field where the geometry would cost four."""
     grad_lead = state_norms(grid, state).grad_lead  # reads the lead while it is memoized
     phi_bar = state.lead("phi")
     geom = state._norms.pop(("geometry", grid, p), None) or anisotropy(grid, phi_bar, p.sigma)
@@ -298,10 +261,8 @@ def _explicit_terms(grid: GridSpec, p: ModelParams, state: State, checked: bool)
 
 
 def _kept_data(grid: GridSpec, p: ModelParams, state: State):
-    """1/M, h', E1 and g at phi_bar of the step from ``state``, for its
-    identity check: taken out of the state's memo, where a checked step kept
-    them, or else evaluated afresh (:func:`_explicit_terms`), an order-2
-    lead of phi left in the memo for the caller's first read of phi_bar."""
+    """1/M, h', E1 and g at phi_bar for the identity check of the step from
+    ``state``: those a checked step kept, or else evaluated afresh."""
     kept = state._norms.pop(("explicit", grid, p), None)
     return kept or _explicit_terms(grid, p, state, False)[:4]
 
@@ -315,16 +276,11 @@ def partial_solves(
 
     ``rho`` is 1/M(phi_bar) and ``hp`` is h'(phi_bar).  The phi_2 solve is
     forced by ``core`` = -g - (lam/eps) h' T_bar, T_2 by the temperature
-    forcing K h' M mu_bar; ``sources`` are evaluated at ``t_new``.  Each
-    field that dies here is formed here (a call's arguments live until it
-    returns), in an order that lets it die before the next one is
-    allocated: rhs_1 first, from the phase history, phi_bar (taken from the
-    state) and its s4 Laplacian, a row block at a time, and then the phase
-    source; then the forcing, from mu_bar (taken from the state), a row block
-    at a time, and T_1 and T_2, whose products with the forcing are taken
-    before the phase solves; then phi_1, right after which
-    <core, a0*phi_1 - phi_hist> is taken and the history
-    dies; then phi_2.  Zero s3 and s4 terms are skipped.
+    forcing K h' M mu_bar; ``sources`` are evaluated at ``t_new``.  A call's
+    arguments live until it returns, so each field that dies here is formed
+    here, in an order that lets it die before the next one is allocated,
+    and the closure's products with a dying field are taken before it dies.
+    Zero s3 and s4 terms are skipped.
     """
     a0 = state.a0
     coeff = a0 * rho / tau + (p.s2 + p.s3) / p.eps**2
@@ -384,14 +340,13 @@ def phase_potential(
 
     With b = s1 + s4, s1*Lap(phi) = (s1/b)*(coeff*phi - rhs - forcing), so
     mu = (s1/b)*(coeff*phi - rhs - forcing) - (s2/eps^2) phi + forcing,
-    formed in place in that order, a row block at a time; ``forcing`` is the
-    explicit part -g - (lam/eps) h' T_bar of the right-hand side, which mu
-    holds itself.  The
-    step forms mu once, from the new phi = phi_1 + xi*phi_2 with rhs = rhs_1
-    and forcing = xi*core; the pairs (phi_1, rhs_1) and (phi_2, core) have a
-    zero forcing and a zero rhs.  With the PCG path mu = s1*Lap(phi) - ...
-    holds up to (s1/b) times the solve residual, which is at most
-    ``solvers.CG_TOL``*||rhs + forcing||.
+    formed in place in that order; ``forcing`` is the explicit part
+    -g - (lam/eps) h' T_bar of the right-hand side, which mu holds itself.
+    The step forms mu once, after xi, from the new phi = phi_1 + xi*phi_2
+    with rhs = rhs_1 and forcing = xi*core, so its only real-space Laplacian
+    is the explicit s4 term, and none when s4 = 0.  With the PCG path
+    mu = s1*Lap(phi) - ... holds up to (s1/b) times the solve residual,
+    which is at most ``solvers.CG_TOL``*||rhs + forcing||.
     """
     b = p.s1 + p.s4
     scale = p.s1 / b if b > 0.0 else 0.0  # b = 0 forces s1 = 0
@@ -413,22 +368,12 @@ def sav_step(
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], StepReport]:
     """One step of either scheme to ``t_new``; returns the new (phi, T, mu, R).
 
-    ``state`` supplies ``a0`` and ``history`` of the BDF derivative
-    (a0*x^{n+1} - x_hist)/tau.  The explicit data is evaluated in one order,
-    phi_bar, geometry, 1/M, E1, g and h' (:func:`_explicit_terms`), T_bar,
-    core, then in the solves mu_bar and the temperature forcing, and each
-    field dies after its last reader: the geometry after g, T_bar after
-    core, phi_bar in rhs_1, mu_bar in the forcing, the forcing after the
-    temperature solves, h' after the solves.  With ``checked`` the helper
-    evaluates the check's g a second time, from the same geometry, and the
-    state's memo keeps (1/M, h', E1, g) for the check, which forms phi_bar,
-    T_bar and mu_bar again; the leads die in the step as they do
-    unchecked.  The new phi and T are recombined in place, and the new mu
-    is formed once, from the new phi (:func:`phase_potential`).
-    A1 collects 2*a0 times the auxiliary energy plus weighted squares
-    of the xi-proportional parts, hence is always positive; the solve
-    equations of phi_2 and T_2 turn those squares into the products
-    a0*<core, phi_2> and tau*<temp_forcing, T_2>.
+    With ``checked`` the state's memo keeps 1/M, h', E1 and g at phi_bar
+    for the identity check (:class:`State`).  A1 collects 2*a0 times the
+    auxiliary energy plus weighted squares of the xi-proportional parts,
+    hence is always positive; the solve equations of phi_2 and T_2 turn
+    those squares into the products a0*<core, phi_2> and
+    tau*<temp_forcing, T_2>.
     """
     if not tau > 0.0:
         raise ValueError("tau must be positive")
@@ -533,14 +478,8 @@ def _energy_norms(grid: GridSpec, state: State) -> EnergyNorms:
 
 
 def state_norms(grid: GridSpec, state: State) -> EnergyNorms:
-    """The state's energy norms, evaluated once per state and grid.
-
-    They depend on the state's fields alone, so the identity check, the
-    ledger row of a level and E1 at the state's lead share them through the
-    state's ``_norms`` memo.
-    States are frozen, so the memo cannot go stale; ``dataclasses.replace``
-    starts an empty one.
-    """
+    """The state's energy norms, evaluated once per state and grid and kept
+    in its memo (:class:`State`)."""
     norms = state._norms.get(grid)
     if norms is None:
         norms = state._norms[grid] = _energy_norms(grid, state)
@@ -577,17 +516,10 @@ def identity_proof_lines(
     phi_bar), so each vanishes to roundoff for states produced by the
     stepper; their sum is 2k times the telescoped energy balance, from which
     the work of g and h' and the heat transfer cancel.
-    Everything is read from the two states alone: their energy norms through
-    :func:`state_norms`; 1/M, h', E1 and g at phi_bar from the memo where
-    a checked step from ``before`` kept them (the check's own g(phi_bar),
-    bitwise the step's), or else evaluated afresh (:func:`_kept_data`);
-    and the leads mu_bar, phi_bar and T_bar, formed again from
-    ``before`` at their first read.  The norms of both states are taken
-    before the explicit data exists.  Each product folds into a field that
-    dies with it: the heat transfer into mu_bar, c and then w into phi_bar,
-    h' T_bar into h', the temperature jump into T_bar, except that an
-    order-1 lead is ``before``'s own field and gets a new one
-    (:func:`_scratch`).  A term shared by two lines is evaluated once.
+    Everything is read from the two states alone (:class:`State`), the norms
+    of both before the explicit data exists.  Each product folds into a
+    field that dies with it (:func:`_scratch`), and a term shared by two
+    lines is evaluated once.
     """
     k = before.order
     nb, na = state_norms(grid, before), state_norms(grid, after)

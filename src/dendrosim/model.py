@@ -17,12 +17,8 @@ Conventions shared with the time steppers:
   ``grad_inner`` so they pair exactly with the compact Laplacian.  The
   auxiliary energy mixes both on purpose, which keeps
   original == modified + auxiliary split an exact identity;
-* the pointwise chains (kappa and |grad phi|^2, the anisotropy vector, the
-  flux weight and bulk term of g, h', phi^2 - 1 of the energies) run over
-  the row blocks of ``grid.row_blocks``: each writes its outputs a block at
-  a time, its block temporaries replace whole-field ones, and its bits are
-  those of whole-field passes.  The sums of the energies stay whole-field
-  dot products.
+* the pointwise chains run over the row blocks of ``grid.row_blocks``,
+  bitwise the whole-field passes (see ``grid``).
 """
 
 from __future__ import annotations
@@ -148,6 +144,9 @@ class SourceTerms:
     ``phi`` adds to phi_t after the mobility factor, ``temp`` adds to T_t.
     The steppers evaluate both at the new time level, on the xi-independent
     right-hand sides, so manufactured forcing never perturbs the xi closure.
+    The identity check leaves out the work of the sources, so the
+    ``identity_residual`` of a forced run is not the residual of the forced
+    law (about 5e-8 where an unforced run reads 1e-15; ROADMAP item 16).
     """
 
     phi: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None

@@ -99,6 +99,13 @@ class TestShippedConfigs:
         assert cfg.initial.eps0 == 1.8e-4
         assert cfg.initial.undercool == -0.6
 
+    @pytest.mark.parametrize("name", ["case1", "case2", "dendrite"])
+    def test_bconst_keeps_the_well_part_non_negative(self, name):
+        # (F(phi) - s2 phi^2/2)/eps^2 has its minimum -(s2/2 + s2^2/4)/eps^2
+        # at phi^2 = 1 + s2; a larger B keeps E1's well part non-negative
+        p = load_config(CONFIG_DIR / f"{name}.cfg").params
+        assert p.bconst > (p.s2 / 2 + p.s2**2 / 4) / p.eps**2
+
 
 class TestValidation:
     def test_negative_tau_names_key(self):
